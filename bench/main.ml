@@ -1161,16 +1161,29 @@ let wal () =
 
 let repl_json : Jsonlight.t list ref = ref []
 
+(* A keep-alive handle for a loop polling a daemon's
+   [GET /replication]: one try per call (the loop is the retry), and
+   a reconnect whenever the daemon caps or drops the connection. *)
+let repl_handle daemon =
+  Server.Client.persistent
+    ~policy:{ Server.Client.default_policy with max_attempts = 1 }
+    (fun () -> Server.Client.connect ~port:(Server.Daemon.port daemon) ())
+
+let repl_status p =
+  Result.bind
+    (Server.Client.call p (fun c -> Server.Client.get c "/replication"))
+    Server.Client.replication
+
 (* Poll [GET /replication] on [daemon] until the replica has applied
    at least [seq] with zero lag against its primary. *)
 let repl_wait ?(timeout = 30.0) daemon ~seq =
-  let c = Server.Client.connect ~port:(Server.Daemon.port daemon) () in
+  let p = repl_handle daemon in
   Fun.protect
-    ~finally:(fun () -> Server.Client.close c)
+    ~finally:(fun () -> Server.Client.persistent_close p)
     (fun () ->
       let deadline = Unix.gettimeofday () +. timeout in
       let rec loop () =
-        match Server.Client.replication c with
+        match repl_status p with
         | Ok r
           when r.Server.Client.applied_seq >= seq && r.Server.Client.lag = 0L
           ->
@@ -1359,20 +1372,17 @@ let repl () =
               let sampler =
                 Thread.create
                   (fun () ->
-                    let rport = Server.Daemon.port replica in
-                    let c = ref (Server.Client.connect ~port:rport ()) in
+                    let p = repl_handle replica in
                     while not (Atomic.get stop_sampling) do
-                      (match Server.Client.replication !c with
+                      (match repl_status p with
                       | Ok r ->
                           let lag = r.Server.Client.lag in
                           if lag > !max_lag then max_lag := lag;
                           samples := lag :: !samples
-                      | Error _ ->
-                          Server.Client.close !c;
-                          c := Server.Client.connect ~port:rport ());
+                      | Error _ -> ());
                       Thread.delay 0.002
                     done;
-                    Server.Client.close !c)
+                    Server.Client.persistent_close p)
                   ()
               in
               Gc.compact ();

@@ -215,9 +215,9 @@ let floored_delay outcome backoff =
   | Error _ -> backoff
 
 (* a 421 carrying Retry-After is a transient rejection (a promotion in
-   flight, a fleet reconfiguring): worth re-asking the same endpoint,
-   unlike a bare 421 which can never change without a redirect *)
-let retryable_outcome outcome =
+   flight, a fleet reconfiguring): worth asking again, unlike a bare
+   421 which can never change without a redirect *)
+let transient outcome =
   match outcome with
   | Ok r -> retryable_status r.status || (r.status = 421 && retry_after r <> None)
   | Error _ -> true
@@ -273,138 +273,129 @@ let backoff_schedule ?(seed = 0) policy =
   go 0 []
 
 (* ------------------------------------------------------------------ *)
+(* The attempt loop                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* What a retrying handle carries between tries (and a persistent
+   handle between calls): the connection, when one survived, and the
+   primary a 421 pointed at, where every later try goes. *)
+type link = { mutable conn : t option; mutable redirect : (string * int) option }
+
+let new_link () = { conn = None; redirect = None }
+
+let drop link =
+  Option.iter close link.conn;
+  link.conn <- None
+
+let announces_close r =
+  match List.assoc_opt "connection" r.headers with
+  | Some v -> String.lowercase_ascii (String.trim v) = "close"
+  | None -> false
+
+(* The one place connections open and close: reuse the held
+   connection or [dial] a new one, run [f], and keep the connection
+   only when [keep] and the server did not announce a close (its
+   per-connection request cap, a drain). A torn connection or [f]
+   raising drops it — whatever state it held is unusable. *)
+let attempt ~keep link dial f =
+  match match link.conn with Some c -> c | None -> dial () with
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  | c -> (
+      link.conn <- Some c;
+      match f c with
+      | Ok r as outcome when keep && not (announces_close r) -> outcome
+      | outcome ->
+          drop link;
+          outcome
+      | exception e ->
+          drop link;
+          raise e)
+
+(* Where the next try goes after a transient one: after a backoff (the
+   same endpoint, the next fleet member), or at once without spending
+   an attempt (the next sibling of a read pass). *)
+type hop = Backoff of (unit -> t) | Sibling of (unit -> t)
+
+(* what every retrying handle shares; one jitter generator per handle *)
+type retrier = {
+  policy : retry_policy;
+  rng : Random.State.t;
+  sleep : float -> unit;
+  connect_to : string * int -> t;
+}
+
+let retrier ?(policy = default_policy) ?(seed = 0) ?(sleep = Unix.sleepf)
+    ?(connect_to = connect_to) () =
+  { policy; rng = Random.State.make [| seed |]; sleep; connect_to }
+
+(* The attempt loop behind every retrying entry point. [dial] opens
+   the first try's connection, [next] says where each later try goes,
+   and [keep] whether a connection survives a successful try; the loop
+   owns the rest. With [follow], a 421 naming the primary sends every
+   later try on [link] there — an attempt spent, but no backoff: the
+   primary is another host, not a recovering one. *)
+let run r ~keep ~follow link ~next dial f =
+  let dial_for d () =
+    match link.redirect with Some a -> r.connect_to a | None -> d ()
+  in
+  let rec go i d =
+    let outcome = attempt ~keep link (dial_for d) f in
+    let last = i + 1 >= r.policy.max_attempts in
+    let redirect =
+      match outcome with
+      | Ok resp when follow && not last -> redirect_target resp
+      | Ok _ | Error _ -> None
+    in
+    match redirect with
+    | Some _ ->
+        link.redirect <- redirect;
+        drop link;
+        go (i + 1) d
+    | None when not (transient outcome) -> outcome
+    | None -> (
+        match next () with
+        | Sibling d -> go i d
+        | Backoff _ when last -> outcome
+        | Backoff d ->
+            r.sleep (floored_delay outcome (delay_for r.policy r.rng i));
+            go (i + 1) d)
+  in
+  go 0 dial
+
+let with_retry ?policy ?seed ?sleep ?(follow_primary = false) ?connect_to
+    ~connect f =
+  run
+    (retrier ?policy ?seed ?sleep ?connect_to ())
+    ~keep:false ~follow:follow_primary (new_link ())
+    ~next:(fun () -> Backoff connect)
+    connect f
+
+(* ------------------------------------------------------------------ *)
 (* Persistent connections                                             *)
 (* ------------------------------------------------------------------ *)
 
 type persistent = {
-  reconnect : unit -> t;
-  connect_redirect : string * int -> t;
-  policy : retry_policy;
-  sleep : float -> unit;
-  rng : Random.State.t;
-  follow_primary : bool;
-  mutable conn : t option;
-  (* once a read-only rejection advertised the primary, connect there
-     instead of through [reconnect] *)
-  mutable redirect : (string * int) option;
+  retrier : retrier;
+  follow : bool;
+  connect : unit -> t;
+  link : link;  (* a followed redirect is sticky for the handle *)
 }
 
-let persistent ?(policy = default_policy) ?(seed = 0) ?(sleep = Unix.sleepf)
-    ?(follow_primary = false) ?(connect_to = connect_to) connect =
+let persistent ?policy ?seed ?sleep ?(follow_primary = false) ?connect_to
+    connect =
   {
-    reconnect = connect;
-    connect_redirect = connect_to;
-    policy;
-    sleep;
-    rng = Random.State.make [| seed |];
-    follow_primary;
-    conn = None;
-    redirect = None;
+    retrier = retrier ?policy ?seed ?sleep ?connect_to ();
+    follow = follow_primary;
+    connect;
+    link = new_link ();
   }
 
-let drop_conn p =
-  (match p.conn with Some t -> close t | None -> ());
-  p.conn <- None
-
-let persistent_close = drop_conn
+let persistent_close p = drop p.link
 
 let call p f =
-  let obtain () =
-    match p.conn with
-    | Some t -> Ok t
-    | None -> (
-        let fresh () =
-          match p.redirect with
-          | Some target -> p.connect_redirect target
-          | None -> p.reconnect ()
-        in
-        match fresh () with
-        | t ->
-            p.conn <- Some t;
-            Ok t
-        | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
-  in
-  let once () =
-    match obtain () with
-    | Error _ as e -> e
-    | Ok t -> (
-        match f t with
-        | Ok r ->
-            (* the daemon announces it will close (request cap, drain):
-               drop the connection now so the next call reconnects
-               instead of failing into a retry *)
-            (match List.assoc_opt "connection" r.headers with
-            | Some v
-              when String.lowercase_ascii (String.trim v) = "close" ->
-                drop_conn p
-            | Some _ | None -> ());
-            Ok r
-        | Error _ as e ->
-            (* torn connection: whatever state it held is unusable *)
-            drop_conn p;
-            e)
-  in
-  let rec attempt i =
-    let outcome = once () in
-    let retry () =
-      if i + 1 >= p.policy.max_attempts then outcome
-      else begin
-        p.sleep (floored_delay outcome (delay_for p.policy p.rng i));
-        attempt (i + 1)
-      end
-    in
-    match outcome with
-    | Ok r
-      when p.follow_primary && redirect_target r <> None
-           && i + 1 < p.policy.max_attempts ->
-        (* reconnect to the advertised primary; counts as an attempt
-           but skips the backoff — the primary is a different host,
-           not a recovering one *)
-        p.redirect <- redirect_target r;
-        drop_conn p;
-        attempt (i + 1)
-    | Ok _ when retryable_outcome outcome -> retry ()
-    | Ok _ -> outcome
-    | Error _ -> retry ()
-  in
-  attempt 0
-
-let with_retry ?(policy = default_policy) ?(seed = 0) ?(sleep = Unix.sleepf)
-    ?(follow_primary = false) ?(connect_to = connect_to) ~connect f =
-  let rng = Random.State.make [| seed |] in
-  let redirect = ref None in
-  let once () =
-    let fresh () =
-      match !redirect with
-      | Some target -> connect_to target
-      | None -> connect ()
-    in
-    match fresh () with
-    | exception Unix.Unix_error (e, _, _) ->
-        (* connect refused/reset: the daemon may be restarting *)
-        Error (Unix.error_message e)
-    | t -> Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
-  in
-  let rec attempt i =
-    let outcome = once () in
-    let retry () =
-      if i + 1 >= policy.max_attempts then outcome
-      else begin
-        sleep (floored_delay outcome (delay_for policy rng i));
-        attempt (i + 1)
-      end
-    in
-    match outcome with
-    | Ok r
-      when follow_primary && redirect_target r <> None
-           && i + 1 < policy.max_attempts ->
-        redirect := redirect_target r;
-        attempt (i + 1)
-    | Ok _ when retryable_outcome outcome -> retry ()
-    | Ok _ -> outcome
-    | Error _ -> retry ()
-  in
-  attempt 0
+  run p.retrier ~keep:true ~follow:p.follow p.link
+    ~next:(fun () -> Backoff p.connect)
+    p.connect f
 
 (* ------------------------------------------------------------------ *)
 (* Replication status                                                 *)
@@ -418,8 +409,7 @@ type replication = {
   lag : int64;
 }
 
-let replication t =
-  let* r = get t "/replication" in
+let replication r =
   if r.status <> 200 then
     Error (Printf.sprintf "GET /replication answered %d" r.status)
   else
@@ -448,8 +438,8 @@ let replication t =
 
 (* Client-side failover over a fleet of endpoints: reads spread
    round-robin across healthy replicas (and the primary), mutations
-   chase the advertised primary. One connection per operation — the
-   point of the abstraction is placement, not connection reuse. *)
+   chase the advertised primary. One connection per try — the point
+   of the abstraction is placement, not connection reuse. *)
 
 type endpoint = {
   addr : string * int;
@@ -459,19 +449,14 @@ type endpoint = {
 
 type replica_set = {
   endpoints : endpoint array;
-  rs_policy : retry_policy;
-  rs_seed : int;
-  rs_sleep : float -> unit;
-  rs_rng : Random.State.t;
-  rs_connect : string * int -> t;
+  rs_retrier : retrier;
   max_lag : int64;
   mutable rr : int;  (* round-robin cursor for reads *)
   mutable primary : (string * int) option;  (* best known, for mutations *)
   mutable probed : bool;
 }
 
-let replica_set ?(policy = default_policy) ?(seed = 0) ?(sleep = Unix.sleepf)
-    ?(connect_to = connect_to) ?(max_lag = 1024L) endpoints =
+let replica_set ?policy ?seed ?sleep ?connect_to ?(max_lag = 1024L) endpoints =
   if endpoints = [] then invalid_arg "Client.replica_set: no endpoints";
   {
     endpoints =
@@ -479,11 +464,7 @@ let replica_set ?(policy = default_policy) ?(seed = 0) ?(sleep = Unix.sleepf)
         (List.map
            (fun addr -> { addr; healthy = true; last_lag = -1L })
            endpoints);
-    rs_policy = policy;
-    rs_seed = seed;
-    rs_sleep = sleep;
-    rs_rng = Random.State.make [| seed |];
-    rs_connect = connect_to;
+    rs_retrier = retrier ?policy ?seed ?sleep ?connect_to ();
     max_lag;
     rr = 0;
     primary = None;
@@ -500,13 +481,13 @@ let probe rs =
   let advertised = ref None in
   Array.iter
     (fun ep ->
-      match rs.rs_connect ep.addr with
+      match rs.rs_retrier.connect_to ep.addr with
       | exception _ -> ep.healthy <- false
       | c ->
           Fun.protect
             ~finally:(fun () -> close c)
             (fun () ->
-              match replication c with
+              match Result.bind (get c "/replication") replication with
               | Ok r ->
                   ep.last_lag <- r.lag;
                   if r.role = "primary" then begin
@@ -541,84 +522,77 @@ let read_candidates rs =
   List.filter (fun ep -> ep.healthy) rotated
   @ List.filter (fun ep -> not ep.healthy) rotated
 
+(* A pass tries the candidates back to back — siblings are different
+   hosts, so no backoff between them; only a spent pass backs off,
+   re-probes (the fleet may have reshaped under us) and starts over.
+   Each try marks its endpoint: dead when the hop refused or tore,
+   healthy when it answered. *)
 let read rs f =
   ensure_probed rs;
-  let try_one ep =
-    match rs.rs_connect ep.addr with
-    | exception Unix.Unix_error (e, _, _) ->
+  let pass = ref (read_candidates rs) in
+  let dial () =
+    let ep = List.hd !pass in
+    match rs.rs_retrier.connect_to ep.addr with
+    | c -> c
+    | exception (Unix.Unix_error _ as e) ->
         ep.healthy <- false;
-        Error (Unix.error_message e)
-    | c -> (
-        match Fun.protect ~finally:(fun () -> close c) (fun () -> f c) with
-        | Error _ as e ->
-            (* the hop died mid-request: mark it and move to a sibling *)
-            ep.healthy <- false;
-            e
-        | Ok r when retryable_status r.status -> Ok r
-        | Ok r ->
-            ep.healthy <- true;
-            Ok r)
+        raise e
   in
-  (* one pass = at most one request per endpoint, siblings tried
-     back-to-back with no backoff (they are different hosts); between
-     passes the usual jittered backoff, floored by any Retry-After *)
-  let rec pass i =
-    let rec over candidates last =
-      match candidates with
-      | [] -> last
-      | ep :: rest -> (
-          match try_one ep with
-          | Ok r when not (retryable_status r.status) ->
-              let n = Array.length rs.endpoints in
-              (* advance the rotation past the endpoint that answered *)
-              Array.iteri
-                (fun k e -> if e == ep then rs.rr <- (k + 1) mod n)
-                rs.endpoints;
-              Ok r
-          | outcome -> over rest outcome)
-    in
-    let outcome = over (read_candidates rs) (Error "no endpoints") in
-    match outcome with
-    | Ok r when not (retryable_status r.status) -> outcome
+  let next () =
+    match !pass with
+    | _ :: (_ :: _ as siblings) ->
+        pass := siblings;
+        Sibling dial
     | _ ->
-        if i + 1 >= rs.rs_policy.max_attempts then outcome
-        else begin
-          rs.rs_sleep (floored_delay outcome (delay_for rs.rs_policy rs.rs_rng i));
-          (* everything failed: the fleet may have reshaped under us *)
-          probe rs;
-          pass (i + 1)
-        end
+        Backoff
+          (fun () ->
+            probe rs;
+            pass := read_candidates rs;
+            dial ())
   in
-  pass 0
+  run rs.rs_retrier ~keep:false ~follow:false (new_link ()) ~next dial
+    (fun c ->
+      let ep = List.hd !pass in
+      let outcome = f c in
+      (match outcome with
+      | Error _ -> ep.healthy <- false
+      | Ok _ when transient outcome -> ()
+      | Ok _ ->
+          ep.healthy <- true;
+          (* advance the rotation past the endpoint that answered *)
+          let n = Array.length rs.endpoints in
+          Array.iteri
+            (fun k e -> if e == ep then rs.rr <- (k + 1) mod n)
+            rs.endpoints);
+      outcome)
 
-(* mutations chase the primary: first try the best-known address, then
-   rotate through the fleet, letting 421 redirects point the way. The
-   endpoint (or redirect target) that finally accepted is remembered
+(* Mutations chase the primary: the best-known address first, then the
+   fleet in rotation, one member per attempt, with 421 redirects
+   pointing the way. The address that finally accepted is remembered
    as the primary for next time. *)
 let mutate rs f =
   ensure_probed rs;
   let n = Array.length rs.endpoints in
-  let tried = ref (-1) in
-  let last_target = ref None in
-  let remember target =
-    last_target := Some target;
-    rs.rs_connect target
-  in
-  let next_target () =
+  let tried = ref 0 and target = ref None in
+  let next_member () =
+    let a =
+      match (rs.primary, !tried) with
+      | Some a, 0 -> a
+      | Some _, k -> rs.endpoints.((k - 1 + rs.rr) mod n).addr
+      | None, k -> rs.endpoints.((k + rs.rr) mod n).addr
+    in
     incr tried;
-    match rs.primary with
-    | Some a when !tried = 0 -> a
-    | _ ->
-        let skip = if rs.primary = None then 0 else 1 in
-        rs.endpoints.((!tried - skip + rs.rr) mod n).addr
+    target := Some a;
+    rs.rs_retrier.connect_to a
   in
+  let link = new_link () in
   let outcome =
-    with_retry ~policy:rs.rs_policy ~seed:rs.rs_seed ~sleep:rs.rs_sleep
-      ~follow_primary:true ~connect_to:remember
-      ~connect:(fun () -> remember (next_target ()))
-      f
+    run rs.rs_retrier ~keep:false ~follow:true link
+      ~next:(fun () -> Backoff next_member)
+      next_member f
   in
   (match outcome with
-  | Ok r when r.status < 400 -> rs.primary <- !last_target
+  | Ok r when r.status < 400 ->
+      rs.primary <- (if link.redirect <> None then link.redirect else !target)
   | Ok _ | Error _ -> ());
   outcome

@@ -1,7 +1,8 @@
 (** A minimal blocking HTTP/1.1 client, just enough to talk to
-    {!Daemon}: one keep-alive connection, [Content-Length]-framed
-    responses. Used by the e2e tests, the serve benchmark, and the CI
-    smoke script — not a general-purpose client. *)
+    {!Daemon}: keep-alive connections, [Content-Length]-framed
+    responses, and one retry loop. {!Replica} fetches shipped batches
+    with it, and the tests and the bench harness ([bench/main.ml])
+    drive daemons with it — not a general-purpose client. *)
 
 type t
 
@@ -42,8 +43,36 @@ val close : t -> unit
 
 (** {2 Retries}
 
-    Restart-tolerant calls: {!with_retry} reconnects and retries
-    through the window where a daemon is down or draining. *)
+    {!with_retry}, {!call}, {!read} and {!mutate} run one attempt
+    loop. Each entry point chooses only where the next try goes and
+    whether a connection survives a successful try; the loop owns the
+    rest, with the same rules everywhere:
+
+    - A try is {e transient} when the connection is refused or torn
+      (opening it raises [Unix_error], or [f] returns [Error]), when
+      the response has a {!retryable_status}, or when it is a [421]
+      carrying [Retry-After] (a promotion in flight). Any other
+      response is final and returned as-is.
+    - After a transient try the loop sleeps the next capped, jittered
+      exponential backoff (see {!backoff_schedule}), floored by the
+      response's {!retry_after}, and tries again, up to
+      [policy.max_attempts] attempts; when they run out the last
+      outcome is returned. Only a read pass moves on without sleeping
+      (see {!read}).
+    - With follow-primary on, a [421] [read_only] rejection naming its
+      primary ({!read_only_primary}) sends every later try to that
+      address. The redirect spends an attempt but skips the backoff;
+      an unreachable primary then fails like any refused connect, so
+      there is never an infinite follow loop.
+    - A connection is dropped after a torn try, after a response
+      carrying [Connection: close] (the daemon's per-connection
+      request cap, or a drain), and when [f] raises. The exception
+      escapes and is not retried. [f] must be safe to repeat.
+    - [seed] fixes the jitter: one generator per handle, drawn once
+      per sleep. [sleep] (default [Unix.sleepf]) and [connect_to]
+      (default: a TCP {!connect}, used for every address-named try)
+      are injectable, so tests can record delays and script
+      connections instead of waiting on sockets. *)
 
 type retry_policy = {
   max_attempts : int;  (** total tries, including the first *)
@@ -60,71 +89,24 @@ val default_policy : retry_policy
 
 val retryable_status : int -> bool
 (** [true] for 408 (request timeout), 429 (overloaded) and 503.
-    Deliberately NOT 421 (a replica's read-only rejection): retrying
-    the same replica can never succeed, so plain calls fail fast and
-    only [~follow_primary] redirects. Exception: a 421 carrying
-    [Retry-After] is retried by {!with_retry}/{!call} after at least
-    that many seconds — the server is saying the rejection is
-    transient (a promotion in flight), not structural. *)
+    Deliberately not 421 (a replica's read-only rejection): asking the
+    same replica again can never succeed. A 421 carrying [Retry-After]
+    is still transient (see above). *)
 
 val retry_after : response -> float option
 (** The server-sent [Retry-After] header in seconds, when present and
-    numeric. {!with_retry} and {!call} use it as a floor under every
-    backoff sleep: the server knows its own drain or promotion
-    timeline better than the client's jitter schedule. *)
+    numeric: the floor under the backoff sleep that follows. *)
 
 val read_only_primary : response -> string option
 (** [Some "HOST:PORT"] when the response is a replica's [421]
     [read_only] rejection advertising its primary. *)
 
 val backoff_schedule : ?seed:int -> retry_policy -> float list
-(** The exact delays {!with_retry} would sleep with the same [seed] —
-    [max_attempts - 1] of them. Deterministic, for tests. *)
-
-(** {2 Persistent connections}
-
-    {!with_retry} opens and closes a connection per call — correct, but
-    it pays the TCP handshake every time. A {!persistent} handle keeps
-    one keep-alive connection open across calls and composes the same
-    backoff/reconnect behavior into each call: the warm path is a
-    single request/response on an already-open socket. *)
-
-type persistent
-
-val persistent :
-  ?policy:retry_policy ->
-  ?seed:int ->
-  ?sleep:(float -> unit) ->
-  ?follow_primary:bool ->
-  ?connect_to:(string * int -> t) ->
-  (unit -> t) ->
-  persistent
-(** [persistent connect] — no connection is opened until the first
-    {!call}. [policy], [seed], and [sleep] mean what they mean for
-    {!with_retry}; the jitter schedule is shared across the handle's
-    lifetime. With [follow_primary] (default [false]), a replica's
-    [421] [read_only] rejection makes the handle reconnect to the
-    advertised primary — sticky for the handle's lifetime — instead of
-    returning the 421. [connect_to] (default: a TCP {!connect}) opens
-    the connection to a redirect target, injectable so follow-primary
-    behavior is testable without sockets. Not thread-safe: one handle
-    per thread. *)
-
-val call : persistent -> (t -> (response, string) result) -> (response, string) result
-(** Run [f] on the held connection, opening or reopening it as needed.
-    A torn connection (or a failed [connect]) drops the socket, backs
-    off, and retries like {!with_retry}; a {!retryable_status} response
-    backs off and retries on the same connection; any other response is
-    returned and the connection stays open for the next [call]. A
-    response carrying [Connection: close] (the daemon's per-connection
-    request cap, or a drain) closes the socket eagerly so the next
-    [call] reconnects instead of failing into a retry. Note the retry
-    semantics assume [f] is safe to repeat, exactly as {!with_retry}
-    does. *)
-
-val persistent_close : persistent -> unit
-(** Close the held connection, if any. The handle stays usable — the
-    next {!call} reconnects. *)
+(** The [max_attempts - 1] delays a handle seeded with [seed] sleeps
+    between consecutive failed attempts when no [Retry-After] floors
+    them and no redirect intervenes: the [i]th is
+    [base_delay * multiplier^i], capped at [max_delay] and shrunk by
+    up to [jitter]. Deterministic, for tests. *)
 
 val with_retry :
   ?policy:retry_policy ->
@@ -135,20 +117,38 @@ val with_retry :
   connect:(unit -> t) ->
   (t -> (response, string) result) ->
   (response, string) result
-(** [with_retry ~connect f] opens a fresh connection, runs [f], and
-    closes it. A refused/torn connection ([connect] raising
-    [Unix_error], or [f] returning [Error]) or a {!retryable_status}
-    response triggers a capped, jittered exponential backoff and a
-    reconnect, up to [policy.max_attempts] tries; the final outcome is
-    returned as-is when retries run out. [seed] fixes the jitter
-    schedule; [sleep] (default [Unix.sleepf]) is injectable so tests
-    can record delays instead of waiting. With [follow_primary]
-    (default [false]), a [421] [read_only] response redirects the
-    remaining attempts to the advertised primary — the redirect counts
-    as an attempt but skips the backoff sleep. [connect_to] (default:
-    a TCP {!connect}) opens the redirect connection; if the advertised
-    primary is itself unreachable the remaining attempts back off and
-    fail like any refused connect — never an infinite follow loop. *)
+(** [with_retry ~connect f] runs [f] on a fresh connection per try,
+    closed after it. Every try goes to [connect], or to the followed
+    primary ([follow_primary], default [false]). *)
+
+(** {2 Persistent connections} *)
+
+type persistent
+(** A handle holding one keep-alive connection across calls, so the
+    warm path is a single request on an already-open socket. Not
+    thread-safe: one handle per thread. *)
+
+val persistent :
+  ?policy:retry_policy ->
+  ?seed:int ->
+  ?sleep:(float -> unit) ->
+  ?follow_primary:bool ->
+  ?connect_to:(string * int -> t) ->
+  (unit -> t) ->
+  persistent
+(** [persistent connect] — no connection is opened until the first
+    {!call}. Retries go to the same endpoint, on the held connection
+    while it lives. A followed redirect ([follow_primary], default
+    [false]) is sticky for the handle's lifetime. *)
+
+val call : persistent -> (t -> (response, string) result) -> (response, string) result
+(** Run [f] on the held connection, opening it with [connect] when
+    there is none, under the retry rules above. The connection stays
+    open for the next [call] unless the loop dropped it. *)
+
+val persistent_close : persistent -> unit
+(** Close the held connection, if any. The handle stays usable — the
+    next {!call} reconnects. *)
 
 (** {2 Replication status} *)
 
@@ -160,9 +160,10 @@ type replication = {
   lag : int64;
 }
 
-val replication : t -> (replication, string) result
-(** [GET /replication], decoded. Sequence fields are [0L] when the
-    server omits them (a primary without a journal). *)
+val replication : response -> (replication, string) result
+(** Decode an answer to [GET /replication]; [Error] unless it is a 200
+    naming a role. Sequence fields are [0L] when the server omits them
+    (a primary without a journal). *)
 
 (** {2 Replica sets}
 
@@ -170,7 +171,7 @@ val replication : t -> (replication, string) result
     (possibly chained) replicas. Reads spread round-robin across the
     healthy endpoints and fail over to a sibling when a hop dies;
     mutations chase the primary, wherever promotion has moved it. One
-    connection per operation: the abstraction is about placement, not
+    connection per try: the abstraction is about placement, not
     connection reuse. Not thread-safe: one handle per thread. *)
 
 type replica_set
@@ -184,12 +185,11 @@ val replica_set :
   (string * int) list ->
   replica_set
 (** [replica_set endpoints] — no connection is opened until the first
-    operation (which runs {!probe} if none has). [policy], [seed], and
-    [sleep] govern the between-pass backoff exactly as in
-    {!with_retry}; [connect_to] opens every connection, injectable for
-    tests. [max_lag] (default 1024): a replica reporting more shipped
-    records outstanding than this is skipped by reads until a probe
-    sees it caught up. @raise Invalid_argument on an empty list. *)
+    operation (which runs {!probe} if none has). [connect_to] opens
+    every connection, probes included. [max_lag] (default 1024): a
+    replica reporting more shipped records outstanding than this is
+    skipped by reads until a probe sees it caught up.
+    @raise Invalid_argument on an empty list. *)
 
 val probe : replica_set -> unit
 (** One [GET /replication] per endpoint: refresh reachability, role,
@@ -204,22 +204,18 @@ val healthy_endpoints : replica_set -> (string * int) list
 
 val read :
   replica_set -> (t -> (response, string) result) -> (response, string) result
-(** Run one read, trying healthy endpoints round-robin. A hop that
-    dies mid-request (connect refused, torn connection) is marked
-    unhealthy and the read moves to the next sibling back-to-back —
-    no backoff between siblings, they are different hosts. When a
-    whole pass fails (or only {!retryable_status} answers came back),
-    the set backs off per [policy] (floored by any [Retry-After]),
-    re-probes, and tries again, up to [policy.max_attempts] passes.
-    The endpoint that answers is marked healthy and the rotation
-    advances past it. [f] must be safe to repeat. *)
+(** Run one read. A pass tries the healthy endpoints round-robin,
+    then the unhealthy ones; after a transient try the next sibling is
+    tried at once, with no backoff and no attempt spent (they are
+    different hosts). A spent pass backs off, re-probes and starts
+    again, so [policy.max_attempts] counts passes. A refused or torn
+    try marks its endpoint unhealthy; a final answer marks it healthy
+    and advances the rotation past it. Never follows a redirect. *)
 
 val mutate :
   replica_set -> (t -> (response, string) result) -> (response, string) result
-(** Run one mutation against the primary: first the best-known primary
-    address (from probes, 421 redirects, or a previous success), then
-    the fleet in rotation, with [~follow_primary] turning every [421]
-    [read_only] rejection into a redirect toward the advertised
-    primary. The address that finally accepts (any status below 400)
-    is remembered for the next call. Retry/backoff semantics are
-    {!with_retry}'s. [f] must be safe to repeat. *)
+(** Run one mutation against the primary, with follow-primary always
+    on: the first try goes to the best-known primary (from probes,
+    redirects, or a previous success), each retry to the next fleet
+    member in rotation. The address that finally accepts (any status
+    below 400) is remembered for the next call. *)

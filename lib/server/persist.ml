@@ -59,69 +59,53 @@ let encode_ops ops =
   in
   go [] ops
 
-let encode_json m =
-  match m with
-    | Create { id; policy; scenarios; architecture; mapping } ->
-        Jsonlight.Obj
-          [
-            ("op", Jsonlight.String "create");
-            ("id", Jsonlight.String id);
-            ("policy", Jsonlight.String (policy_to_string policy));
-            ("scenarios", Jsonlight.String scenarios);
-            ("architecture", Jsonlight.String architecture);
-            ("mapping", Jsonlight.String mapping);
-          ]
-    | Diff { id; ops } ->
-        let encoded =
-          match encode_ops ops with
-          | Some j -> j
-          | None -> invalid_arg "Persist.encode: diff ops have no wire encoding"
-        in
-        Jsonlight.Obj
-          [
-            ("op", Jsonlight.String "diff");
-            ("id", Jsonlight.String id);
-            ("ops", encoded);
-          ]
-    | Set_architecture { id; architecture } ->
-        Jsonlight.Obj
-          [
-            ("op", Jsonlight.String "set_architecture");
-            ("id", Jsonlight.String id);
-            ("architecture", Jsonlight.String architecture);
-          ]
-    | Remove { id } ->
-        Jsonlight.Obj
-          [ ("op", Jsonlight.String "remove"); ("id", Jsonlight.String id) ]
-
 (* [Create] dominates journal traffic — tens of kilobytes of XML per
    record — and JSON-escaping (then unescaping) three whole documents
    is the single largest CPU cost of a journaled create. Creates are
    therefore framed with the artifacts verbatim: a magic line, a small
    JSON header carrying id/policy and the three byte lengths, then the
-   raw documents back to back. Every other mutation stays JSON, and
-   {!decode} still accepts JSON creates, so journals written before
-   this framing replay unchanged. *)
+   raw documents back to back. Every other mutation is one JSON
+   object. *)
 let raw_create_magic = "sosae-create-v1\n"
 
 let write_mutation w m =
+  let json fields = Jsonlight.Writer.json w (Jsonlight.Obj fields) in
   match m with
   | Create { id; policy; scenarios; architecture; mapping } ->
       Jsonlight.Writer.raw w raw_create_magic;
-      Jsonlight.Writer.json w
-        (Jsonlight.Obj
-           [
-             ("id", Jsonlight.String id);
-             ("policy", Jsonlight.String (policy_to_string policy));
-             ("scenarios", Jsonlight.Int (String.length scenarios));
-             ("architecture", Jsonlight.Int (String.length architecture));
-             ("mapping", Jsonlight.Int (String.length mapping));
-           ]);
+      json
+        [
+          ("id", Jsonlight.String id);
+          ("policy", Jsonlight.String (policy_to_string policy));
+          ("scenarios", Jsonlight.Int (String.length scenarios));
+          ("architecture", Jsonlight.Int (String.length architecture));
+          ("mapping", Jsonlight.Int (String.length mapping));
+        ];
       Jsonlight.Writer.raw w "\n";
       Jsonlight.Writer.raw w scenarios;
       Jsonlight.Writer.raw w architecture;
       Jsonlight.Writer.raw w mapping
-  | m -> Jsonlight.Writer.json w (encode_json m)
+  | Diff { id; ops } ->
+      let encoded =
+        match encode_ops ops with
+        | Some j -> j
+        | None -> invalid_arg "Persist.encode: diff ops have no wire encoding"
+      in
+      json
+        [
+          ("op", Jsonlight.String "diff");
+          ("id", Jsonlight.String id);
+          ("ops", encoded);
+        ]
+  | Set_architecture { id; architecture } ->
+      json
+        [
+          ("op", Jsonlight.String "set_architecture");
+          ("id", Jsonlight.String id);
+          ("architecture", Jsonlight.String architecture);
+        ]
+  | Remove { id } ->
+      json [ ("op", Jsonlight.String "remove"); ("id", Jsonlight.String id) ]
 
 let encode m =
   let w = Jsonlight.Writer.create ~size:256 () in
@@ -196,18 +180,6 @@ let decode payload =
   let* json = Jsonlight.of_string payload in
   let* op = field "op" json in
   match op with
-  | "create" ->
-      let* id = field "id" json in
-      let* policy_s = field "policy" json in
-      let* policy =
-        match policy_of_string policy_s with
-        | Some p -> Ok p
-        | None -> Error (Printf.sprintf "unknown policy %S" policy_s)
-      in
-      let* scenarios = field "scenarios" json in
-      let* architecture = field "architecture" json in
-      let* mapping = field "mapping" json in
-      Ok (Create { id; policy; scenarios; architecture; mapping })
   | "diff" ->
       let* id = field "id" json in
       let* ops =

@@ -8,10 +8,10 @@
     "durable" means. Creates carry their three XML artifacts verbatim
     behind a small length-prefixed header (escaping whole documents
     into JSON strings was the dominant CPU cost of a journaled
-    create); every other mutation is one JSON object, and journals
-    written with JSON-encoded creates still replay. On boot, {!open_}
-    replays snapshot + journal into a mutation list the registry
-    re-applies.
+    create); every other mutation is one JSON object. On boot,
+    {!open_} replays snapshot + journal into a mutation list the
+    registry re-applies; a record that does not decode (a JSON-encoded
+    create among them) is skipped and counted in [undecodable].
 
     Thread-safety: {!log}, {!compact} and {!flush} take an internal
     lock, but callers must additionally serialize mutations against

@@ -1,31 +1,16 @@
-(* A follower's continuous apply loop: poll the primary's ship
-   endpoint and fold each batch into the local registry while it
-   serves reads. The loop owns one transport (by default an HTTP
-   client connection) and survives the primary restarting (reconnect),
-   compacting (reset batches), and dying (the error is surfaced,
-   polling continues until {!seal}). *)
-
-type shipped = { data : string; covered : int64; reset : bool }
-
-type transport = {
-  fetch : after:int64 -> (shipped, string) result;
-  fetch_snapshot : unit -> (shipped option, string) result;
-      (* the upstream's current snapshot as a reset batch, [None] when
-         it has none yet — the fresh-replica bootstrap that skips
-         full-journal replay *)
-  shutdown : unit -> unit;
-      (* drop whatever connection state the transport holds; the next
-         [fetch] starts fresh. Called on apply errors and at loop
-         exit. *)
-}
+(* A follower's continuous apply loop: poll the upstream's ship
+   endpoints and fold each batch into the local registry while it
+   serves reads. The loop holds one keep-alive {!Client.persistent}
+   handle and survives the upstream restarting (reconnect), compacting
+   (reset batches), and dying (the error is surfaced, polling
+   continues until {!seal}). *)
 
 type t = {
   primary : string;
   registry : Registry.t;
   metrics : Metrics.t;
-  transport : transport;
+  upstream : Client.persistent;
   poll_interval : float;
-  sleep : float -> unit;
   lock : Mutex.t;
   mutable applied : int64;  (* highest shipped seq applied locally *)
   mutable covered : int64;  (* upstream's covered seq, last seen *)
@@ -50,74 +35,22 @@ let lag t =
 let last_error t = Mutex.protect t.lock (fun () -> t.error)
 let sealed t = Mutex.protect t.lock (fun () -> t.sealed)
 
-let header name headers =
-  let name = String.lowercase_ascii name in
-  List.find_map
-    (fun (k, v) -> if String.lowercase_ascii k = name then Some v else None)
-    headers
+(* One GET against the upstream. The handle owns the connection: it
+   reconnects after a torn one or after the upstream's [Connection:
+   close]. It makes one try per call, since the poll loop already
+   retries; anything the call raises becomes the poll's error. *)
+let fetch t target =
+  match Client.call t.upstream (fun c -> Client.get c target) with
+  | outcome -> outcome
+  | exception e -> Error (Printexc.to_string e)
 
-(* the production transport: one keep-alive connection to the
-   primary's ship endpoint, reopened on any failure *)
-let http_transport ~host ~port =
-  let conn = ref None in
-  let drop () =
-    (match !conn with Some c -> Client.close c | None -> ());
-    conn := None
-  in
-  let with_conn f =
-    try
-      let c =
-        match !conn with
-        | Some c -> c
-        | None ->
-            let c = Client.connect ~host ~port () in
-            conn := Some c;
-            c
-      in
-      match f c with
-      | Error e ->
-          drop ();
-          Error e
-      | ok -> ok
-    with e ->
-      drop ();
-      Error (Printexc.to_string e)
-  in
-  let parse_covered ~default headers =
-    match
-      Option.bind (header "x-sosae-covered" headers) Int64.of_string_opt
-    with
-    | Some v -> v
-    | None -> default
-  in
-  let fetch ~after =
-    with_conn (fun c ->
-        match
-          Client.get c (Printf.sprintf "/replication/log?after=%Ld" after)
-        with
-        | Ok { Client.status = 200; headers; body } ->
-            let covered = parse_covered ~default:after headers in
-            let reset = header "x-sosae-reset" headers = Some "1" in
-            Ok { data = body; covered; reset }
-        | Ok { Client.status; _ } ->
-            Error (Printf.sprintf "primary answered %d" status)
-        | Error e -> Error e)
-  in
-  let fetch_snapshot () =
-    with_conn (fun c ->
-        match Client.get c "/replication/snapshot" with
-        | Ok { Client.status = 200; headers; body } ->
-            let covered = parse_covered ~default:0L headers in
-            Ok (Some { data = body; covered; reset = true })
-        | Ok { Client.status = 404; _ } ->
-            (* the upstream has never compacted: nothing to bootstrap
-               from, tail the journal from the top instead *)
-            Ok None
-        | Ok { Client.status; _ } ->
-            Error (Printf.sprintf "primary answered %d" status)
-        | Error e -> Error e)
-  in
-  { fetch; fetch_snapshot; shutdown = drop }
+(* the upstream's covered sequence, as its ship endpoints report it *)
+let covered_of (r : Client.response) ~default =
+  match
+    Option.bind (List.assoc_opt "x-sosae-covered" r.headers) Int64.of_string_opt
+  with
+  | Some v -> v
+  | None -> default
 
 let publish t =
   let applied, covered =
@@ -143,7 +76,7 @@ let apply_batch t ~reset ~covered data =
   match Registry.apply_shipped t.registry ~reset data with
   | Error e ->
       set_error t ("bad shipped batch: " ^ e);
-      t.transport.shutdown ();
+      Client.persistent_close t.upstream;
       false
   | Ok (_stats, last) ->
       Mutex.protect t.lock (fun () ->
@@ -152,62 +85,56 @@ let apply_batch t ~reset ~covered data =
           t.error <- None);
       true
 
-let run t =
-  (* one poll; [true] when a batch was applied (poll again at once) *)
-  let step () =
-    let after, bootstrapped =
-      Mutex.protect t.lock (fun () -> (t.applied, t.bootstrapped))
-    in
-    if not bootstrapped then begin
-      (* starting from nothing: ask for the upstream's snapshot first
-         so catch-up is O(live state), not O(journal history) *)
-      match t.transport.fetch_snapshot () with
-      | Ok None ->
-          Mutex.protect t.lock (fun () -> t.bootstrapped <- true);
-          true
-      | Ok (Some { data; covered; reset = _ }) ->
-          let applied = apply_batch t ~reset:true ~covered data in
-          if applied then
-            Mutex.protect t.lock (fun () -> t.bootstrapped <- true);
-          applied
-      | Error e ->
-          set_error t e;
-          false
-      | exception e ->
-          set_error t (Printexc.to_string e);
-          t.transport.shutdown ();
-          false
-    end
-    else
-      match t.transport.fetch ~after with
-      | Ok { data; covered; reset } ->
-          if data = "" && not reset then begin
-            Mutex.protect t.lock (fun () ->
-                if covered > t.covered then t.covered <- covered;
-                t.error <- None);
-            false
-          end
-          else apply_batch t ~reset ~covered data
-      | Error e ->
-          set_error t e;
-          false
-      | exception e ->
-          set_error t (Printexc.to_string e);
-          t.transport.shutdown ();
-          false
+(* one poll; [true] when a batch was applied (poll again at once) *)
+let step t =
+  let after, bootstrapped =
+    Mutex.protect t.lock (fun () -> (t.applied, t.bootstrapped))
   in
-  while not (Atomic.get t.stop) do
-    let progressed = step () in
-    publish t;
-    if (not progressed) && not (Atomic.get t.stop) then t.sleep t.poll_interval
-  done;
-  t.transport.shutdown ()
+  (* starting from nothing: ask for the upstream's snapshot first so
+     catch-up is O(live state), not O(journal history) *)
+  let target =
+    if bootstrapped then Printf.sprintf "/replication/log?after=%Ld" after
+    else "/replication/snapshot"
+  in
+  match (bootstrapped, fetch t target) with
+  | _, Error e ->
+      set_error t e;
+      false
+  | false, Ok { Client.status = 404; _ } ->
+      (* the upstream has never compacted: nothing to bootstrap from,
+         tail the journal from the top instead *)
+      Mutex.protect t.lock (fun () -> t.bootstrapped <- true);
+      true
+  | false, Ok ({ Client.status = 200; _ } as r) ->
+      let applied =
+        apply_batch t ~reset:true ~covered:(covered_of r ~default:0L) r.body
+      in
+      if applied then Mutex.protect t.lock (fun () -> t.bootstrapped <- true);
+      applied
+  | true, Ok ({ Client.status = 200; _ } as r) ->
+      let covered = covered_of r ~default:after in
+      let reset = List.assoc_opt "x-sosae-reset" r.headers = Some "1" in
+      if r.body = "" && not reset then begin
+        Mutex.protect t.lock (fun () ->
+            if covered > t.covered then t.covered <- covered;
+            t.error <- None);
+        false
+      end
+      else apply_batch t ~reset ~covered r.body
+  | _, Ok { Client.status; _ } ->
+      set_error t (Printf.sprintf "primary answered %d" status);
+      false
 
-let start ?(poll_interval = 0.02) ?transport ?(sleep = Unix.sleepf) ~registry
-    ~metrics ~host ~port () =
-  let transport =
-    match transport with Some tr -> tr | None -> http_transport ~host ~port
-  in
+let run t =
+  while not (Atomic.get t.stop) do
+    let progressed = step t in
+    publish t;
+    if (not progressed) && not (Atomic.get t.stop) then
+      Unix.sleepf t.poll_interval
+  done;
+  Client.persistent_close t.upstream
+
+let start ?(poll_interval = 0.02) ~registry ~metrics ~host ~port () =
   (* a durable replica resumes from its local journal frontier: the
      records below it were applied (and journaled) before the restart,
      so the first fetch tails instead of replaying history *)
@@ -221,9 +148,11 @@ let start ?(poll_interval = 0.02) ?transport ?(sleep = Unix.sleepf) ~registry
       primary = Printf.sprintf "%s:%d" host port;
       registry;
       metrics;
-      transport;
+      upstream =
+        Client.persistent
+          ~policy:{ Client.default_policy with max_attempts = 1 }
+          (fun () -> Client.connect ~host ~port ());
       poll_interval;
-      sleep;
       lock = Mutex.create ();
       applied;
       covered = applied;

@@ -11,50 +11,25 @@
 
 type t
 
-type shipped = { data : string; covered : int64; reset : bool }
-(** One fetched batch: the raw framed record bytes, the primary's
-    covered sequence number, and whether this is a snapshot reset. *)
-
-type transport = {
-  fetch : after:int64 -> (shipped, string) result;
-      (** Fetch the next batch of records with sequence numbers
-          strictly greater than [after]. *)
-  fetch_snapshot : unit -> (shipped option, string) result;
-      (** The upstream's current snapshot as a reset batch, or [None]
-          when it has none — how a replica starting from nothing
-          catches up in O(live state) instead of replaying the full
-          journal. *)
-  shutdown : unit -> unit;
-      (** Drop any held connection state; the next [fetch] starts
-          fresh. Called on apply errors and once at loop exit. *)
-}
-
-val http_transport : host:string -> port:int -> transport
-(** The production transport: one keep-alive {!Client} connection to
-    the primary's [GET /replication/log] and
-    [GET /replication/snapshot], reopened on any failure. *)
-
 val start :
   ?poll_interval:float ->
-  ?transport:transport ->
-  ?sleep:(float -> unit) ->
   registry:Registry.t ->
   metrics:Metrics.t ->
   host:string ->
   port:int ->
   unit ->
   t
-(** Spawn the apply loop against the primary at [host]:[port].
+(** Spawn the apply loop against the upstream at [host]:[port].
     [poll_interval] (default 0.02 s) is the sleep between polls once
     caught up; while batches keep arriving the loop doesn't sleep.
-    [transport] (default {!http_transport} to [host]:[port]) and
-    [sleep] are injectable so the loop is testable without sockets or
-    real time. When [registry] persists, the loop resumes from the
-    local journal frontier (everything below it was applied and
-    journaled before the restart); a replica starting from nothing
-    first asks the upstream for a snapshot bootstrap
-    ([fetch_snapshot]) so first-connect catch-up is O(live state)
-    rather than a full-journal replay. *)
+    The loop fetches over one {!Client.persistent} handle, which
+    reconnects after a torn connection or the upstream's
+    [Connection: close]. When [registry] persists, the loop resumes
+    from the local journal frontier (everything below it was applied
+    and journaled before the restart); a replica starting from nothing
+    first asks the upstream for [GET /replication/snapshot], so
+    first-connect catch-up is O(live state) rather than a
+    full-journal replay. *)
 
 val primary_address : t -> string
 (** ["HOST:PORT"] — what read-only rejections advertise. *)

@@ -382,8 +382,6 @@ let append t payload =
   await t seq;
   seq
 
-let append_group = append
-
 (* Append a batch of already-framed records shipped from an upstream
    journal, keeping their upstream-assigned sequence numbers. The
    frames are written verbatim — [Record.encode] is deterministic, so
@@ -517,12 +515,14 @@ let abort_rotation t = locked t (fun () -> t.mirror <- None)
 let commit_rotation t =
   locked t (fun () ->
       let module E = (val t.env : Fsenv.S) in
+      (* read the mirror only after the wait: [quiesce_locked] frees
+         the lock, and a record staged meanwhile is mirrored too *)
+      quiesce_locked t;
       let tail =
         match t.mirror with
         | Some entries -> List.rev entries
         | None -> invalid_arg "Journal.commit_rotation: no rotation in progress"
       in
-      quiesce_locked t;
       let tmp = t.path ^ ".tmp" in
       let buf = Buffer.create 4096 in
       List.iter (fun (seq, payload) -> Record.encode buf ~seq payload) tail;

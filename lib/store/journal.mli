@@ -107,9 +107,6 @@ val enable_group : ?config:Group.config -> t -> unit
 val group_stats : t -> Group.stats option
 (** [None] unless {!enable_group} was called. *)
 
-val append_group : t -> string -> int64
-(** Alias for {!append} — under group commit the stage/await pair. *)
-
 val ingest : t -> string -> unit
 (** Append a batch of already-framed records shipped from an upstream
     journal verbatim, keeping their upstream-assigned sequence numbers

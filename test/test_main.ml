@@ -29,5 +29,6 @@ let () =
       ("store", Test_store.suite);
       ("simtest", Test_simtest.suite);
       ("server", Test_server.suite);
+      ("client", Test_client.suite);
       ("cli", Test_cli.suite);
     ]

@@ -1282,6 +1282,41 @@ let test_registry_group_concurrent_recovery () =
         (Server.Registry.ids registry2);
       Server.Persist.close persist2)
 
+(* Creates are journaled raw-framed; JSON is not a create format, so
+   a JSON create record is skipped and counted, never replayed. *)
+let test_persist_json_create_undecodable () =
+  with_temp_dir (fun dir ->
+      let raw =
+        Server.Persist.encode
+          (Server.Persist.Create
+             {
+               id = "raw";
+               policy = Adl.Graph.Routed;
+               scenarios = "s";
+               architecture = "a";
+               mapping = "m";
+             })
+      in
+      let json =
+        {|{"op":"create","id":"json","policy":"routed","scenarios":"s","architecture":"a","mapping":"m"}|}
+      in
+      let wal, _ = Store.Wal.open_ ~fsync:Store.Journal.Never dir in
+      ignore (Store.Wal.append wal json);
+      ignore (Store.Wal.append wal raw);
+      Store.Wal.close wal;
+      let persist, recovery =
+        Server.Persist.open_ ~fsync:Store.Journal.Never dir
+      in
+      Server.Persist.close persist;
+      Alcotest.(check int) "JSON create undecodable" 1
+        recovery.Server.Persist.undecodable;
+      Alcotest.(check (list string)) "raw create recovered" [ "raw" ]
+        (List.map
+           (function
+             | Server.Persist.Create { id; _ } -> id
+             | _ -> Alcotest.fail "only creates were journaled")
+           recovery.Server.Persist.mutations))
+
 (* The "journal" metrics object must not grow a group_commit member
    until a batch has actually completed — enabling the barrier on an
    idle server leaves /metrics byte-identical. *)
@@ -1433,7 +1468,11 @@ let with_replicated f =
 let wait_replica ?(timeout = 10.0) replica ~seq =
   let deadline = Unix.gettimeofday () +. timeout in
   let rec go () =
-    match with_client replica (fun c -> Server.Client.replication c) with
+    match
+      with_client replica (fun c ->
+          Result.bind (Server.Client.get c "/replication")
+            Server.Client.replication)
+    with
     | Ok r when r.Server.Client.applied_seq >= seq && r.Server.Client.lag = 0L ->
         ()
     | _ ->
@@ -1459,7 +1498,7 @@ let test_e2e_replication () =
           Alcotest.(check int) "created on primary" 201
             (ok (Server.Client.post pc "/sessions" ~body:(create_body "pims")))
               .Server.Client.status;
-          (match Server.Client.replication pc with
+          (match Server.Client.replication (ok (Server.Client.get pc "/replication")) with
           | Ok r ->
               Alcotest.(check string) "primary role" "primary"
                 r.Server.Client.role;
@@ -1468,7 +1507,7 @@ let test_e2e_replication () =
           | Error m -> Alcotest.fail m);
           wait_replica replica ~seq:1L;
           with_client replica (fun rc ->
-              (match Server.Client.replication rc with
+              (match Server.Client.replication (ok (Server.Client.get rc "/replication")) with
               | Ok r ->
                   Alcotest.(check string) "replica role" "replica"
                     r.Server.Client.role;
@@ -2253,6 +2292,8 @@ let suite =
       test_e2e_sigkill_mid_load;
     Alcotest.test_case "registry: concurrent group-commit mutators recover"
       `Quick test_registry_group_concurrent_recovery;
+    Alcotest.test_case "persist: a JSON create is undecodable" `Quick
+      test_persist_json_create_undecodable;
     Alcotest.test_case "metrics: idle group commit invisible" `Quick
       test_metrics_group_idle;
     Alcotest.test_case "e2e: SIGKILL during background compaction" `Quick

@@ -471,6 +471,83 @@ let test_wal_background_compaction_abort () =
       Alcotest.(check int) "journal tail empty" 0 (List.length r.Wal.entries);
       Wal.close w)
 
+(* A background compaction's commit first waits out any in-flight
+   group fsync, and the journal lock is free while it waits. A record
+   staged in that window must reach the rotated journal: the commit
+   acknowledges everything staged so far. The injected filesystem
+   parks the group fsync so the window is held open. *)
+let test_wal_rotation_keeps_records_staged_while_waiting () =
+  with_temp_dir (fun dir ->
+      let gate = Mutex.create () and cond = Condition.create () in
+      let armed = ref false and parked = ref false and released = ref false in
+      let snapshot_durable = ref false in
+      let signal flag =
+        Mutex.protect gate (fun () ->
+            flag := true;
+            Condition.broadcast cond)
+      in
+      let wait_for flag =
+        Mutex.protect gate (fun () ->
+            while not !flag do
+              Condition.wait cond gate
+            done)
+      in
+      let module Gated = struct
+        include Store.Fsenv.Real
+
+        (* once armed, the next fsync parks until released *)
+        let fsync fd =
+          let park =
+            Mutex.protect gate (fun () ->
+                let park = !armed in
+                armed := false;
+                park)
+          in
+          if park then begin
+            signal parked;
+            wait_for released
+          end;
+          Store.Fsenv.Real.fsync fd
+
+        (* the snapshot's rename is durable: the commit comes next *)
+        let fsync_dir d =
+          Store.Fsenv.Real.fsync_dir d;
+          signal snapshot_durable
+      end in
+      let w, _ =
+        Wal.open_ ~fsync:Journal.Always
+          ~group:{ Journal.Group.window = 0.0; max_batch = 64 }
+          ~env:(module Gated : Store.Fsenv.S)
+          dir
+      in
+      ignore (Wal.append w "e1");
+      let writer = ref None in
+      let compactor =
+        Thread.create
+          (fun () ->
+            Wal.compact_background w ~state:(fun () ->
+                (* e2 is staged mid-rotation and its group fsync parks *)
+                Mutex.protect gate (fun () -> armed := true);
+                writer :=
+                  Some (Thread.create (fun () -> ignore (Wal.append w "e2")) ());
+                wait_for parked;
+                [ "s1" ]))
+          ()
+      in
+      wait_for snapshot_durable;
+      Thread.delay 0.05;
+      let seq = Wal.stage w "e3" in
+      signal released;
+      Wal.await w seq;
+      Thread.join compactor;
+      Option.iter Thread.join !writer;
+      Wal.close w;
+      let w, r = Wal.open_ dir in
+      Alcotest.(check (list string)) "snapshot state" [ "s1" ] r.Wal.state;
+      Alcotest.(check (list string)) "records staged mid-rotation survive"
+        [ "e2"; "e3" ] r.Wal.entries;
+      Wal.close w)
+
 let test_wal_fsync_stats () =
   with_temp_dir (fun dir ->
       let w, _ = Wal.open_ ~fsync:Journal.Always dir in
@@ -704,6 +781,8 @@ let suite =
       test_wal_background_compaction;
     Alcotest.test_case "wal: background compaction aborts cleanly" `Quick
       test_wal_background_compaction_abort;
+    Alcotest.test_case "wal: rotation keeps records staged while it waits"
+      `Quick test_wal_rotation_keeps_records_staged_while_waiting;
     Alcotest.test_case "wal: fsync policies + stats" `Quick test_wal_fsync_stats;
     Alcotest.test_case "tail: streams appends in order" `Quick test_tail_stream;
     Alcotest.test_case "tail: bounded windows never split records" `Quick

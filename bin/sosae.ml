@@ -877,6 +877,11 @@ let serve_cmd =
           1
         end
         else begin
+          (* the daemon's lifecycle and failure events, one line each
+             on stderr; the worker threads log too, hence the lock *)
+          Logs_threaded.enable ();
+          Logs.set_reporter (Logs.format_reporter ());
+          Logs.set_level (Some Logs.Info);
           Server.Daemon.run
             ~config:
               {
@@ -975,7 +980,8 @@ let serve_cmd =
           ~doc:
             "When journal appends reach the disk (needs $(b,--data-dir)): \
              $(b,always) fsyncs every record (survives power loss), \
-             $(b,interval:SECS) fsyncs at most once per $(i,SECS) seconds, \
+             $(b,interval:SECS) fsyncs at most once per $(i,SECS) seconds \
+             (and an acknowledged write is synced within about $(i,SECS)), \
              $(b,never) leaves it to the kernel (still survives a process \
              crash).")
   in

@@ -220,6 +220,106 @@ let health ctx _request _params =
          ("sessions", Jsonlight.Int (List.length (Registry.ids ctx.registry)));
        ])
 
+(* The [journal] object of [/metrics], read from the journal when
+   scraped; the recovery summary is the one value the daemon hands
+   to {!Metrics}, once at boot. *)
+let journal_json ctx p =
+  let s = Persist.stats p in
+  let group_commit =
+    match Persist.group_stats p with
+    | None -> []
+    | Some g ->
+        [
+          ( "group_commit",
+            Jsonlight.Obj
+              [
+                ("batches", Jsonlight.Int g.Store.Journal.Group.batches);
+                ( "batched_appends",
+                  Jsonlight.Int g.Store.Journal.Group.batched_appends );
+                ("fsyncs_saved", Jsonlight.Int g.Store.Journal.Group.fsyncs_saved);
+                ("largest_batch", Jsonlight.Int g.Store.Journal.Group.largest_batch);
+                ( "batch_size",
+                  Metrics.cumulative
+                    (Array.map
+                       (fun b -> Jsonlight.Int b)
+                       Store.Journal.Group.hist_bounds)
+                    g.Store.Journal.Group.hist );
+              ] );
+        ]
+  in
+  Jsonlight.Obj
+    ([
+       ("records", Jsonlight.Int s.Store.Wal.appends);
+       ("bytes", Jsonlight.Int s.Store.Wal.bytes);
+       ("fsyncs", Jsonlight.Int s.Store.Wal.fsyncs);
+       ("compactions", Jsonlight.Int s.Store.Wal.compactions);
+     ]
+    @ group_commit
+    @
+    match Metrics.recovery_json ctx.metrics with
+    | Some r -> [ ("recovery", r) ]
+    | None -> [])
+
+(* The role and lag surface, one JSON object for either role: the
+   [GET /replication] body, and the [replication] object of
+   [/metrics], read from the replica and the journal when asked. *)
+let replication_json ctx =
+  let int64 v = Jsonlight.Int (Int64.to_int v) in
+  (* how the journal is being served downstream: cursor-cache
+     hits/misses, snapshot resets, and each cached follower cursor's
+     distance behind the covered frontier — absent until someone has
+     actually fetched. Any journaling node reports it: a primary, but
+     also a durable replica feeding chained replicas. *)
+  let ship =
+    match Registry.persist ctx.registry with
+    | None -> []
+    | Some p ->
+        let s = Persist.ship_stats p in
+        if s.Store.Ship.cursor_hits + s.Store.Ship.cursor_misses = 0 then []
+        else
+          [
+            ( "ship",
+              Jsonlight.Obj
+                [
+                  ("cursor_hits", Jsonlight.Int s.Store.Ship.cursor_hits);
+                  ("cursor_misses", Jsonlight.Int s.Store.Ship.cursor_misses);
+                  ("reset_batches", Jsonlight.Int s.Store.Ship.reset_batches);
+                  ( "cursor_lags",
+                    Jsonlight.List (List.map int64 s.Store.Ship.cursor_lags) );
+                ] );
+          ]
+  in
+  let fields =
+    match ctx.role with
+    | Replica r ->
+        [
+          ("role", Jsonlight.String "replica");
+          ("primary", Jsonlight.String (Replica.primary_address r));
+          ("applied_seq", int64 (Replica.applied_seq r));
+          ("covered_seq", int64 (Replica.covered_seq r));
+          ("lag", int64 (Replica.lag r));
+        ]
+        @ (match Replica.last_error r with
+          | Some e -> [ ("last_error", Jsonlight.String e) ]
+          | None -> [])
+        @ ship
+    | Primary -> (
+        ("role", Jsonlight.String "primary")
+        ::
+        (match Registry.persist ctx.registry with
+        | Some p ->
+            let covered = Persist.covered_seq p in
+            (* a primary applies its own writes before journaling them *)
+            [
+              ("applied_seq", int64 covered);
+              ("covered_seq", int64 covered);
+              ("lag", Jsonlight.Int 0);
+            ]
+            @ ship
+        | None -> []))
+  in
+  Jsonlight.Obj fields
+
 let metrics ctx _request _params =
   let totals = ref Core.Sosae.Session.{ evaluations = 0; cache_hits = 0; replays = 0; replay_hits = 0 } in
   let ids = Registry.ids ctx.registry in
@@ -243,10 +343,14 @@ let metrics ctx _request _params =
   with_writer ctx (fun w ->
       Metrics.write ctx.metrics
         ~extra:
-          [
-            ("sessions", Jsonlight.Int (List.length ids));
-            ("cache", json_of_stats !totals);
-          ]
+          ((match Registry.persist ctx.registry with
+           | Some p -> [ ("journal", journal_json ctx p) ]
+           | None -> [])
+          @ [
+              ("replication", replication_json ctx);
+              ("sessions", Jsonlight.Int (List.length ids));
+              ("cache", json_of_stats !totals);
+            ])
         w;
       Http.response
         ~headers:[ ("Content-Type", "application/json") ]
@@ -615,62 +719,7 @@ let diff_preview ctx (request : Http.request) params =
 (* Replication                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* GET /replication — the role and lag surface, one JSON object for
-   either role. *)
-let replication ctx _request _params =
-  let int64 v = Jsonlight.Int (Int64.to_int v) in
-  (* how the journal is being served downstream: cursor-cache
-     hits/misses, snapshot resets, and each cached follower cursor's
-     distance behind the covered frontier — absent until someone has
-     actually fetched. Any journaling node reports it: a primary, but
-     also a durable replica feeding chained replicas. *)
-  let ship_fields p =
-    let s = Persist.ship_stats p in
-    if s.Store.Ship.cursor_hits + s.Store.Ship.cursor_misses = 0 then []
-    else
-      [
-        ( "ship",
-          Metrics.ship_json
-            {
-              Metrics.cursor_hits = s.Store.Ship.cursor_hits;
-              cursor_misses = s.Store.Ship.cursor_misses;
-              reset_batches = s.Store.Ship.reset_batches;
-              cursor_lags = s.Store.Ship.cursor_lags;
-            } );
-      ]
-  in
-  let fields =
-    match ctx.role with
-    | Replica r ->
-        [
-          ("role", Jsonlight.String "replica");
-          ("primary", Jsonlight.String (Replica.primary_address r));
-          ("applied_seq", int64 (Replica.applied_seq r));
-          ("covered_seq", int64 (Replica.covered_seq r));
-          ("lag", int64 (Replica.lag r));
-        ]
-        @ (match Replica.last_error r with
-          | Some e -> [ ("last_error", Jsonlight.String e) ]
-          | None -> [])
-        @ (match Registry.persist ctx.registry with
-          | Some p -> ship_fields p
-          | None -> [])
-    | Primary -> (
-        ("role", Jsonlight.String "primary")
-        ::
-        (match Registry.persist ctx.registry with
-        | Some p ->
-            let covered = Persist.covered_seq p in
-            (* a primary applies its own writes before journaling them *)
-            [
-              ("applied_seq", int64 covered);
-              ("covered_seq", int64 covered);
-              ("lag", Jsonlight.Int 0);
-            ]
-            @ ship_fields p
-        | None -> []))
-  in
-  json_reply ctx (Jsonlight.Obj fields)
+let replication ctx _request _params = json_reply ctx (replication_json ctx)
 
 (* GET /replication/log?after=N — the ship endpoint: raw framed
    journal records, gated at the covered sequence number. The body is

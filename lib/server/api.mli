@@ -21,7 +21,11 @@
     Endpoints:
     - [GET /health] — liveness: status, version, session count.
     - [GET /metrics] — request counters, latency histogram, in-flight
-      gauge, registry-wide cache statistics.
+      gauge, registry-wide cache statistics. Read from their owners
+      when scraped: with a journal, a [journal] object (records,
+      bytes, fsyncs, compactions, the [group_commit] batching counters
+      and the boot [recovery] summary); on every node, a [replication]
+      object byte-equal to the [GET /replication] body.
     - [GET /sessions] — session ids with their cache stats.
     - [POST /sessions] — create a session; the body carries the
       artifact XML inline ([scenarios]/[architecture]/[mapping] string
@@ -56,7 +60,10 @@
       Served by replicas (it is a read).
     - [DELETE /sessions/:id] — drop a session.
     - [GET /replication] — role, primary address (replicas), applied
-      and covered sequence numbers, lag.
+      and covered sequence numbers, lag, the replica's [last_error]
+      when its last poll failed, and on a journaling node that has
+      been fetched from, a [ship] object (cursor-cache hits/misses,
+      reset batches, per-cursor lag).
     - [GET /replication/log?after=N] — the ship endpoint: raw
       {!Store.Record}-framed journal records with sequence numbers in
       [(N, covered]] as [application/octet-stream], the covered seq in

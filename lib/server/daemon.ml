@@ -269,12 +269,16 @@ let worker_loop t =
   in
   loop ()
 
-(* Off-the-request-path compaction: poll the journal size and rotate
-   it when past the threshold, while mutations keep flowing (the
-   snapshot/rotation protocol in {!Store.Wal.compact_background} makes
-   the overlap safe). The poll is cheap — an int comparison — so a
-   short period keeps the journal close to its bound. *)
-let maintenance_loop t =
+(* The journal's off-the-request-path duties, polled every 50 ms.
+   Compaction: rotate the journal once past the threshold, while
+   mutations keep flowing (the snapshot/rotation protocol in
+   {!Store.Wal.compact_background} makes the overlap safe). The poll
+   is cheap — an int comparison — so a short period keeps the journal
+   close to its bound. The [Interval] fsync: an append only pays for
+   an fsync when the interval is already up, so after a quiet spell
+   the acknowledged tail would stay unsynced indefinitely; the flush
+   syncs it once the interval is up. *)
+let maintenance_loop t persist =
   while not (Atomic.get t.maintenance_stop) do
     (match Registry.maintenance_compact t.api_ctx.Api.registry with
     | true -> Log.info (fun m -> m "background compaction complete")
@@ -282,6 +286,12 @@ let maintenance_loop t =
     | exception e ->
         Log.err (fun m ->
             m "background compaction failed: %s" (Printexc.to_string e)));
+    (match t.config.fsync with
+    | Store.Journal.Interval _ -> (
+        try Persist.flush persist
+        with e ->
+          Log.err (fun m -> m "interval fsync failed: %s" (Printexc.to_string e)))
+    | Store.Journal.Always | Store.Journal.Never -> ());
     if not (Atomic.get t.maintenance_stop) then Unix.sleepf 0.05
   done
 
@@ -308,7 +318,6 @@ let start ?(config = default_config) () =
   (match persist with
   | None -> ()
   | Some (p, (recovery : Persist.recovery)) ->
-      Persist.set_metrics p api_ctx.Api.metrics;
       let stats = Registry.recover api_ctx.Api.registry recovery.Persist.mutations in
       Metrics.set_recovery api_ctx.Api.metrics
         {
@@ -334,8 +343,7 @@ let start ?(config = default_config) () =
       (fun (host, port) ->
         let r =
           Replica.start ~poll_interval:config.replica_poll
-            ~registry:api_ctx.Api.registry ~metrics:api_ctx.Api.metrics ~host
-            ~port ()
+            ~registry:api_ctx.Api.registry ~host ~port ()
         in
         api_ctx.Api.role <- Api.Replica r;
         Log.info (fun m -> m "replicating from %s" (Replica.primary_address r));
@@ -370,11 +378,9 @@ let start ?(config = default_config) () =
     }
   in
   let maintenance =
-    match persist with
-    | Some _ ->
-        Registry.set_background_compaction api_ctx.Api.registry true;
-        Some (Thread.create (fun () -> maintenance_loop t) ())
-    | None -> None
+    Option.map
+      (fun (p, _) -> Thread.create (fun () -> maintenance_loop t p) ())
+      persist
   in
   let acceptors =
     Thread.create (fun () -> accept_loop t tcp_listener) ()
@@ -406,14 +412,6 @@ let promote t =
            them with stale shipped records *)
         Replica.seal r;
         t.api_ctx.Api.role <- Api.Primary;
-        Metrics.set_replication t.api_ctx.Api.metrics
-          {
-            Metrics.role = "primary";
-            primary = None;
-            applied_seq = Replica.applied_seq r;
-            covered_seq = Replica.applied_seq r;
-            lag = 0L;
-          };
         Log.info (fun m ->
             m "promoted to primary at seq %Ld (was replicating from %s)"
               (Replica.applied_seq r)

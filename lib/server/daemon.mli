@@ -52,7 +52,9 @@ type config = {
           in-memory, exactly as before *)
   fsync : Store.Journal.fsync_policy;
       (** when journal appends reach the disk (only meaningful with
-          [data_dir]); default {!Store.Journal.Always} *)
+          [data_dir]); default {!Store.Journal.Always}. Under
+          [Interval], the maintenance thread fsyncs a journal left
+          unsynced by a quiet spell once the interval is up. *)
   group_window : float;
       (** group-commit accumulation window in seconds (the CLI flag is
           in milliseconds): how long a batch leader waits for more

@@ -22,40 +22,7 @@ type t = {
   mutable in_flight : int;
   mutable rejected_overload : int;
   mutable rejected_timeout : int;
-  (* write-ahead journal counters; [journal_enabled] keeps /metrics
-     byte-identical to the journal-less server unless durability is on *)
-  mutable journal_enabled : bool;
-  mutable journal_records : int;
-  mutable journal_bytes : int;
-  mutable journal_fsyncs : int;
-  mutable journal_compactions : int;
-  (* group-commit batching counters; rendered only once a batch has
-     actually completed, so an enabled-but-idle group keeps /metrics
-     byte-identical *)
-  mutable group : Store.Journal.Group.stats option;
   mutable recovery : recovery option;
-  (* replication status; rendered only when the daemon has a role
-     worth reporting (replica, or primary after a promotion), so a
-     plain single-process server keeps /metrics byte-identical *)
-  mutable replication : replication option;
-  (* log-shipping serving stats; rendered only once a follower has
-     actually fetched, so a primary nobody tails stays byte-identical *)
-  mutable ship : ship option;
-}
-
-and replication = {
-  role : string;  (** "primary" or "replica" *)
-  primary : string option;  (** the upstream, when a replica *)
-  applied_seq : int64;
-  covered_seq : int64;
-  lag : int64;
-}
-
-and ship = {
-  cursor_hits : int;
-  cursor_misses : int;
-  reset_batches : int;
-  cursor_lags : int64 list;
 }
 
 let create () =
@@ -68,15 +35,7 @@ let create () =
     in_flight = 0;
     rejected_overload = 0;
     rejected_timeout = 0;
-    journal_enabled = false;
-    journal_records = 0;
-    journal_bytes = 0;
-    journal_fsyncs = 0;
-    journal_compactions = 0;
-    group = None;
     recovery = None;
-    replication = None;
-    ship = None;
   }
 
 let with_lock t f = Mutex.protect t.lock f
@@ -105,37 +64,35 @@ let reject_overload t =
 let reject_timeout t =
   with_lock t (fun () -> t.rejected_timeout <- t.rejected_timeout + 1)
 
-(* Absolute counters, not deltas: the journal layer snapshots its own
-   totals after each operation, so a missed sync cannot drift. *)
-let set_journal t ~records ~bytes ~fsyncs ~compactions =
+let set_recovery t recovery = with_lock t (fun () -> t.recovery <- Some recovery)
+
+let recovery_json t =
   with_lock t (fun () ->
-      t.journal_enabled <- true;
-      t.journal_records <- records;
-      t.journal_bytes <- bytes;
-      t.journal_fsyncs <- fsyncs;
-      t.journal_compactions <- compactions)
+      Option.map
+        (fun r ->
+          Jsonlight.Obj
+            [
+              ("sessions", Jsonlight.Int r.sessions);
+              ("entries", Jsonlight.Int r.entries);
+              ("skipped", Jsonlight.Int r.skipped);
+              ("truncated_bytes", Jsonlight.Int r.truncated_bytes);
+              ("corrupt_tail", Jsonlight.Bool r.corrupt_tail);
+            ])
+        t.recovery)
 
-let set_group_commit t stats = with_lock t (fun () -> t.group <- Some stats)
-
-let set_recovery t recovery =
-  with_lock t (fun () ->
-      t.journal_enabled <- true;
-      t.recovery <- Some recovery)
-
-let set_replication t r = with_lock t (fun () -> t.replication <- Some r)
-
-let set_ship t s = with_lock t (fun () -> t.ship <- Some s)
-
-let ship_json s =
-  Jsonlight.Obj
-    [
-      ("cursor_hits", Jsonlight.Int s.cursor_hits);
-      ("cursor_misses", Jsonlight.Int s.cursor_misses);
-      ("reset_batches", Jsonlight.Int s.reset_batches);
-      ( "cursor_lags",
-        Jsonlight.List
-          (List.map (fun l -> Jsonlight.Int (Int64.to_int l)) s.cursor_lags) );
-    ]
+let cumulative bounds counts =
+  let total = ref 0 in
+  Jsonlight.List
+    (Array.to_list
+       (Array.mapi
+          (fun i count ->
+            total := !total + count;
+            let le =
+              if i < Array.length bounds then bounds.(i)
+              else Jsonlight.String "+inf"
+            in
+            Jsonlight.Obj [ ("le", le); ("count", Jsonlight.Int !total) ])
+          counts))
 
 let to_json t ~extra =
   with_lock t (fun () ->
@@ -152,114 +109,16 @@ let to_json t ~extra =
           t.requests []
         |> List.sort compare
       in
-      let cumulative = ref 0 in
-      let buckets =
-        Array.to_list
-          (Array.mapi
-             (fun i count ->
-               cumulative := !cumulative + count;
-               let le =
-                 if i < Array.length bucket_bounds then
-                   Jsonlight.Float bucket_bounds.(i)
-                 else Jsonlight.String "+inf"
-               in
-               Jsonlight.Obj [ ("le", le); ("count", Jsonlight.Int !cumulative) ])
-             t.buckets)
-      in
-      let group_commit =
-        match t.group with
-        | Some g when g.Store.Journal.Group.batches > 0 ->
-            let cumulative = ref 0 in
-            let bounds = Store.Journal.Group.hist_bounds in
-            let batch_buckets =
-              Array.to_list
-                (Array.mapi
-                   (fun i count ->
-                     cumulative := !cumulative + count;
-                     let le =
-                       if i < Array.length bounds then Jsonlight.Int bounds.(i)
-                       else Jsonlight.String "+inf"
-                     in
-                     Jsonlight.Obj
-                       [ ("le", le); ("count", Jsonlight.Int !cumulative) ])
-                   g.Store.Journal.Group.hist)
-            in
-            [
-              ( "group_commit",
-                Jsonlight.Obj
-                  [
-                    ("batches", Jsonlight.Int g.Store.Journal.Group.batches);
-                    ( "batched_appends",
-                      Jsonlight.Int g.Store.Journal.Group.batched_appends );
-                    ( "fsyncs_saved",
-                      Jsonlight.Int g.Store.Journal.Group.fsyncs_saved );
-                    ( "largest_batch",
-                      Jsonlight.Int g.Store.Journal.Group.largest_batch );
-                    ("batch_size", Jsonlight.List batch_buckets);
-                  ] );
-            ]
-        | Some _ | None -> []
-      in
-      let journal =
-        if not t.journal_enabled then []
-        else
-          [
-            ( "journal",
-              Jsonlight.Obj
-                ([
-                   ("records", Jsonlight.Int t.journal_records);
-                   ("bytes", Jsonlight.Int t.journal_bytes);
-                   ("fsyncs", Jsonlight.Int t.journal_fsyncs);
-                   ("compactions", Jsonlight.Int t.journal_compactions);
-                 ]
-                @ group_commit
-                @
-                match t.recovery with
-                | None -> []
-                | Some r ->
-                    [
-                      ( "recovery",
-                        Jsonlight.Obj
-                          [
-                            ("sessions", Jsonlight.Int r.sessions);
-                            ("entries", Jsonlight.Int r.entries);
-                            ("skipped", Jsonlight.Int r.skipped);
-                            ("truncated_bytes", Jsonlight.Int r.truncated_bytes);
-                            ("corrupt_tail", Jsonlight.Bool r.corrupt_tail);
-                          ] );
-                    ]) );
-          ]
-      in
-      let ship =
-        match t.ship with
-        | None -> []
-        | Some s -> [ ("ship", ship_json s) ]
-      in
-      let replication =
-        match t.replication with
-        | None -> []
-        | Some r ->
-            [
-              ( "replication",
-                Jsonlight.Obj
-                  ([ ("role", Jsonlight.String r.role) ]
-                  @ (match r.primary with
-                    | Some p -> [ ("primary", Jsonlight.String p) ]
-                    | None -> [])
-                  @ [
-                      ("applied_seq", Jsonlight.Int (Int64.to_int r.applied_seq));
-                      ("covered_seq", Jsonlight.Int (Int64.to_int r.covered_seq));
-                      ("lag", Jsonlight.Int (Int64.to_int r.lag));
-                    ]) );
-            ]
-      in
       Jsonlight.Obj
         ([
            ("requests", Jsonlight.List requests);
            ( "latency",
              Jsonlight.Obj
                [
-                 ("buckets", Jsonlight.List buckets);
+                 ( "buckets",
+                   cumulative
+                     (Array.map (fun b -> Jsonlight.Float b) bucket_bounds)
+                     t.buckets );
                  ("sum_seconds", Jsonlight.Float t.latency_sum);
                  ("count", Jsonlight.Int t.latency_count);
                ] );
@@ -267,6 +126,6 @@ let to_json t ~extra =
            ("rejected_overload", Jsonlight.Int t.rejected_overload);
            ("rejected_timeout", Jsonlight.Int t.rejected_timeout);
          ]
-        @ journal @ ship @ replication @ extra))
+        @ extra))
 
 let write t ~extra w = Jsonlight.Writer.json w (to_json t ~extra)

@@ -1,11 +1,14 @@
-(** Server-side observability counters, safe to update from every worker
-    thread. One instance lives for the daemon's lifetime and is rendered
-    by [GET /metrics].
+(** Request counters, safe to update from every worker thread. One
+    instance lives for the daemon's lifetime and is rendered by
+    [GET /metrics].
 
     Tracked: per-route/status request counts, a fixed-bucket latency
     histogram (cumulative, Prometheus-style), an in-flight gauge, and
     rejection counters for the two load-shedding paths (full accept
-    queue, request timeouts). *)
+    queue, request timeouts). The one other value kept here is the
+    boot recovery summary, handed over once by the daemon. Journal
+    and replication state stays with its owners, and the API layer
+    reads it when [/metrics] is scraped. *)
 
 type t
 
@@ -27,22 +30,6 @@ val reject_overload : t -> unit
 val reject_timeout : t -> unit
 (** A connection was closed after a read or write timeout. *)
 
-(** {2 Write-ahead journal}
-
-    Populated only when the daemon runs with a data directory; without
-    one, the rendered JSON is unchanged from the journal-less server. *)
-
-val set_journal :
-  t -> records:int -> bytes:int -> fsyncs:int -> compactions:int -> unit
-(** Overwrite the journal counters with the given lifetime totals (the
-    persistence layer reports absolute values after each operation). *)
-
-val set_group_commit : t -> Store.Journal.Group.stats -> unit
-(** Overwrite the group-commit batching counters. Rendered under
-    [journal.group_commit] — but only once at least one batch has
-    completed, so enabling group commit on an idle server leaves
-    [/metrics] byte-identical. *)
-
 type recovery = {
   sessions : int;  (** sessions alive after boot-time replay *)
   entries : int;  (** snapshot + journal records replayed *)
@@ -52,47 +39,20 @@ type recovery = {
 }
 
 val set_recovery : t -> recovery -> unit
-(** Record the outcome of boot-time recovery, rendered under
-    [journal.recovery]. *)
+(** Record the outcome of boot-time recovery. *)
 
-(** {2 Replication} *)
+val recovery_json : t -> Jsonlight.t option
+(** The recovery summary as the [journal.recovery] object of
+    [/metrics]; [None] until {!set_recovery}. *)
 
-type replication = {
-  role : string;  (** ["primary"] or ["replica"] *)
-  primary : string option;  (** upstream [HOST:PORT] when a replica *)
-  applied_seq : int64;  (** highest shipped record applied locally *)
-  covered_seq : int64;  (** the primary's fsync-covered high-water mark *)
-  lag : int64;  (** [covered_seq - applied_seq] *)
-}
-
-val set_replication : t -> replication -> unit
-(** Overwrite the replication status, rendered as a top-level
-    [replication] object. Never set on a plain single-process server,
-    whose [/metrics] stays byte-identical. *)
-
-type ship = {
-  cursor_hits : int;  (** ship fetches served by a cached tail cursor *)
-  cursor_misses : int;  (** fetches that opened a fresh cursor *)
-  reset_batches : int;  (** gap fetches answered with a snapshot bootstrap *)
-  cursor_lags : int64 list;  (** per cached cursor, records behind covered *)
-}
-
-val set_ship : t -> ship -> unit
-(** Overwrite the log-shipping serving stats, rendered as a top-level
-    [ship] object. Only set once a follower has actually fetched, so a
-    primary nobody tails keeps [/metrics] byte-identical. *)
-
-val ship_json : ship -> Jsonlight.t
-(** The rendered [ship] object — shared with [GET /replication] on a
-    primary. *)
-
-val to_json : t -> extra:(string * Jsonlight.t) list -> Jsonlight.t
-(** Snapshot; [extra] is appended verbatim (the API layer adds
-    registry-wide cache statistics). Buckets are upper bounds in
-    seconds; counts are cumulative ("le" semantics), the last bucket is
-    +inf. *)
+val cumulative : Jsonlight.t array -> int array -> Jsonlight.t
+(** [cumulative bounds counts] renders a per-bucket histogram as a
+    list of [{"le":bound,"count":running total}] objects; [counts] has
+    one more bucket than [bounds], rendered with ["le":"+inf"]. *)
 
 val write : t -> extra:(string * Jsonlight.t) list -> Jsonlight.Writer.t -> unit
-(** {!to_json} rendered into a caller-reused {!Jsonlight.Writer} — the
-    [/metrics] endpoint passes one from the API layer's pool so the
-    (large) snapshot never allocates a fresh serialization buffer. *)
+(** Render the counters as one JSON object into a caller-reused
+    {!Jsonlight.Writer}, with [extra] appended verbatim (the API layer
+    adds the journal, replication and cache objects). Buckets are
+    upper bounds in seconds; counts are cumulative ("le" semantics),
+    the last bucket is +inf. *)

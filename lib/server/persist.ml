@@ -219,31 +219,11 @@ type t = {
   wal : Store.Wal.t;
   lock : Mutex.t;
   compact_bytes : int;
-  fsync : Store.Journal.fsync_policy;
-  mutable metrics : Metrics.t option;
   (* journal records serialize into one reused buffer; [lock] already
      serializes every append, so the writer needs no lock of its own *)
   writer : Jsonlight.Writer.t;
   shipper : Store.Ship.t;  (* serves the journal to replicas *)
 }
-
-let sync_metrics t =
-  match t.metrics with
-  | None -> ()
-  | Some m ->
-      let s = Store.Wal.stats t.wal in
-      Metrics.set_journal m ~records:s.Store.Wal.appends ~bytes:s.Store.Wal.bytes
-        ~fsyncs:s.Store.Wal.fsyncs ~compactions:s.Store.Wal.compactions;
-      Option.iter (Metrics.set_group_commit m) (Store.Wal.group_stats t.wal);
-      let sh = Store.Ship.stats t.shipper in
-      if sh.Store.Ship.cursor_hits + sh.Store.Ship.cursor_misses > 0 then
-        Metrics.set_ship m
-          {
-            Metrics.cursor_hits = sh.Store.Ship.cursor_hits;
-            cursor_misses = sh.Store.Ship.cursor_misses;
-            reset_batches = sh.Store.Ship.reset_batches;
-            cursor_lags = sh.Store.Ship.cursor_lags;
-          }
 
 let open_ ?(fsync = Store.Journal.Always) ?group
     ?(compact_bytes = 8 * 1024 * 1024) ?env dir =
@@ -262,8 +242,6 @@ let open_ ?(fsync = Store.Journal.Always) ?group
       wal;
       lock = Mutex.create ();
       compact_bytes;
-      fsync;
-      metrics = None;
       writer = Jsonlight.Writer.create ~size:(16 * 1024) ();
       shipper = Store.Ship.create wal;
     },
@@ -275,64 +253,41 @@ let open_ ?(fsync = Store.Journal.Always) ?group
       corrupt_tail = r.Store.Wal.corrupt_tail;
     } )
 
-let set_metrics t m =
-  t.metrics <- Some m;
-  sync_metrics t
-
 let stage t m =
   Mutex.protect t.lock (fun () ->
       Jsonlight.Writer.clear t.writer;
       write_mutation t.writer m;
       Store.Wal.stage t.wal (Jsonlight.Writer.contents t.writer))
 
-let await t seq =
-  Store.Wal.await t.wal seq;
-  sync_metrics t
-
-let log t m =
-  let seq = stage t m in
-  await t seq
+let await t seq = Store.Wal.await t.wal seq
 
 let should_compact t = Store.Wal.journal_bytes t.wal >= t.compact_bytes
 
 let compact t ~state =
   Mutex.protect t.lock (fun () ->
-      Store.Wal.compact t.wal ~state:(List.map encode state));
-  sync_metrics t
+      Store.Wal.compact t.wal ~state:(List.map encode state))
 
 let compact_background t ~state =
   (* no [t.lock]: stagers keep flowing — the Wal rotation protocol
      serializes against them internally *)
-  Store.Wal.compact_background t.wal ~state:(fun () -> List.map encode (state ()));
-  sync_metrics t
+  Store.Wal.compact_background t.wal ~state:(fun () -> List.map encode (state ()))
 
 let flush t = Mutex.protect t.lock (fun () -> ignore (Store.Wal.flush t.wal))
-
-let fsync_policy t = t.fsync
 
 let covered_seq t = Store.Ship.covered_seq t.shipper
 
 let next_seq t = Store.Journal.next_seq (Store.Wal.journal t.wal)
 
-let ship ?max_bytes t ~after =
-  let batch = Store.Ship.fetch ?max_bytes t.shipper ~after in
-  sync_metrics t;
-  batch
+let ship ?max_bytes t ~after = Store.Ship.fetch ?max_bytes t.shipper ~after
 
 let snapshot t = Store.Ship.snapshot t.shipper
 
 let ship_stats t = Store.Ship.stats t.shipper
 
-let ingest t data =
-  Mutex.protect t.lock (fun () -> Store.Wal.ingest t.wal data);
-  sync_metrics t
+let ingest t data = Mutex.protect t.lock (fun () -> Store.Wal.ingest t.wal data)
 
 let install_snapshot t data =
-  let covers =
-    Mutex.protect t.lock (fun () -> Store.Wal.install_snapshot t.wal data)
-  in
-  sync_metrics t;
-  covers
+  Mutex.protect t.lock (fun () -> Store.Wal.install_snapshot t.wal data)
 
 let stats t = Store.Wal.stats t.wal
 

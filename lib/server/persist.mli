@@ -13,10 +13,13 @@
     registry re-applies; a record that does not decode (a JSON-encoded
     create among them) is skipped and counted in [undecodable].
 
-    Thread-safety: {!log}, {!compact} and {!flush} take an internal
-    lock, but callers must additionally serialize mutations against
-    each other so journal order equals apply order — {!Registry} does
-    this with its mutation lock. *)
+    Thread-safety: {!stage}, {!compact}, {!ingest} and {!flush} take
+    an internal lock, but callers must additionally serialize
+    mutations against each other so journal order equals apply order
+    — {!Registry} does this with its mutation lock.
+
+    [GET /metrics] reads {!stats}, {!group_stats} and {!ship_stats}
+    when it is scraped. *)
 
 type mutation =
   | Create of {
@@ -68,14 +71,6 @@ val open_ :
     (default {!Store.Fsenv.real}) — how the simulation harness runs
     the whole persistence stack against an in-memory fault model. *)
 
-val set_metrics : t -> Metrics.t -> unit
-(** Mirror journal counters into the given metrics after every
-    operation. *)
-
-val log : t -> mutation -> unit
-(** Append one mutation; on return it is durable per the fsync
-    policy. Equivalent to {!stage} followed by {!await}. *)
-
 val stage : t -> mutation -> int64
 (** Write one mutation to the journal without waiting for durability;
     returns its sequence number. The caller must hold whatever lock
@@ -104,8 +99,12 @@ val compact_background : t -> state:(unit -> mutation list) -> unit
     because it applies before staging, under its mutation lock. *)
 
 val flush : t -> unit
-
-val fsync_policy : t -> Store.Journal.fsync_policy
+(** Fsync the journal if an append is still unsynced — under an
+    [Interval s] policy only once [s] seconds have passed since the
+    last fsync (see {!Store.Journal.flush}). The daemon's maintenance
+    thread calls this on an [Interval] journal, so an acknowledged
+    append is synced within the interval even when no later append
+    comes along to pay for the fsync. *)
 
 val covered_seq : t -> int64
 (** Highest journaled sequence number safe to ship to a replica —

@@ -26,10 +26,6 @@ type t = {
      not). *)
   etag_boot : string;
   mutable etag_token : int;
-  (* [true] when a daemon maintenance thread owns compaction: the
-     mutation path then never compacts inline (set once before serving
-     starts, so a plain bool is enough) *)
-  mutable background_compaction : bool;
 }
 
 let create ?jobs ?persist () =
@@ -48,10 +44,7 @@ let create ?jobs ?persist () =
         (Random.State.bits rng land 0xFFFFFFF)
         (Random.State.bits rng land 0xFFFFFFF);
     etag_token = 0;
-    background_compaction = false;
   }
-
-let set_background_compaction t flag = t.background_compaction <- flag
 
 (* ------------------------------------------------------------------ *)
 (* Serialized-response cache                                          *)
@@ -142,12 +135,6 @@ let state_mutations t =
           create_mutation ~id session))
     pairs
 
-let maybe_compact t =
-  match t.persist with
-  | Some p when (not t.background_compaction) && Persist.should_compact p ->
-      Persist.compact p ~state:(state_mutations t)
-  | Some _ | None -> ()
-
 (* The maintenance thread's compaction: runs with NO registry lock
    held, so mutations keep flowing while the snapshot is written. The
    rotation protocol captures the covered sequence number first;
@@ -222,9 +209,7 @@ let add t ~id ?config ?source project =
               | None -> create_mutation ~id session
             in
             (match Persist.stage p mutation with
-            | seq ->
-                maybe_compact t;
-                (Ok (), Some seq)
+            | seq -> (Ok (), Some seq)
             | exception e ->
                 (* un-journaled means un-acknowledged: roll the insert
                    back so memory never outlives what recovery rebuilds *)
@@ -250,9 +235,7 @@ let remove t id =
         match (removed, t.persist) with
         | Some session, Some p ->
             (match Persist.stage p (Persist.Remove { id }) with
-            | seq ->
-                maybe_compact t;
-                (true, Some seq)
+            | seq -> (true, Some seq)
             | exception e ->
                 Mutex.protect t.lock (fun () ->
                     Hashtbl.replace t.sessions id session);
@@ -298,9 +281,7 @@ let apply_diff t id ~ops =
                                       .Core.Sosae.architecture;
                               }
                       in
-                      let seq = Persist.stage p mutation in
-                      maybe_compact t;
-                      Some seq
+                      Some (Persist.stage p mutation)
                 in
                 (Ok ops, pending)
             | exception Adl.Diff.Apply_error message ->

@@ -98,12 +98,6 @@ val checkpoint : t -> unit
     drain so restarts recover from a snapshot instead of a long
     journal. *)
 
-val set_background_compaction : t -> bool -> unit
-(** [true] hands compaction to a maintenance thread: the mutation path
-    stops compacting inline (it only checks the threshold) and the
-    daemon periodically calls {!maintenance_compact}. Set before
-    serving starts. *)
-
 val maintenance_compact : t -> bool
 (** If the journal is past its compaction threshold, snapshot and
     rotate it {e without} stopping mutations (see

@@ -8,7 +8,6 @@
 type t = {
   primary : string;
   registry : Registry.t;
-  metrics : Metrics.t;
   upstream : Client.persistent;
   poll_interval : float;
   lock : Mutex.t;
@@ -51,19 +50,6 @@ let covered_of (r : Client.response) ~default =
   with
   | Some v -> v
   | None -> default
-
-let publish t =
-  let applied, covered =
-    Mutex.protect t.lock (fun () -> (t.applied, t.covered))
-  in
-  Metrics.set_replication t.metrics
-    {
-      Metrics.role = "replica";
-      primary = Some t.primary;
-      applied_seq = applied;
-      covered_seq = covered;
-      lag = (if covered > applied then Int64.sub covered applied else 0L);
-    }
 
 let set_error t msg =
   Mutex.protect t.lock (fun () -> t.error <- Some msg)
@@ -128,13 +114,12 @@ let step t =
 let run t =
   while not (Atomic.get t.stop) do
     let progressed = step t in
-    publish t;
     if (not progressed) && not (Atomic.get t.stop) then
       Unix.sleepf t.poll_interval
   done;
   Client.persistent_close t.upstream
 
-let start ?(poll_interval = 0.02) ~registry ~metrics ~host ~port () =
+let start ?(poll_interval = 0.02) ~registry ~host ~port () =
   (* a durable replica resumes from its local journal frontier: the
      records below it were applied (and journaled) before the restart,
      so the first fetch tails instead of replaying history *)
@@ -147,7 +132,6 @@ let start ?(poll_interval = 0.02) ~registry ~metrics ~host ~port () =
     {
       primary = Printf.sprintf "%s:%d" host port;
       registry;
-      metrics;
       upstream =
         Client.persistent
           ~policy:{ Client.default_policy with max_attempts = 1 }
@@ -163,7 +147,6 @@ let start ?(poll_interval = 0.02) ~registry ~metrics ~host ~port () =
       thread = None;
     }
   in
-  publish t;
   t.thread <- Some (Thread.create run t);
   t
 

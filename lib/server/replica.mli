@@ -6,15 +6,15 @@
     The loop reconnects through primary restarts, handles reset
     batches (snapshot bootstraps after the primary compacted away its
     position), and keeps polling through errors — the last failure is
-    surfaced in {!last_error} and the replication status is mirrored
-    into {!Metrics} after every poll. *)
+    surfaced in {!last_error}. The accessors below are the whole
+    replication status; [GET /replication] and [GET /metrics] read
+    them when asked. *)
 
 type t
 
 val start :
   ?poll_interval:float ->
   registry:Registry.t ->
-  metrics:Metrics.t ->
   host:string ->
   port:int ->
   unit ->

@@ -41,10 +41,10 @@ let open_raw ~env ~group ~dir =
     Server.Persist.open_ ~fsync:Store.Journal.Always ~group ~compact_bytes:1
       ~env:(Env.fs env) dir
   in
+  (* [compact_bytes:1]: every compaction op rotates, and compaction
+     runs only when an op asks for it, so rotation points are chosen
+     by the generator, not by journal size *)
   let registry = Server.Registry.create ~jobs:1 ~persist () in
-  (* compaction only when an op asks for it, so rotation points are
-     chosen by the generator, not by journal size *)
-  Server.Registry.set_background_compaction registry true;
   ignore (Server.Registry.recover registry recovery.Server.Persist.mutations);
   (persist, registry)
 

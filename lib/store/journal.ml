@@ -473,8 +473,17 @@ let file_bytes t = t.file_bytes
 
 let flush t =
   locked t (fun () ->
+      let module E = (val t.env : Fsenv.S) in
       quiesce_locked t;
-      if t.dirty then begin
+      let due =
+        match t.policy with
+        | Interval s -> E.gettimeofday () -. t.last_fsync >= s
+        | Always | Never -> true
+      in
+      (* a poisoned journal stays poisoned until reopened: a retried
+         fsync can succeed after the kernel dropped the failed pages,
+         and must not mark them durable *)
+      if t.dirty && due && Option.is_none t.failed then begin
         do_fsync t;
         true
       end

@@ -10,8 +10,10 @@
       {!await} never returns before a completed fsync covers the
       record.
     - [Interval s] — appends are written immediately but fsynced at
-      most once per [s] seconds (plus on {!flush}/{!close}); a crash
-      can lose up to the last interval of acknowledged appends.
+      most once per [s] seconds, by the next append or {!flush} once
+      the interval is up (and on {!close}); a crash can lose up to the
+      last interval of acknowledged appends, provided {!flush} runs
+      periodically (the daemon's maintenance thread does).
     - [Never] — no fsyncs except on {!close}; a crash can lose
       anything the OS had not written back yet. Kernel-crash safety
       only comes from [Always]/[Interval]; process-crash ([kill -9])
@@ -133,7 +135,12 @@ val file_bytes : t -> int
 
 val flush : t -> bool
 (** Fsync now if anything was written since the last one; [true] when
-    an fsync actually happened. Waits out an in-flight group fsync. *)
+    an fsync actually happened. Waits out an in-flight group fsync.
+    Under [Interval s] it fsyncs only once [s] seconds have passed
+    since the last fsync, so a caller on a timer keeps the interval
+    promise after a quiet spell — when no append comes along to pay
+    for the fsync — without syncing more often than the policy says.
+    A poisoned journal (see {!await}) is never flushed. *)
 
 val reset : t -> unit
 (** Truncate to empty (and fsync the truncation). Sequence numbers

@@ -84,7 +84,9 @@ val compact_background : t -> state:(unit -> string list) -> unit
     mirrored tail. On failure the journal is left untouched. *)
 
 val flush : t -> bool
-(** Fsync the journal if dirty; [true] when an fsync happened. *)
+(** Fsync the journal if dirty (an [Interval] journal only once its
+    period is up — see {!Journal.flush}); [true] when an fsync
+    happened. *)
 
 type counters = {
   appends : int;

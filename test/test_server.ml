@@ -1317,48 +1317,73 @@ let test_persist_json_create_undecodable () =
              | _ -> Alcotest.fail "only creates were journaled")
            recovery.Server.Persist.mutations))
 
-(* The "journal" metrics object must not grow a group_commit member
-   until a batch has actually completed — enabling the barrier on an
-   idle server leaves /metrics byte-identical. *)
-let test_metrics_group_idle () =
-  let render m = Jsonlight.to_string (Server.Metrics.to_json m ~extra:[]) in
-  let journal m =
-    Server.Metrics.set_journal m ~records:3 ~bytes:120 ~fsyncs:2 ~compactions:1
-  in
-  let m1 = Server.Metrics.create () in
-  journal m1;
-  let m2 = Server.Metrics.create () in
-  journal m2;
-  let hist () = Array.make (Array.length Store.Journal.Group.hist_bounds + 1) 0 in
-  Server.Metrics.set_group_commit m2
-    {
-      Store.Journal.Group.batches = 0;
-      batched_appends = 0;
-      fsyncs_saved = 0;
-      largest_batch = 0;
-      hist = hist ();
-    };
-  Alcotest.(check string) "idle group commit leaves metrics byte-identical"
-    (render m1) (render m2);
-  let h = hist () in
-  h.(1) <- 2;
-  Server.Metrics.set_group_commit m2
-    {
-      Store.Journal.Group.batches = 2;
-      batched_appends = 4;
-      fsyncs_saved = 2;
-      largest_batch = 2;
-      hist = h;
-    };
-  let group =
-    body_json
-      { Server.Client.status = 200; headers = []; body = render m2 }
-    |> member_exn "journal" |> member_exn "group_commit"
-  in
-  Alcotest.(check (option int)) "batches rendered" (Some 2)
-    (group |> member_exn "batches" |> Jsonlight.int_opt);
-  Alcotest.(check (option int)) "fsyncs_saved rendered" (Some 2)
-    (group |> member_exn "fsyncs_saved" |> Jsonlight.int_opt)
+(* /metrics reads journal and replication state from their owners
+   when it is scraped, so nothing has to push it there: after two
+   creates on a --data-dir daemon the journal and group-commit
+   counters are current, and the [replication] object is the
+   GET /replication body byte for byte. *)
+let test_metrics_read_live () =
+  with_temp_dir (fun dir ->
+      let config =
+        { Server.Daemon.default_config with Server.Daemon.data_dir = Some dir }
+      in
+      with_daemon ~config (fun t ->
+          with_client t (fun c ->
+              List.iter
+                (fun id ->
+                  Alcotest.(check int) ("create " ^ id) 201
+                    (ok (Server.Client.post c "/sessions" ~body:(create_body id)))
+                      .Server.Client.status)
+                [ "m1"; "m2" ];
+              let metrics = ok (Server.Client.get c "/metrics") in
+              let journal = body_json metrics |> member_exn "journal" in
+              Alcotest.(check (option int)) "journal records" (Some 2)
+                (journal |> member_exn "records" |> Jsonlight.int_opt);
+              Alcotest.(check (option int)) "group-commit batched appends"
+                (Some 2)
+                (journal |> member_exn "group_commit"
+                 |> member_exn "batched_appends" |> Jsonlight.int_opt);
+              let replication =
+                (ok (Server.Client.get c "/replication")).Server.Client.body
+              in
+              Testutil.check_contains "replication object is the /replication body"
+                metrics.Server.Client.body
+                ("\"replication\":" ^ replication))))
+
+(* The daemon's maintenance thread keeps the [Interval] promise: a
+   create acknowledged before the interval is up is not fsynced by its
+   own append, and with no later append to pay for it, the
+   maintenance flush syncs it once the interval has passed. *)
+let test_e2e_interval_quiet_spell () =
+  with_temp_dir (fun dir ->
+      let config =
+        {
+          Server.Daemon.default_config with
+          Server.Daemon.data_dir = Some dir;
+          fsync = Store.Journal.Interval 0.2;
+        }
+      in
+      with_daemon ~config (fun t ->
+          with_client t (fun c ->
+              Alcotest.(check int) "create" 201
+                (ok (Server.Client.post c "/sessions" ~body:(create_body "q")))
+                  .Server.Client.status;
+              let fsyncs () =
+                body_json (ok (Server.Client.get c "/metrics"))
+                |> member_exn "journal" |> member_exn "fsyncs"
+                |> Jsonlight.int_opt |> Option.get
+              in
+              let deadline = Unix.gettimeofday () +. 5.0 in
+              let rec wait () =
+                if fsyncs () = 0 then
+                  if Unix.gettimeofday () > deadline then
+                    Alcotest.fail "the quiet interval journal was never fsynced"
+                  else begin
+                    Thread.delay 0.02;
+                    wait ()
+                  end
+              in
+              wait ())))
 
 (* SIGKILL while the maintenance thread is compacting in the
    background: a tiny --compact-threshold makes the loader trip a
@@ -1514,13 +1539,17 @@ let test_e2e_replication () =
                   Alcotest.(check (option string)) "primary advertised"
                     (Some primary_addr) r.Server.Client.primary
               | Error m -> Alcotest.fail m);
-              (* the replication status is mirrored into /metrics *)
-              let repl =
-                body_json (ok (Server.Client.get rc "/metrics"))
-                |> member_exn "replication"
-              in
+              (* /metrics renders the replication status with the
+                 GET /replication renderer *)
+              let metrics = ok (Server.Client.get rc "/metrics") in
+              let repl = body_json metrics |> member_exn "replication" in
               Alcotest.(check (option string)) "metrics role" (Some "replica")
                 (repl |> member_exn "role" |> Jsonlight.string_opt);
+              Testutil.check_contains
+                "replica's replication object is the /replication body"
+                metrics.Server.Client.body
+                ("\"replication\":"
+                ^ (ok (Server.Client.get rc "/replication")).Server.Client.body);
               (* reads are served locally, bit-identical to the primary *)
               let evaluate c =
                 (ok (Server.Client.post c "/sessions/pims/evaluate" ~body:""))
@@ -2070,9 +2099,10 @@ let test_e2e_chained_replication () =
                             ((ship |> member_exn "cursor_hits"
                              |> Jsonlight.int_opt |> Option.get)
                             > 0);
-                          Alcotest.(check bool) "ship stats mirrored" true
-                            (Jsonlight.member "ship"
-                               (body_json (ok (Server.Client.get c "/metrics")))
+                          Alcotest.(check bool) "ship stats in /metrics" true
+                            (body_json (ok (Server.Client.get c "/metrics"))
+                             |> member_exn "replication"
+                             |> Jsonlight.member "ship"
                             <> None));
                       (* promote the middle hop: it seals, accepts
                          mutations, journals them, and keeps shipping
@@ -2236,6 +2266,11 @@ let test_e2e_replication_promote_crash () =
             end
       in
       wait_promote ();
+      (* without a journal the promoted node's replication status is
+         its role alone, in /metrics as in GET /replication *)
+      Testutil.check_contains "promoted replica's /metrics replication"
+        (get_on rport "/metrics").Server.Client.body
+        {|"replication":{"role":"primary"}|};
       Alcotest.(check int) "promoted replica accepts mutations" 201
         (post_on rport "/sessions" (create_body "post-promote"))
           .Server.Client.status;
@@ -2294,8 +2329,10 @@ let suite =
       `Quick test_registry_group_concurrent_recovery;
     Alcotest.test_case "persist: a JSON create is undecodable" `Quick
       test_persist_json_create_undecodable;
-    Alcotest.test_case "metrics: idle group commit invisible" `Quick
-      test_metrics_group_idle;
+    Alcotest.test_case "metrics: journal and replication read live" `Quick
+      test_metrics_read_live;
+    Alcotest.test_case "e2e: a quiet interval journal is fsynced" `Quick
+      test_e2e_interval_quiet_spell;
     Alcotest.test_case "e2e: SIGKILL during background compaction" `Quick
       test_e2e_sigkill_during_compaction;
     Alcotest.test_case "e2e: replica serves reads, rejects writes" `Quick

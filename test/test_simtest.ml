@@ -209,6 +209,55 @@ let test_poisoned_journal_answers_500 () =
   Alcotest.(check int) "reads still answered" 200 r.Server.Http.status
 
 (* ------------------------------------------------------------------ *)
+(* Interval fsync after a quiet spell                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* An [Interval] journal fsyncs when an append finds the interval up,
+   so the last acknowledged append before a quiet spell would stay
+   unsynced for as long as the spell lasts. The daemon's maintenance
+   thread calls [Persist.flush] on every tick: too early it must not
+   sync (the policy allows one fsync per interval), once the interval
+   is up it syncs, and a power failure then keeps the record. *)
+let test_interval_quiet_spell () =
+  let env = Simtest.Env.create () in
+  let fs = Simtest.Env.fs env in
+  let module E = (val fs : Store.Fsenv.S) in
+  let open_ () =
+    Server.Persist.open_ ~fsync:(Store.Journal.Interval 1.0) ~compact_bytes
+      ~env:fs "sim"
+  in
+  let persist, _ = open_ () in
+  let registry = Server.Registry.create ~jobs:1 ~persist () in
+  add_session registry 0;
+  let fsyncs () = (Server.Persist.stats persist).Store.Wal.fsyncs in
+  Server.Persist.flush persist;
+  Alcotest.(check int) "no fsync before the interval is up" 0 (fsyncs ());
+  E.sleepf 600.0;
+  Server.Persist.flush persist;
+  Alcotest.(check int) "one fsync once it is up" 1 (fsyncs ());
+  Simtest.Env.crash env ~cut:0;
+  let _, (recovery : Server.Persist.recovery) = open_ () in
+  Alcotest.(check int) "the acknowledged create survives the crash" 1
+    (List.length recovery.Server.Persist.mutations);
+  (* a failed fsync poisons the journal, and the next tick's flush
+     must not retry it: a retry that succeeds would call the lost
+     pages durable *)
+  let persist, _ = open_ () in
+  let registry = Server.Registry.create ~jobs:1 ~persist () in
+  add_session registry 1;
+  E.sleepf 600.0;
+  Simtest.Env.arm env (Simtest.Env.Fsync_fail 1);
+  (try
+     Server.Persist.flush persist;
+     Alcotest.fail "flush succeeded through a failed fsync"
+   with Unix.Unix_error (Unix.EIO, _, _) -> ());
+  Simtest.Env.disarm env;
+  E.sleepf 600.0;
+  Server.Persist.flush persist;
+  Alcotest.(check int) "a poisoned journal is not flushed again" 0
+    (Server.Persist.stats persist).Store.Wal.fsyncs
+
+(* ------------------------------------------------------------------ *)
 (* Compaction outruns a replica's cursor                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -383,6 +432,8 @@ let suite =
       `Quick,
       test_poisoned_journal_refuses_writes );
     ("poisoned journal answers 500", `Quick, test_poisoned_journal_answers_500);
+    ("interval journal synced after a quiet spell", `Quick,
+      test_interval_quiet_spell);
     ("compaction gap ships a reset", `Quick, test_ship_gap_resets);
     ( "follow-primary: unreachable primary",
       `Quick,

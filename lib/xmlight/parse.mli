@@ -4,9 +4,18 @@
     xADL documents: elements, attributes, character data, CDATA sections,
     comments, processing instructions, numeric and predefined entity
     references, and an (ignored) DOCTYPE declaration. Namespaces are kept
-    as prefixed names; no DTD validation is performed. *)
+    as prefixed names; no DTD validation is performed.
+
+    References are the five predefined entities ([&lt;] [&gt;] [&amp;]
+    [&apos;] [&quot;]) and the character references of XML 1.0 §4.1:
+    [&#] decimal digits [;] or [&#x] hex digits [;], decoded to UTF-8.
+    One that names a surrogate or a value past U+10FFFF is "out of
+    range"; any other [&#...;], such as [&#X41;], [&#+5;] or [&#1_0;], is
+    a "bad character reference". *)
 
 type position = { line : int; column : int }
+(** Lines count from 1. Columns count bytes from 1, not characters: a
+    multi-byte UTF-8 character advances the column by its length. *)
 
 type error = { position : position; message : string }
 

@@ -422,6 +422,12 @@ let test_e2e_health_and_errors () =
                (Server.Client.post c "/sessions"
                   ~body:
                     {|{"id":"x","scenarios":"<scenarioSet","architecture":"","mapping":""}|}));
+          (* a surrogate character reference is malformed XML, not a crash *)
+          expect_error 400 "xml_error"
+            (ok
+               (Server.Client.post c "/sessions"
+                  ~body:
+                    {|{"id":"x","scenarios":"<scenarioSet name=\"&#xD800;\"/>","architecture":"","mapping":""}|}));
           let r = ok (Server.Client.post c "/sessions" ~body:(create_body "dup")) in
           Alcotest.(check int) "created" 201 r.Server.Client.status;
           expect_error 409 "conflict"

@@ -1035,10 +1035,10 @@ let wal_case ~label ~creates policy =
 
 (* [writers] threads share one registry, each journaling its own slice
    of [creates] session creations — the contended path POST /sessions
-   takes under concurrent load. With [group] the writers stage under
-   the mutation lock but share fsyncs through the group-commit
-   barrier; without it every create pays its own. *)
-let wal_concurrent_case ~label ~creates ~writers ~group policy =
+   takes under concurrent load. The writers stage under the mutation
+   lock; under fsync=always they share fsyncs through the group-commit
+   barrier. *)
+let wal_concurrent_case ~label ~creates ~writers policy =
   let project, source = Lazy.force wal_project in
   let dir = temp_dir "sosae-wal" in
   (* default group config (window 0): batches form naturally from the
@@ -1046,10 +1046,7 @@ let wal_concurrent_case ~label ~creates ~writers ~group policy =
      this host a sleep-based accumulation window costs more than the
      fsyncs it saves (Unix.sleepf granularity exceeds the fsync) *)
   let persist =
-    fst
-      (Server.Persist.open_ ~fsync:policy
-         ?group:(if group then Some Store.Journal.Group.default else None)
-         ~compact_bytes:max_int dir)
+    fst (Server.Persist.open_ ~fsync:policy ~compact_bytes:max_int dir)
   in
   Fun.protect
     ~finally:(fun () ->
@@ -1080,12 +1077,9 @@ let wal_concurrent_case ~label ~creates ~writers ~group policy =
       let done_ = per_writer * writers in
       let cps = float_of_int done_ /. wall in
       let s = Server.Persist.stats persist in
-      let saved, largest =
-        match Server.Persist.group_stats persist with
-        | Some g ->
-            (g.Store.Journal.Group.fsyncs_saved, g.Store.Journal.Group.largest_batch)
-        | None -> (0, 0)
-      in
+      let g = Server.Persist.group_stats persist in
+      let saved = g.Store.Journal.Group.fsyncs_saved
+      and largest = g.Store.Journal.Group.largest_batch in
       Printf.printf
         "%-26s | %8.0f creates/s | %4d fsyncs | %4d saved | largest batch %d\n"
         label cps s.Store.Wal.fsyncs saved largest;
@@ -1124,36 +1118,27 @@ let wal () =
   print_endline "";
   let writers = 8 in
   let w8 = if smoke then 8 else 400 in
-  let always_solo =
-    wal_concurrent_case ~label:"w8 fsync=always" ~creates:w8 ~writers
-      ~group:false Store.Journal.Always
-  in
+  (* the labels keep their "group" suffix so trend baselines line up *)
   let always_group =
     wal_concurrent_case ~label:"w8 fsync=always group" ~creates:w8 ~writers
-      ~group:true Store.Journal.Always
+      Store.Journal.Always
   in
   ignore
-    (wal_concurrent_case ~label:"w8 fsync=never" ~creates:w8 ~writers
-       ~group:false Store.Journal.Never);
-  ignore
     (wal_concurrent_case ~label:"w8 fsync=never group" ~creates:w8 ~writers
-       ~group:true Store.Journal.Never);
-  ignore
-    (wal_concurrent_case ~label:"w8 fsync=interval:0.05" ~creates:w8 ~writers
-       ~group:false (Store.Journal.Interval 0.05));
+       Store.Journal.Never);
   ignore
     (wal_concurrent_case ~label:"w8 fsync=interval:0.05 group" ~creates:w8
-       ~writers ~group:true (Store.Journal.Interval 0.05));
+       ~writers (Store.Journal.Interval 0.05));
   print_endline "";
   Printf.printf
     "journal overhead: fsync=never costs %.1f%% of baseline throughput; each\n\
      fsync=always create pays one synchronous flush (%.2f ms at this rate).\n\
-     group commit under 8 writers: %.1fx the serialized fsync=always rate\n\
+     group commit under 8 writers: %.1fx the single-writer fsync=always rate\n\
      (%.0f vs %.0f creates/s; the durability tax left is the batched fsync).\n"
     ((1.0 -. (never /. base)) *. 100.0)
     (1000.0 /. always)
-    (always_group /. (if always_solo > 0.0 then always_solo else 1.0))
-    always_group always_solo
+    (always_group /. (if always > 0.0 then always else 1.0))
+    always_group always
 
 (* ------------------------------------------------------------------ *)
 (* REPL: log-shipping replication                                     *)

@@ -225,36 +225,26 @@ let health ctx _request _params =
    to {!Metrics}, once at boot. *)
 let journal_json ctx p =
   let s = Persist.stats p in
-  let group_commit =
-    match Persist.group_stats p with
-    | None -> []
-    | Some g ->
-        [
-          ( "group_commit",
-            Jsonlight.Obj
-              [
-                ("batches", Jsonlight.Int g.Store.Journal.Group.batches);
-                ( "batched_appends",
-                  Jsonlight.Int g.Store.Journal.Group.batched_appends );
-                ("fsyncs_saved", Jsonlight.Int g.Store.Journal.Group.fsyncs_saved);
-                ("largest_batch", Jsonlight.Int g.Store.Journal.Group.largest_batch);
-                ( "batch_size",
-                  Metrics.cumulative
-                    (Array.map
-                       (fun b -> Jsonlight.Int b)
-                       Store.Journal.Group.hist_bounds)
-                    g.Store.Journal.Group.hist );
-              ] );
-        ]
-  in
+  let g = Persist.group_stats p in
   Jsonlight.Obj
     ([
        ("records", Jsonlight.Int s.Store.Wal.appends);
        ("bytes", Jsonlight.Int s.Store.Wal.bytes);
        ("fsyncs", Jsonlight.Int s.Store.Wal.fsyncs);
        ("compactions", Jsonlight.Int s.Store.Wal.compactions);
+       ( "group_commit",
+         Jsonlight.Obj
+           [
+             ("batches", Jsonlight.Int g.Store.Journal.Group.batches);
+             ("batched_appends", Jsonlight.Int g.Store.Journal.Group.batched_appends);
+             ("fsyncs_saved", Jsonlight.Int g.Store.Journal.Group.fsyncs_saved);
+             ("largest_batch", Jsonlight.Int g.Store.Journal.Group.largest_batch);
+             ( "batch_size",
+               Metrics.cumulative
+                 (Array.map (fun b -> Jsonlight.Int b) Store.Journal.Group.hist_bounds)
+                 g.Store.Journal.Group.hist );
+           ] );
      ]
-    @ group_commit
     @
     match Metrics.recovery_json ctx.metrics with
     | Some r -> [ ("recovery", r) ]

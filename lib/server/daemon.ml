@@ -439,8 +439,9 @@ let stop t =
     Option.iter kill_listener t.unix_listener;
     queue_close t.queue;
     List.iter Thread.join t.threads;
-    (* the maintenance thread must be gone before the drain
-       checkpoint: both write the snapshot temp file *)
+    (* the maintenance thread must be gone before the journal
+       closes (the registry already serializes its compaction with
+       the drain checkpoint) *)
     Atomic.set t.maintenance_stop true;
     Option.iter Thread.join t.maintenance;
     Option.iter Replica.seal t.replica;

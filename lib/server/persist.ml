@@ -263,10 +263,6 @@ let await t seq = Store.Wal.await t.wal seq
 
 let should_compact t = Store.Wal.journal_bytes t.wal >= t.compact_bytes
 
-let compact t ~state =
-  Mutex.protect t.lock (fun () ->
-      Store.Wal.compact t.wal ~state:(List.map encode state))
-
 let compact_background t ~state =
   (* no [t.lock]: stagers keep flowing — the Wal rotation protocol
      serializes against them internally *)

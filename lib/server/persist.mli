@@ -13,10 +13,11 @@
     registry re-applies; a record that does not decode (a JSON-encoded
     create among them) is skipped and counted in [undecodable].
 
-    Thread-safety: {!stage}, {!compact}, {!ingest} and {!flush} take
-    an internal lock, but callers must additionally serialize
-    mutations against each other so journal order equals apply order
-    — {!Registry} does this with its mutation lock.
+    Thread-safety: {!stage}, {!ingest}, {!install_snapshot} and
+    {!flush} take an internal lock, but callers must additionally
+    serialize mutations against each other so journal order equals
+    apply order, and snapshot replacements ({!compact_background},
+    {!install_snapshot}) against each other — {!Registry} does both.
 
     [GET /metrics] reads {!stats}, {!group_stats} and {!ship_stats}
     when it is scraped. *)
@@ -64,12 +65,13 @@ val open_ :
   string ->
   t * recovery
 (** [open_ dir] recovers from [dir] (creating it if needed).
-    [?group] enables group commit: concurrent [Always] writers share
-    fsyncs (see {!Store.Journal.enable_group}). [compact_bytes]
-    (default 8 MiB) is the journal size past which {!should_compact}
-    asks for a snapshot. [?env] injects the filesystem effects
-    (default {!Store.Fsenv.real}) — how the simulation harness runs
-    the whole persistence stack against an in-memory fault model. *)
+    [?group] tunes the group-commit barrier through which concurrent
+    [Always] writers share fsyncs (see {!Store.Journal.open_}).
+    [compact_bytes] (default 8 MiB) is the journal size past which
+    {!should_compact} asks for a snapshot. [?env] injects the
+    filesystem effects (default {!Store.Fsenv.real}) — how the
+    simulation harness runs the whole persistence stack against an
+    in-memory fault model. *)
 
 val stage : t -> mutation -> int64
 (** Write one mutation to the journal without waiting for durability;
@@ -80,23 +82,20 @@ val stage : t -> mutation -> int64
 
 val await : t -> int64 -> unit
 (** Block until the staged mutation is durable per the fsync policy
-    (a no-op except under group commit with [Always]). *)
+    (a no-op except under [Always]). *)
 
 val should_compact : t -> bool
 
-val compact : t -> state:mutation list -> unit
-(** Snapshot the given full state (a [Create] per live session) and
-    empty the journal. The caller guarantees [state] reflects every
-    mutation logged so far (it holds the registry mutation lock). *)
-
 val compact_background : t -> state:(unit -> mutation list) -> unit
-(** Compaction that runs while mutations keep flowing: the journal
-    mirrors everything staged after the covered point and is
-    atomically replaced with just that tail once the snapshot is
-    durable (see {!Store.Wal.compact_background}). [state] is called
-    after the covered point is captured and must reflect at least
-    every mutation applied up to it — the registry guarantees this
-    because it applies before staging, under its mutation lock. *)
+(** Snapshot [state] (a [Create] per live session) and rotate the
+    journal, while mutations keep flowing: the journal mirrors
+    everything staged after the covered point and is atomically
+    replaced with just that tail once the snapshot is durable (see
+    {!Store.Wal.compact_background}) — with no mutation in between, an
+    empty journal. [state] is called after the covered point is
+    captured and must reflect at least every mutation applied up to
+    it — the registry guarantees this because it applies before
+    staging, under its mutation lock. *)
 
 val flush : t -> unit
 (** Fsync the journal if an append is still unsynced — under an
@@ -140,9 +139,8 @@ val install_snapshot : t -> string -> int64
 val stats : t -> Store.Wal.counters
 (** Lifetime journal counters (appends, bytes, fsyncs, compactions). *)
 
-val group_stats : t -> Store.Journal.Group.stats option
-(** Group-commit batching counters; [None] unless [?group] was passed
-    to {!open_}. *)
+val group_stats : t -> Store.Journal.Group.stats
+(** Group-commit batching counters. *)
 
 val dir : t -> string
 

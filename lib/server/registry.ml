@@ -6,13 +6,18 @@ type t = {
   jobs : int;
   (* [mu] serializes mutations (create/diff/remove) end to end — apply
      in memory, then journal — so journal order always equals apply
-     order. Reads and evaluations never take it. Lock order:
-     mu > lock > cache_lock, with cache_lock a leaf. The per-session
-     lock is taken only with none of these held — except that the
-     response cache takes [lock] from inside an evaluation (to check
-     the session is still the registered incarnation), so [lock] must
-     never be held while taking a per-session lock. *)
+     order. Reads and evaluations never take it. [snapshot_lock] makes
+     the snapshot's one writer: the maintenance compaction, the drain
+     checkpoint and a reset batch's install each hold it from state
+     capture to snapshot swap, so none renames an older snapshot over
+     a newer one or captures a half-reset registry. Lock order:
+     mu > snapshot_lock > per-session locks > lock > cache_lock, with
+     cache_lock a leaf. The response cache takes [lock] from inside an
+     evaluation (to check the session is still the registered
+     incarnation), so [lock] must never be held while taking a
+     per-session lock. *)
   mu : Mutex.t;
+  snapshot_lock : Mutex.t;
   persist : Persist.t option;
   (* Serialized full-suite evaluate results, one per session, valid
      while the session's revision is unchanged. *)
@@ -36,6 +41,7 @@ let create ?jobs ?persist () =
     sessions = Hashtbl.create 8;
     jobs;
     mu = Mutex.create ();
+    snapshot_lock = Mutex.create ();
     persist;
     cache_lock = Mutex.create ();
     cache = Hashtbl.create 8;
@@ -120,9 +126,10 @@ let create_mutation ~id session =
       mapping = Mapping.Xml_io.to_string project.Core.Sosae.mapping;
     }
 
-(* Per-session consistency is enough for a snapshot: [mu] is held, so
-   no mutation can interleave; evaluations may run but don't change
-   the project. *)
+(* Per-session consistency is enough for a snapshot: every mutation
+   the capture misses is in the rotation's mirrored tail (see
+   [compact_locked]); evaluations may run but don't change the
+   project. *)
 let state_mutations t =
   let pairs =
     Mutex.protect t.lock (fun () ->
@@ -135,26 +142,35 @@ let state_mutations t =
           create_mutation ~id session))
     pairs
 
-(* The maintenance thread's compaction: runs with NO registry lock
-   held, so mutations keep flowing while the snapshot is written. The
-   rotation protocol captures the covered sequence number first;
-   because every mutation is applied (under [mu]) before it is staged,
-   [state_mutations] — called after the capture — reflects at least
-   every covered mutation. A mutation whose effect the snapshot
-   already contains but whose record lands in the mirrored tail merely
-   double-applies on recovery, which the skip semantics absorb. *)
+(* [snapshot_lock] held. The rotation protocol captures the covered
+   sequence number first; because every mutation is applied (under
+   [mu]) before it is staged, [state_mutations] — called after the
+   capture — reflects at least every covered mutation. A mutation
+   whose effect the snapshot already contains but whose record lands
+   in the mirrored tail merely double-applies on recovery, which the
+   skip semantics absorb. *)
+let compact_locked t p =
+  Persist.compact_background p ~state:(fun () -> state_mutations t)
+
+(* The maintenance thread's compaction: runs without [mu], so
+   mutations keep flowing while the snapshot is written. *)
 let maintenance_compact t =
   match t.persist with
-  | Some p when Persist.should_compact p ->
-      Persist.compact_background p ~state:(fun () -> state_mutations t);
-      true
-  | Some _ | None -> false
+  | None -> false
+  | Some p ->
+      Mutex.protect t.snapshot_lock (fun () ->
+          let due = Persist.should_compact p in
+          if due then compact_locked t p;
+          due)
 
+(* the same rotation with mutations held off: nothing is mirrored, so
+   the journal ends up empty *)
 let checkpoint t =
   match t.persist with
   | None -> ()
   | Some p ->
-      Mutex.protect t.mu (fun () -> Persist.compact p ~state:(state_mutations t))
+      Mutex.protect t.mu (fun () ->
+          Mutex.protect t.snapshot_lock (fun () -> compact_locked t p))
 
 (* ------------------------------------------------------------------ *)
 (* Mutations (journaled before they are acknowledged)                 *)
@@ -300,22 +316,18 @@ type recovery_stats = { applied : int; skipped : int }
    journal. A record that no longer applies is skipped, not fatal —
    the benign source is the compaction overlap window (a mutation
    journaled just before a snapshot that already contains its effect),
-   and recovery must get the registry up regardless.
-
-   [serving] distinguishes boot-time recovery (the registry is
-   quiescent: no locks needed, no cache to invalidate) from a
-   replica's live apply loop, where `/stats` and evaluates run
-   concurrently: then every table access goes through [t.lock], every
-   session edit through its own lock, and create/remove invalidate the
-   response cache exactly like the primary's mutation path. *)
-let apply_mutations t ~serving mutations =
+   and recovery must get the registry up regardless. One routine for
+   boot recovery and the replica's live apply loop, where `/stats` and
+   evaluates run concurrently: every table access goes through
+   [t.lock], every session edit through its own lock, and create/
+   remove invalidate the response cache exactly like the primary's
+   mutation path. At boot the locks are simply uncontended. The
+   caller holds [mu]. *)
+let apply_mutations t mutations =
   let applied = ref 0 and skipped = ref 0 in
   let ok () = incr applied in
   let skip () = incr skipped in
-  let locked f = if serving then Mutex.protect t.lock f else f () in
-  let exclusively s f =
-    if serving then Core.Sosae.Session.exclusively s f else f ()
-  in
+  let locked f = Mutex.protect t.lock f in
   List.iter
     (fun mutation ->
       match mutation with
@@ -327,7 +339,7 @@ let apply_mutations t ~serving mutations =
                 let config = Walkthrough.Engine.config ~policy () in
                 let session = Core.Sosae.Session.create ~config project in
                 locked (fun () -> Hashtbl.replace t.sessions id session);
-                if serving then drop_cached t id;
+                drop_cached t id;
                 ok ()
             | Error _ -> skip ())
       | Persist.Diff { id; ops } -> (
@@ -335,7 +347,7 @@ let apply_mutations t ~serving mutations =
           | None -> skip ()
           | Some session -> (
               match
-                exclusively session (fun () ->
+                Core.Sosae.Session.exclusively session (fun () ->
                     Core.Sosae.Session.apply_diff session ops)
               with
               | () -> ok ()
@@ -346,7 +358,7 @@ let apply_mutations t ~serving mutations =
           | Some session -> (
               match Adl.Xml_io.of_string architecture with
               | arch ->
-                  exclusively session (fun () ->
+                  Core.Sosae.Session.exclusively session (fun () ->
                       Core.Sosae.Session.set_architecture session arch);
                   ok ()
               | exception Adl.Xml_io.Malformed _ -> skip ()))
@@ -360,14 +372,15 @@ let apply_mutations t ~serving mutations =
                 else false)
           in
           if removed then begin
-            if serving then drop_cached t id;
+            drop_cached t id;
             ok ()
           end
           else skip ())
     mutations;
   { applied = !applied; skipped = !skipped }
 
-let recover t mutations = apply_mutations t ~serving:false mutations
+let recover t mutations =
+  Mutex.protect t.mu (fun () -> apply_mutations t mutations)
 
 (* The replica apply loop. Takes the shipped batch raw — when the
    registry persists, the frames go into the local journal
@@ -386,7 +399,8 @@ let recover t mutations = apply_mutations t ~serving:false mutations
    [mu] is released and the loop stopped, the primary's mutation path
    finds the same ordering discipline it relies on. A [reset] batch
    (snapshot bootstrap after the upstream compacted away our position)
-   clears every session and cached response first. *)
+   clears every session and cached response first, and holds
+   [snapshot_lock] from the clear until its snapshot is installed. *)
 let apply_shipped t ~reset data =
   let ( let* ) = Result.bind in
   let* records = Store.Ship.decode data in
@@ -400,23 +414,28 @@ let apply_shipped t ~reset data =
           Ok (m :: acc))
       records (Ok [])
   in
-  Mutex.protect t.mu (fun () ->
-      if reset then begin
-        Mutex.protect t.lock (fun () -> Hashtbl.reset t.sessions);
-        Mutex.protect t.cache_lock (fun () -> Hashtbl.reset t.cache)
-      end;
-      let stats = apply_mutations t ~serving:true mutations in
-      (match t.persist with
-      | Some p ->
-          if reset then ignore (Persist.install_snapshot p data)
-          else Persist.ingest p data
-      | None -> ());
-      let last_seq =
-        List.fold_left
-          (fun acc (seq, _) -> if seq > acc then seq else acc)
-          0L records
-      in
-      Ok (stats, last_seq))
+  let apply () =
+    let stats = apply_mutations t mutations in
+    (match t.persist with
+    | Some p ->
+        if reset then ignore (Persist.install_snapshot p data)
+        else Persist.ingest p data
+    | None -> ());
+    stats
+  in
+  let stats =
+    Mutex.protect t.mu (fun () ->
+        if not reset then apply ()
+        else
+          Mutex.protect t.snapshot_lock (fun () ->
+              Mutex.protect t.lock (fun () -> Hashtbl.reset t.sessions);
+              Mutex.protect t.cache_lock (fun () -> Hashtbl.reset t.cache);
+              apply ()))
+  in
+  let last_seq =
+    List.fold_left (fun acc (seq, _) -> if seq > acc then seq else acc) 0L records
+  in
+  Ok (stats, last_seq)
 
 (* ------------------------------------------------------------------ *)
 (* Reads                                                              *)

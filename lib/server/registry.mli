@@ -66,12 +66,12 @@ val apply_diff :
 type recovery_stats = { applied : int; skipped : int }
 
 val recover : t -> Persist.mutation list -> recovery_stats
-(** Replay recovered mutations into the (empty, not-yet-serving)
-    registry without re-journaling them. Records that no longer apply
-    — the benign case is a mutation journaled in the compaction
-    overlap window, whose effect the snapshot already contains — are
-    counted in [skipped] and dropped. Not thread-safe; call before
-    serving. *)
+(** Replay recovered mutations into the registry without re-journaling
+    them. Records that no longer apply — the benign case is a mutation
+    journaled in the compaction overlap window, whose effect the
+    snapshot already contains — are counted in [skipped] and dropped.
+    Takes the same locks as {!apply_shipped}, so it needs no
+    quiescence; the daemon calls it once, before serving. *)
 
 val apply_shipped :
   t -> reset:bool -> string -> (recovery_stats * int64, string) result
@@ -88,22 +88,27 @@ val apply_shipped :
     (the batch is a snapshot bootstrap: the primary compacted away the
     records after this replica's position) installs the batch as the
     local snapshot, re-bases the journal, and clears every session and
-    cached response before applying. [Error] means the batch failed
-    CRC validation or carried an undecodable payload — a transport
-    bug, nothing was applied. *)
+    cached response before applying; no compaction runs between the
+    clear and the install. [Error] means the batch failed CRC
+    validation or carried an undecodable payload — a transport bug,
+    nothing was applied. A journal failure raises after the batch was
+    applied in memory (the local journal then lags it). *)
 
 val checkpoint : t -> unit
-(** Compact now: snapshot the current state and empty the journal.
-    No-op without persistence. The daemon calls this during SIGTERM
-    drain so restarts recover from a snapshot instead of a long
-    journal. *)
+(** Compact now, with mutations held off: snapshot the current state
+    and rotate the journal to empty. No-op without persistence. The
+    daemon calls this during SIGTERM drain so restarts recover from a
+    snapshot instead of a long journal. *)
 
 val maintenance_compact : t -> bool
 (** If the journal is past its compaction threshold, snapshot and
     rotate it {e without} stopping mutations (see
     {!Persist.compact_background}); [true] when a compaction ran.
-    Only called from the daemon's maintenance thread — never
-    concurrently with {!checkpoint}. *)
+
+    {!checkpoint}, this and a reset {!apply_shipped} are the registry's
+    snapshot writers, and they run one at a time: each holds one
+    registry lock from state capture to snapshot swap, so any of them
+    may run from any thread. *)
 
 val ids : t -> string list
 (** Sorted. *)

@@ -57,13 +57,21 @@ let set_error t msg =
 (* Fold one shipped batch into the registry (which journals it locally
    when it persists). The applied high-water mark advances to the
    batch's last record sequence — snapshot meta records and reset
-   bootstraps consume their numbers too. *)
+   bootstraps consume their numbers too. A batch that fails — it does
+   not decode, or the local journal refuses it — leaves the mark where
+   it was but records the upstream's covered seq, so [lag] shows the
+   replica falling behind while the loop keeps polling. *)
 let apply_batch t ~reset ~covered data =
+  let failed msg =
+    Mutex.protect t.lock (fun () ->
+        if covered > t.covered then t.covered <- covered;
+        t.error <- Some msg);
+    Client.persistent_close t.upstream;
+    false
+  in
   match Registry.apply_shipped t.registry ~reset data with
-  | Error e ->
-      set_error t ("bad shipped batch: " ^ e);
-      Client.persistent_close t.upstream;
-      false
+  | exception e -> failed ("applying shipped batch: " ^ Printexc.to_string e)
+  | Error e -> failed ("bad shipped batch: " ^ e)
   | Ok (_stats, last) ->
       Mutex.protect t.lock (fun () ->
           if last > t.applied then t.applied <- last;

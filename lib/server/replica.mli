@@ -47,8 +47,9 @@ val lag : t -> int64
 
 val last_error : t -> string option
 (** The most recent poll/apply failure, or [None] when the last poll
-    succeeded. A dead primary shows up here while the loop keeps
-    trying. *)
+    succeeded. A dead primary, or a local journal that refuses the
+    shipped batches, shows up here (and in {!lag}) while the loop
+    keeps trying. *)
 
 val sealed : t -> bool
 

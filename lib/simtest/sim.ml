@@ -17,7 +17,6 @@ let violation fmt = Printf.ksprintf (fun m -> raise (Violation m)) fmt
 type t = {
   env : Env.t;
   dir : string;
-  group : Store.Journal.Group.config;
   mutable persist : Server.Persist.t;
   mutable registry : Server.Registry.t;
   model : Model.t;
@@ -36,9 +35,9 @@ type t = {
 }
 
 (* open the whole stack against whatever the simulated disk holds *)
-let open_raw ~env ~group ~dir =
+let open_raw ~env ~dir =
   let persist, (recovery : Server.Persist.recovery) =
-    Server.Persist.open_ ~fsync:Store.Journal.Always ~group ~compact_bytes:1
+    Server.Persist.open_ ~fsync:Store.Journal.Always ~compact_bytes:1
       ~env:(Env.fs env) dir
   in
   (* [compact_bytes:1]: every compaction op rotates, and compaction
@@ -49,7 +48,7 @@ let open_raw ~env ~group ~dir =
   (persist, registry)
 
 let open_stack t =
-  let persist, registry = open_raw ~env:t.env ~group:t.group ~dir:t.dir in
+  let persist, registry = open_raw ~env:t.env ~dir:t.dir in
   t.persist <- persist;
   t.registry <- registry;
   t.poisoned <- false
@@ -58,14 +57,12 @@ let hop_dir = "hop"
 
 let create () =
   let env = Env.create () in
-  let group = { Store.Journal.Group.window = 0.0; max_batch = 64 } in
   let dir = "sim" in
-  let persist, registry = open_raw ~env ~group ~dir in
-  let hop_persist, hop = open_raw ~env ~group ~dir:hop_dir in
+  let persist, registry = open_raw ~env ~dir in
+  let hop_persist, hop = open_raw ~env ~dir:hop_dir in
   {
     env;
     dir;
-    group;
     persist;
     registry;
     model = Model.create ();
@@ -84,7 +81,7 @@ let create () =
    SIGKILL (no checkpoint, no clean close — in the Env model stale
    handles are simply abandoned) *)
 let open_hop t =
-  let persist, registry = open_raw ~env:t.env ~group:t.group ~dir:hop_dir in
+  let persist, registry = open_raw ~env:t.env ~dir:hop_dir in
   t.hop_persist <- persist;
   t.hop <- registry
 

@@ -83,3 +83,28 @@ module Real : S = struct
 end
 
 let real : t = (module Real)
+
+let rec write_all env fd b off len =
+  if len > 0 then begin
+    let module E = (val env : S) in
+    match E.write fd b off len with
+    | n -> write_all env fd b (off + n) (len - n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all env fd b off len
+  end
+
+let replace env ~tmp path data =
+  let module E = (val env : S) in
+  let fd = E.openfile tmp Trunc in
+  match
+    Fun.protect
+      ~finally:(fun () -> try E.close fd with _ -> ())
+      (fun () ->
+        (* [write] only reads the buffer *)
+        write_all env fd (Bytes.unsafe_of_string data) 0 (String.length data);
+        E.fsync fd);
+    E.rename tmp path
+  with
+  | () -> E.fsync_dir (Filename.dirname path)
+  | exception e ->
+      (try E.remove tmp with _ -> ());
+      raise e

@@ -65,3 +65,14 @@ module Real : S
 
 val real : t
 (** The [Unix]-backed implementation used by every production path. *)
+
+val write_all : t -> fd -> bytes -> int -> int -> unit
+(** [write_all env fd b off len] writes the whole range, looping over
+    partial writes and retrying [EINTR]. *)
+
+val replace : t -> tmp:string -> string -> string -> unit
+(** [replace env ~tmp path data] makes [data] the contents of [path]
+    atomically and durably: write [tmp], fsync it, rename it over
+    [path], fsync the directory. A crash leaves the old [path] or the
+    new one, never a mix. On failure the temp file is closed and
+    removed, [path] is untouched, and the exception is re-raised. *)

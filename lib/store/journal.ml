@@ -25,18 +25,35 @@ let fsync_policy_of_string s =
                 interval:<seconds>)"
                s))
 
-(* Group-commit state: writers stage records under [lock] and park on
-   [cond] until a completed fsync covers their sequence number. At
-   most one fsync is in flight at a time ([fsync_in_flight]); the
-   writer that finds no fsync running becomes the leader, syncs once
-   for every record staged so far, and wakes the whole batch. *)
+module Group = struct
+  type config = { window : float; max_batch : int }
+
+  let default = { window = 0.0; max_batch = 64 }
+
+  (* batch-size histogram upper bounds; the last bucket is +inf *)
+  let hist_bounds = [| 1; 2; 4; 8; 16; 32; 64; 128 |]
+
+  type stats = {
+    batches : int;
+    batched_appends : int;
+    fsyncs_saved : int;
+    largest_batch : int;
+    hist : int array;
+  }
+end
+
+(* The group-commit barrier, the only way an [Always] append becomes
+   durable: writers stage records under [lock] and park on [cond]
+   until a completed fsync covers their sequence number
+   ([durable_seq]). At most one fsync is in flight at a time
+   ([fsync_in_flight]); the writer that finds no fsync running becomes
+   the leader, syncs once for every record staged so far, and wakes
+   the whole batch. *)
 type group = {
   window : float;  (* extra accumulation delay before the leader syncs *)
   max_batch : int;  (* a batch this large skips the window *)
-  mutable synced : int64;  (* highest seq covered by a completed fsync *)
   mutable batches : int;
   mutable batched : int;  (* appends released by group fsyncs *)
-  mutable saved : int;  (* fsyncs the batching avoided *)
   mutable largest : int;
   hist : int array;  (* batch-size histogram, see Group.hist_bounds *)
 }
@@ -47,18 +64,18 @@ type t = {
   mutable fd : Fsenv.fd;
   policy : fsync_policy;
   (* [lock]/[cond] serialize every mutation of the journal (appends,
-     truncation, rotation) and carry the group-commit hand-off; a
-     leader releases [lock] for the fsync itself, flagged by
-     [fsync_in_flight] so truncation/rotation can wait it out. *)
+     rotation) and carry the group-commit hand-off; a leader releases
+     [lock] for the fsync itself, flagged by [fsync_in_flight] so
+     rotation can wait it out. *)
   lock : Mutex.t;
   cond : Condition.t;
   mutable fsync_in_flight : bool;
   mutable failed : exn option;  (* an fsync failed: poisoned *)
-  mutable group : group option;
+  group : group;
   mutable mirror : (int64 * string) list option;  (* rotation capture *)
   mutable seq : int64;  (* next to assign *)
   mutable durable_seq : int64;  (* highest seq covered by an fsync *)
-  mutable epoch : int;  (* bumped whenever the file is replaced/reset *)
+  mutable epoch : int;  (* bumped whenever the file is replaced *)
   mutable dirty : bool;  (* bytes written since the last fsync *)
   mutable file_bytes : int;  (* current on-disk size *)
   mutable last_fsync : float;
@@ -76,14 +93,6 @@ type recovery = {
 
 type counters = { appends : int; bytes : int; fsyncs : int }
 
-let rec write_all env fd b off len =
-  if len > 0 then begin
-    let module E = (val env : Fsenv.S) in
-    match E.write fd b off len with
-    | n -> write_all env fd b (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all env fd b off len
-  end
-
 let read_file env fd =
   let module E = (val env : Fsenv.S) in
   let size = E.size fd in
@@ -99,7 +108,7 @@ let read_file env fd =
   let got = go 0 in
   Bytes.sub_string b 0 got
 
-let open_ ?(fsync = Always) ?(env = Fsenv.real) path =
+let open_ ?(fsync = Always) ?(group = Group.default) ?(env = Fsenv.real) path =
   let module E = (val env : Fsenv.S) in
   let fd = E.openfile path Fsenv.Read_write in
   match
@@ -129,7 +138,15 @@ let open_ ?(fsync = Always) ?(env = Fsenv.real) path =
         cond = Condition.create ();
         fsync_in_flight = false;
         failed = None;
-        group = None;
+        group =
+          {
+            window = group.Group.window;
+            max_batch = max 1 group.Group.max_batch;
+            batches = 0;
+            batched = 0;
+            largest = 0;
+            hist = Array.make (Array.length Group.hist_bounds + 1) 0;
+          };
         mirror = None;
         seq = Int64.add last_seq 1L;
         (* the fsync above made the recovered records durable, so
@@ -174,12 +191,13 @@ let do_fsync t =
   t.fsyncs <- t.fsyncs + 1;
   t.durable_seq <- Int64.pred t.seq
 
-let maybe_fsync t =
+(* lock held: the [Interval] policy's fsync is paid by whichever append
+   (or {!flush}) finds the interval up *)
+let interval_due t =
   let module E = (val t.env : Fsenv.S) in
   match t.policy with
-  | Always -> do_fsync t
-  | Never -> ()
-  | Interval s -> if E.gettimeofday () -. t.last_fsync >= s then do_fsync t
+  | Interval s -> E.gettimeofday () -. t.last_fsync >= s
+  | Always | Never -> false
 
 (* lock held: a write blew up partway through a record (ENOSPC, torn
    write). The garbage prefix must not stay in the file: a later
@@ -197,32 +215,32 @@ let scrub_partial_append t ~pre_bytes e =
    with _ -> t.failed <- Some e);
   raise e
 
-(* lock held; writes the record but never fsyncs. [t.seq] is only
-   advanced once the bytes are fully written, so a failed write
-   consumes no sequence number (a permanent seq gap would wedge every
-   tail cursor on [Gap] with no snapshot to reset from). *)
-let append_locked t payload =
+(* lock held; the one append routine, for local records and shipped
+   ones alike: writes [len] bytes of [b] from [off] — the frames of
+   [records], consecutive sequence numbers starting at [t.seq] — but
+   never fsyncs. [t.seq] is only advanced once the bytes are fully
+   written, so a failed write consumes no sequence number (a permanent
+   seq gap would wedge every tail cursor on [Gap] with no snapshot to
+   reset from). A closed journal refuses before its old descriptor
+   number, possibly reused by now, sees a byte. *)
+let append_locked t records b off len =
   (match t.failed with Some e -> raise e | None -> ());
-  let seq = t.seq in
-  let buf = Buffer.create (Record.header_size + String.length payload) in
-  Record.encode buf ~seq payload;
-  let b = Buffer.to_bytes buf in
-  (try write_all t.env t.fd b 0 (Bytes.length b)
+  if t.closed then raise (Unix.Unix_error (Unix.EBADF, "Journal.append", t.path));
+  (try Fsenv.write_all t.env t.fd b off len
    with e -> scrub_partial_append t ~pre_bytes:t.file_bytes e);
-  t.seq <- Int64.add seq 1L;
+  t.seq <- Int64.add t.seq (Int64.of_int (List.length records));
   t.dirty <- true;
-  t.appends <- t.appends + 1;
-  t.bytes <- t.bytes + Bytes.length b;
-  t.file_bytes <- t.file_bytes + Bytes.length b;
-  (match t.mirror with
-  | Some tail -> t.mirror <- Some ((seq, payload) :: tail)
-  | None -> ());
-  seq
+  t.appends <- t.appends + List.length records;
+  t.bytes <- t.bytes + len;
+  t.file_bytes <- t.file_bytes + len;
+  match t.mirror with
+  | Some tail -> t.mirror <- Some (List.rev_append records tail)
+  | None -> ()
 
-(* lock held: the fsync right after an append failed, so the ack is
-   about to fail too — scrub the record back out so a later recovery
-   cannot resurrect a mutation its caller rolled back. The journal is
-   already poisoned by [do_fsync]. *)
+(* lock held: the interval fsync right after an append failed, so the
+   ack is about to fail too — scrub the record back out so a later
+   recovery cannot resurrect a mutation its caller rolled back. The
+   journal is already poisoned by [do_fsync]. *)
 let unstage_locked t ~seq ~payload =
   let size = Record.header_size + String.length payload in
   (try
@@ -237,7 +255,7 @@ let unstage_locked t ~seq ~payload =
    with _ -> ())
 
 (* lock held; waits out an in-flight group fsync so the callback can
-   safely truncate or replace the fd *)
+   safely replace the fd *)
 let quiesce_locked t =
   while t.fsync_in_flight do
     Condition.wait t.cond t.lock
@@ -245,64 +263,29 @@ let quiesce_locked t =
 
 let locked t f = Mutex.protect t.lock (fun () -> f ())
 
-module Group = struct
-  type config = { window : float; max_batch : int }
-
-  let default = { window = 0.0; max_batch = 64 }
-
-  (* batch-size histogram upper bounds; the last bucket is +inf *)
-  let hist_bounds = [| 1; 2; 4; 8; 16; 32; 64; 128 |]
-
-  type stats = {
-    batches : int;
-    batched_appends : int;
-    fsyncs_saved : int;
-    largest_batch : int;
-    hist : int array;
-  }
-end
-
-let enable_group ?(config = Group.default) t =
-  locked t (fun () ->
-      match t.group with
-      | Some _ -> invalid_arg "Journal.enable_group: already enabled"
-      | None ->
-          t.group <-
-            Some
-              {
-                window = config.Group.window;
-                max_batch = max 1 config.Group.max_batch;
-                synced = Int64.pred t.seq;
-                batches = 0;
-                batched = 0;
-                saved = 0;
-                largest = 0;
-                hist = Array.make (Array.length Group.hist_bounds + 1) 0;
-              })
-
 let group_stats t =
   locked t (fun () ->
-      Option.map
-        (fun g ->
-          {
-            Group.batches = g.batches;
-            batched_appends = g.batched;
-            fsyncs_saved = g.saved;
-            largest_batch = g.largest;
-            hist = Array.copy g.hist;
-          })
-        t.group)
+      let g = t.group in
+      {
+        Group.batches = g.batches;
+        batched_appends = g.batched;
+        fsyncs_saved = g.batched - g.batches;
+        largest_batch = g.largest;
+        hist = Array.copy g.hist;
+      })
 
 let stage t payload =
   locked t (fun () ->
-      let seq = append_locked t payload in
-      (match (t.group, t.policy) with
-      | Some _, Always -> ()  (* durability is settled in [await] *)
-      | Some _, (Never | Interval _) | None, _ -> (
-          try maybe_fsync t
-          with e ->
-            unstage_locked t ~seq ~payload;
-            raise e));
+      let seq = t.seq in
+      let buf = Buffer.create (Record.header_size + String.length payload) in
+      Record.encode buf ~seq payload;
+      append_locked t [ (seq, payload) ] (Buffer.to_bytes buf) 0 (Buffer.length buf);
+      (* under [Always] durability is settled in [await] *)
+      (if interval_due t then
+         try do_fsync t
+         with e ->
+           unstage_locked t ~seq ~payload;
+           raise e);
       seq)
 
 let hist_index batch =
@@ -320,20 +303,21 @@ let hist_index batch =
    completes, one of the still-uncovered ones leads the next batch —
    so under concurrency each fsync covers everything staged during the
    previous one. *)
-let rec await_locked t g seq =
+let rec await_locked t seq =
   let module E = (val t.env : Fsenv.S) in
-  if g.synced >= seq then ()
+  let g = t.group in
+  if t.durable_seq >= seq then ()
   else begin
     (match t.failed with Some e -> raise e | None -> ());
     if t.fsync_in_flight then begin
       Condition.wait t.cond t.lock;
-      await_locked t g seq
+      await_locked t seq
     end
     else begin
       t.fsync_in_flight <- true;
       if
         g.window > 0.0
-        && Int64.to_int (Int64.sub (Int64.pred t.seq) g.synced) < g.max_batch
+        && Int64.to_int (Int64.sub (Int64.pred t.seq) t.durable_seq) < g.max_batch
       then begin
         (* accumulate: stagers only need [lock], not the fsync *)
         Mutex.unlock t.lock;
@@ -350,32 +334,27 @@ let rec await_locked t g seq =
           t.fsyncs <- t.fsyncs + 1;
           t.last_fsync <- E.gettimeofday ();
           if Int64.pred t.seq = covers then t.dirty <- false;
-          (* [covers] can trail [synced] when a rotation or reset
-             slipped in between our snapshot and the fsync — never
-             move the high-water mark backwards *)
-          if covers > g.synced then begin
-            let batch = Int64.to_int (Int64.sub covers g.synced) in
+          (* [covers] can trail the frontier when a snapshot install
+             re-based the numbering meanwhile — never move it
+             backwards *)
+          if covers > t.durable_seq then begin
+            let batch = Int64.to_int (Int64.sub covers t.durable_seq) in
             g.batches <- g.batches + 1;
             g.batched <- g.batched + batch;
-            g.saved <- g.saved + (batch - 1);
             if batch > g.largest then g.largest <- batch;
             g.hist.(hist_index batch) <- g.hist.(hist_index batch) + 1;
-            g.synced <- covers
-          end;
-          if covers > t.durable_seq then t.durable_seq <- covers
+            t.durable_seq <- covers
+          end
       | Error e -> t.failed <- Some e);
       Condition.broadcast t.cond;
-      await_locked t g seq
+      await_locked t seq
     end
   end
 
 let await t seq =
-  match t.group with
-  | None -> ()
-  | Some g -> (
-      match t.policy with
-      | Never | Interval _ -> ()  (* ack never implied durability *)
-      | Always -> locked t (fun () -> await_locked t g seq))
+  match t.policy with
+  | Never | Interval _ -> ()  (* ack never implied durability *)
+  | Always -> locked t (fun () -> await_locked t seq)
 
 let append t payload =
   let seq = stage t payload in
@@ -391,18 +370,14 @@ let append t payload =
    (a re-shipped batch after a partially-applied fetch) are skipped;
    the rest must continue contiguously at [t.seq], because a silent
    gap would wedge every local tail cursor with no snapshot covering
-   the hole. Durability follows the journal's own fsync policy — the
-   caller is the (single-threaded) replica apply loop, so under
-   [Always] the fsync happens inline rather than through the
-   group-commit barrier. *)
+   the hole. Durability is a local append's: the interval fsync, or
+   the group-commit barrier under [Always]. *)
 let ingest t data =
-  if String.length data = 0 then ()
-  else
+  let records, valid_end, tail = Record.decode_all data in
+  if valid_end <> String.length data || tail <> Record.Clean then
+    invalid_arg "Journal.ingest: batch is not a clean run of frames";
+  let last =
     locked t (fun () ->
-        (match t.failed with Some e -> raise e | None -> ());
-        let records, valid_end, tail = Record.decode_all data in
-        if valid_end <> String.length data || tail <> Record.Clean then
-          invalid_arg "Journal.ingest: batch is not a clean run of frames";
         (* find the byte offset of the first record not yet held *)
         let skip_bytes = ref 0 in
         let fresh =
@@ -416,55 +391,31 @@ let ingest t data =
               else true)
             records
         in
-        match fresh with
-        | [] -> ()
-        | (first, _) :: _ ->
-            if first <> t.seq then
+        List.iteri
+          (fun i (seq, _) ->
+            let expect = Int64.add t.seq (Int64.of_int i) in
+            if seq <> expect then
               invalid_arg
-                (Printf.sprintf
-                   "Journal.ingest: batch starts at %Ld, journal expects %Ld"
-                   first t.seq);
-            ignore
-              (List.fold_left
-                 (fun expect (seq, _) ->
-                   if seq <> expect then
-                     invalid_arg
-                       (Printf.sprintf
-                          "Journal.ingest: batch skips from %Ld to %Ld"
-                          (Int64.pred expect) seq);
-                   Int64.succ seq)
-                 first fresh);
-            let len = String.length data - !skip_bytes in
-            let b = Bytes.create len in
-            Bytes.blit_string data !skip_bytes b 0 len;
-            (try write_all t.env t.fd b 0 len
-             with e -> scrub_partial_append t ~pre_bytes:t.file_bytes e);
-            let last = List.fold_left (fun _ (seq, _) -> seq) first fresh in
-            t.seq <- Int64.succ last;
-            t.dirty <- true;
-            t.appends <- t.appends + List.length fresh;
-            t.bytes <- t.bytes + len;
-            t.file_bytes <- t.file_bytes + len;
-            (match t.mirror with
-            | Some tl -> t.mirror <- Some (List.rev_append fresh tl)
-            | None -> ());
-            quiesce_locked t;
-            maybe_fsync t;
-            (* keep the group barrier's view in step so a later [await]
-               (after promotion) never waits on already-synced records *)
-            (match t.group with
-            | Some g -> if t.durable_seq > g.synced then g.synced <- t.durable_seq
-            | None -> ()))
+                (Printf.sprintf "Journal.ingest: batch has %Ld where %Ld belongs"
+                   seq expect))
+          fresh;
+        if fresh = [] then None
+        else begin
+          (* [write] only reads the buffer *)
+          append_locked t fresh (Bytes.unsafe_of_string data) !skip_bytes
+            (String.length data - !skip_bytes);
+          if interval_due t then do_fsync t;
+          Some (Int64.pred t.seq)
+        end)
+  in
+  Option.iter (await t) last
 
 let bump_seq t past = locked t (fun () ->
     if past >= t.seq then begin
       t.seq <- Int64.add past 1L;
       (* the skipped numbers belong to records already durable in a
          snapshot, so they never gate shipping or group commit *)
-      if past > t.durable_seq then t.durable_seq <- past;
-      match t.group with
-      | Some g -> if past > g.synced then g.synced <- past
-      | None -> ()
+      t.durable_seq <- past
     end)
 
 let next_seq t = locked t (fun () -> t.seq)
@@ -473,13 +424,8 @@ let file_bytes t = t.file_bytes
 
 let flush t =
   locked t (fun () ->
-      let module E = (val t.env : Fsenv.S) in
       quiesce_locked t;
-      let due =
-        match t.policy with
-        | Interval s -> E.gettimeofday () -. t.last_fsync >= s
-        | Always | Never -> true
-      in
+      let due = match t.policy with Interval _ -> interval_due t | Always | Never -> true in
       (* a poisoned journal stays poisoned until reopened: a retried
          fsync can succeed after the kernel dropped the failed pages,
          and must not mark them durable *)
@@ -489,29 +435,7 @@ let flush t =
       end
       else false)
 
-(* everything staged so far is covered (by the snapshot the caller
-   just made durable, or because the file is simply gone): release
-   any parked writers *)
-let mark_synced_locked t =
-  t.durable_seq <- Int64.pred t.seq;
-  match t.group with
-  | Some g ->
-      g.synced <- Int64.pred t.seq;
-      Condition.broadcast t.cond
-  | None -> ()
-
-let reset t =
-  locked t (fun () ->
-      let module E = (val t.env : Fsenv.S) in
-      quiesce_locked t;
-      E.ftruncate t.fd 0;
-      E.lseek_set t.fd 0;
-      t.file_bytes <- 0;
-      t.epoch <- t.epoch + 1;
-      do_fsync t;
-      mark_synced_locked t)
-
-(* ---------------- Rotation (background compaction) ----------------- *)
+(* ---------------- Rotation: the one way the file is replaced ------- *)
 
 let begin_rotation t =
   locked t (fun () ->
@@ -532,27 +456,24 @@ let commit_rotation t =
         | Some entries -> List.rev entries
         | None -> invalid_arg "Journal.commit_rotation: no rotation in progress"
       in
-      let tmp = t.path ^ ".tmp" in
+      (* the rotation ends here whatever the replace does: on failure
+         the old journal stays, and recovery skips its covered prefix
+         by sequence number *)
+      t.mirror <- None;
       let buf = Buffer.create 4096 in
       List.iter (fun (seq, payload) -> Record.encode buf ~seq payload) tail;
-      let fd = E.openfile tmp Fsenv.Trunc in
-      (try
-         let b = Buffer.to_bytes buf in
-         write_all t.env fd b 0 (Bytes.length b);
-         E.fsync fd;
-         E.close fd
-       with e ->
-         (try E.close fd with _ -> ());
-         (try E.remove tmp with _ -> ());
-         t.mirror <- None;
-         raise e);
-      (* the tail records are durable in [tmp]; now it may take the
-         journal's place. A crash before the rename leaves the old
-         journal (whose covered prefix recovery skips by sequence
-         number); after it, exactly the tail. *)
-      E.rename tmp t.path;
-      E.fsync_dir (Filename.dirname t.path);
-      let fd = E.openfile t.path Fsenv.Read_write in
+      (* the tail records become durable in the replacement; a crash
+         before its rename leaves the old journal, after it exactly the
+         tail *)
+      Fsenv.replace t.env ~tmp:(t.path ^ ".tmp") t.path (Buffer.contents buf);
+      let fd =
+        try E.openfile t.path Fsenv.Read_write
+        with e ->
+          (* appends through the old descriptor would land in the
+             unlinked file *)
+          t.failed <- Some e;
+          raise e
+      in
       ignore (E.lseek_end fd);
       (try E.close t.fd with _ -> ());
       t.fd <- fd;
@@ -560,11 +481,9 @@ let commit_rotation t =
       t.epoch <- t.epoch + 1;
       t.dirty <- false;
       t.last_fsync <- E.gettimeofday ();
-      t.mirror <- None;
       (* staged ≤ covers is durable via the caller's snapshot, the
-         mirrored tail via the fsynced replacement file: release
-         everyone *)
-      mark_synced_locked t)
+         mirrored tail via the fsynced replacement file *)
+      t.durable_seq <- Int64.pred t.seq)
 
 (* Highest sequence number safe to ship to a replica. Under
    [Always] an acknowledged write promised durability, so shipping is
@@ -617,7 +536,7 @@ module Tail = struct
         (match t.failed with Some e -> raise e | None -> ());
         let covered = covered_locked t in
         if c.c_epoch <> t.epoch then begin
-          (* the file was replaced or reset underneath the cursor:
+          (* the file was replaced underneath the cursor:
              rescan from the top, filtering by sequence number *)
           c.c_epoch <- t.epoch;
           c.c_off <- 0

@@ -1,14 +1,14 @@
 (** An append-only file of {!Record}-framed entries — the write-ahead
     journal. Thread-safe: appends from concurrent writers serialize on
-    an internal lock, and with {!enable_group} concurrent [Always]
-    writers share fsyncs through a group-commit barrier.
+    an internal lock, and concurrent [Always] writers share fsyncs
+    through a group-commit barrier.
 
     Durability is governed by the {!fsync_policy}:
     - [Always] — fsync before the append is acknowledged; an
-      acknowledged append survives power loss. With group commit the
-      fsync may be performed by another writer (the batch leader), but
-      {!await} never returns before a completed fsync covers the
-      record.
+      acknowledged append survives power loss. The barrier is the only
+      path: the fsync may be performed by another writer (the batch
+      leader), but {!await} never returns before a completed fsync
+      covers the record.
     - [Interval s] — appends are written immediately but fsynced at
       most once per [s] seconds, by the next append or {!flush} once
       the interval is up (and on {!close}); a crash can lose up to the
@@ -38,42 +38,6 @@ type recovery = {
                        not a clean cut *)
 }
 
-val open_ : ?fsync:fsync_policy -> ?env:Fsenv.t -> string -> t * recovery
-(** Open (creating if missing) and scan the file. A torn or corrupt
-    tail is truncated away on disk so new appends extend the valid
-    prefix; everything before it is returned. The next sequence number
-    continues after the largest recovered one. Default policy
-    [Always]. Every filesystem effect goes through [env] (default
-    {!Fsenv.real}, which delegates to [Unix]). *)
-
-val env : t -> Fsenv.t
-(** The effect environment the journal was opened with. *)
-
-type counters = { appends : int; bytes : int; fsyncs : int }
-
-val append : t -> string -> int64
-(** Append one record and return its sequence number. On return the
-    record is durable per the policy (see above); equivalent to
-    {!stage} followed by {!await}. *)
-
-val stage : t -> string -> int64
-(** Write one record to the file (through the kernel, not necessarily
-    to the platter) and return its sequence number. Under group commit
-    with policy [Always] this performs no fsync — call {!await} before
-    acknowledging; under every other configuration it behaves exactly
-    like {!append}. A failed write (ENOSPC, torn) is scrubbed back out
-    of the file and consumes no sequence number; a failed fsync
-    additionally poisons the journal (see {!await}). *)
-
-val await : t -> int64 -> unit
-(** Block until a completed fsync covers the given sequence number.
-    The calling writer may be elected batch leader and perform the
-    fsync itself, covering everything staged so far. No-op unless
-    group commit is enabled with policy [Always] (other policies never
-    promised immediate durability). Raises the original fsync
-    exception, in every waiting writer, if the shared fsync failed —
-    the journal is then poisoned and refuses further appends. *)
-
 (** Group-commit configuration and statistics. *)
 module Group : sig
   type config = {
@@ -102,12 +66,46 @@ module Group : sig
   val hist_bounds : int array
 end
 
-val enable_group : ?config:Group.config -> t -> unit
-(** Turn on the group-commit barrier. Call once, before concurrent
-    writers start. *)
+val open_ :
+  ?fsync:fsync_policy -> ?group:Group.config -> ?env:Fsenv.t -> string -> t * recovery
+(** Open (creating if missing) and scan the file. A torn or corrupt
+    tail is truncated away on disk so new appends extend the valid
+    prefix; everything before it is returned. The next sequence number
+    continues after the largest recovered one. Default policy
+    [Always]; [group] (default {!Group.default}) tunes its barrier.
+    Every filesystem effect goes through [env] (default {!Fsenv.real},
+    which delegates to [Unix]). *)
 
-val group_stats : t -> Group.stats option
-(** [None] unless {!enable_group} was called. *)
+val env : t -> Fsenv.t
+(** The effect environment the journal was opened with. *)
+
+type counters = { appends : int; bytes : int; fsyncs : int }
+
+val append : t -> string -> int64
+(** Append one record and return its sequence number. On return the
+    record is durable per the policy (see above); equivalent to
+    {!stage} followed by {!await}. *)
+
+val stage : t -> string -> int64
+(** Write one record to the file (through the kernel, not necessarily
+    to the platter) and return its sequence number. Never fsyncs under
+    [Always] — call {!await} before acknowledging; under [Interval] it
+    pays the fsync when the interval is up. A failed write (ENOSPC,
+    torn) is scrubbed back out of the file and consumes no sequence
+    number; a failed fsync additionally poisons the journal (see
+    {!await}). A closed journal refuses with [EBADF]. *)
+
+val await : t -> int64 -> unit
+(** Block until a completed fsync covers the given sequence number.
+    The calling writer may be elected batch leader and perform the
+    fsync itself, covering everything staged so far. No-op unless the
+    policy is [Always] (other policies never promised immediate
+    durability). Raises the original fsync exception, in every waiting
+    writer, if the shared fsync failed — the journal is then poisoned
+    and refuses further appends. *)
+
+val group_stats : t -> Group.stats
+(** The barrier's batching counters (all zero off [Always]). *)
 
 val ingest : t -> string -> unit
 (** Append a batch of already-framed records shipped from an upstream
@@ -118,15 +116,16 @@ val ingest : t -> string -> unit
     journal already holds are skipped (a re-shipped batch is
     idempotent); the remainder must continue contiguously at
     {!next_seq} or [Invalid_argument] is raised — a silent gap would
-    wedge every local tail cursor with no covering snapshot. Durability
-    follows the fsync policy, with the fsync performed inline (the
-    caller is the single-threaded replica apply loop, not a concurrent
-    writer pool). Raises like {!append} on write/fsync failure. *)
+    wedge every local tail cursor with no covering snapshot. Durable
+    like {!append} on return: the records go through the same append
+    routine and, under [Always], the same barrier. Raises like
+    {!append} on write/fsync failure. *)
 
 val bump_seq : t -> int64 -> unit
 (** Ensure the next assigned sequence number exceeds the given one —
-    how {!Wal} accounts for sequence numbers consumed before a
-    compaction emptied the journal. *)
+    how {!Wal} accounts for the sequence numbers a snapshot covers,
+    after a compaction emptied the journal or an upstream snapshot was
+    installed. The skipped numbers count as fsynced. *)
 
 val next_seq : t -> int64
 
@@ -142,27 +141,24 @@ val flush : t -> bool
     for the fsync — without syncing more often than the policy says.
     A poisoned journal (see {!await}) is never flushed. *)
 
-val reset : t -> unit
-(** Truncate to empty (and fsync the truncation). Sequence numbers
-    keep counting — they must stay monotonic across compactions. Any
-    writer parked on {!await} is released: the caller only resets
-    after making a snapshot covering every staged record durable. *)
-
 val begin_rotation : t -> int64
-(** Start journal rotation for background compaction: returns the
-    highest staged sequence number (what the caller's snapshot must
-    cover) and begins mirroring every subsequent append in memory.
-    Appends keep flowing while the caller writes its snapshot. *)
+(** Start a rotation, the only way the file is replaced or emptied:
+    returns the highest staged sequence number (what the caller's
+    snapshot must cover) and begins mirroring every subsequent append
+    in memory. Appends keep flowing while the caller writes its
+    snapshot. Sequence numbers keep counting across rotations. Raises
+    [Invalid_argument] while another rotation is in progress. *)
 
 val commit_rotation : t -> unit
-(** Atomically replace the journal file with just the records staged
-    since {!begin_rotation} (tmp → fsync → rename → dir fsync), then
-    swap file descriptors. Must only be called after the snapshot
-    covering {!begin_rotation}'s sequence number is durable. A crash
-    before the rename leaves the old journal, whose covered prefix
-    recovery skips by sequence number; after it, exactly the tail.
-    Releases writers parked on {!await} (their records are durable in
-    either the snapshot or the fsynced replacement file). *)
+(** Replace the journal file with just the records staged since
+    {!begin_rotation} ({!Fsenv.replace}), then swap file descriptors.
+    Must only be called after the snapshot covering
+    {!begin_rotation}'s sequence number is durable. A crash before the
+    rename leaves the old journal, whose covered prefix recovery skips
+    by sequence number; after it, exactly the tail. Everything staged
+    so far then counts as durable (in either the snapshot or the
+    fsynced replacement). The rotation is over when this returns or
+    raises; a failed replace leaves the old file in place. *)
 
 val abort_rotation : t -> unit
 (** Drop the mirror without touching the file (snapshot failed). *)
@@ -178,8 +174,8 @@ val covered_seq : t -> int64
     remembers a byte offset, the journal epoch it is valid for, and
     the highest sequence number already returned; {!Tail.read} returns
     the raw framed bytes (CRC intact — a replica re-checks them) of
-    the next run of records up to {!covered_seq}. Rotation and
-    compaction replace the file; the cursor detects this via the epoch
+    the next run of records up to {!covered_seq}. Rotation replaces
+    the file; the cursor detects this via the epoch
     and rescans from the top, filtering by sequence number, so a
     reader survives any number of compactions. *)
 module Tail : sig

@@ -51,11 +51,10 @@ let read_snapshot env dir =
 let open_ ?fsync ?group ?(env = Fsenv.real) dir =
   mkdir_p env dir;
   let snapshot_seq, state = read_snapshot env dir in
-  let journal, (jr : Journal.recovery) = Journal.open_ ?fsync ~env (journal_file dir) in
+  let journal, (jr : Journal.recovery) =
+    Journal.open_ ?fsync ?group ~env (journal_file dir)
+  in
   Journal.bump_seq journal snapshot_seq;
-  (match group with
-  | Some config -> Journal.enable_group ~config journal
-  | None -> ());
   let entries =
     List.filter_map
       (fun (seq, payload) -> if seq > snapshot_seq then Some payload else None)
@@ -77,92 +76,56 @@ let ingest t data = Journal.ingest t.journal data
 
 let journal_bytes t = Journal.file_bytes t.journal
 
-(* snapshot write shared by inline and background compaction: durable
-   (tmp → fsync → rename → dir fsync) before the caller is allowed to
-   drop the journal entries it covers *)
-let write_snapshot t ~covers state =
-  let module E = (val t.env : Fsenv.S) in
-  let buf = Buffer.create 4096 in
-  Record.encode buf ~seq:covers "";
-  List.iter (fun payload -> Record.encode buf ~seq:covers payload) state;
-  let tmp = snapshot_tmp t.dir in
-  let fd = E.openfile tmp Fsenv.Trunc in
-  (try
-     let b = Buffer.to_bytes buf in
-     let rec write_all off len =
-       if len > 0 then
-         match E.write fd b off len with
-         | n -> write_all (off + n) (len - n)
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all off len
-     in
-     write_all 0 (Bytes.length b);
-     E.fsync fd;
-     E.close fd
-   with e ->
-     (try E.close fd with _ -> ());
-     raise e);
-  E.rename tmp (snapshot_file t.dir);
-  E.fsync_dir t.dir
-
-(* Install an upstream snapshot shipped as raw record frames (the
-   bytes a reset batch carries: the meta record first, then one state
-   payload per record, all at the covered sequence). The bytes are
-   written verbatim as the local snapshot — same durability protocol
-   as a local compaction — and the journal is emptied and re-based
-   past the covered sequence, so the next ingested batch continues
-   contiguously and a local recovery or downstream tail sees exactly
-   what this store would have produced by compacting at that point. *)
-let install_snapshot t data =
-  let records, valid_end, tail = Record.decode_all data in
-  (match (records, tail) with
-  | (_ :: _), Record.Clean when valid_end = String.length data -> ()
-  | _ -> invalid_arg "Wal.install_snapshot: not a clean run of frames");
-  let covers = match records with (seq, _) :: _ -> seq | [] -> assert false in
-  let module E = (val t.env : Fsenv.S) in
-  let tmp = snapshot_tmp t.dir in
-  let fd = E.openfile tmp Fsenv.Trunc in
-  (try
-     let b = Bytes.of_string data in
-     let rec write_all off len =
-       if len > 0 then
-         match E.write fd b off len with
-         | n -> write_all (off + n) (len - n)
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all off len
-     in
-     write_all 0 (Bytes.length b);
-     E.fsync fd;
-     E.close fd
-   with e ->
-     (try E.close fd with _ -> ());
-     raise e);
-  E.rename tmp (snapshot_file t.dir);
-  E.fsync_dir t.dir;
-  Journal.reset t.journal;
-  Journal.bump_seq t.journal covers;
-  t.compactions <- t.compactions + 1;
-  covers
-
-let compact t ~state =
-  let covers = Int64.pred (Journal.next_seq t.journal) in
-  write_snapshot t ~covers state;
-  (* the snapshot is durable; only now may the journal entries it
-     covers be dropped *)
-  Journal.reset t.journal;
-  t.compactions <- t.compactions + 1
-
-let compact_background t ~state =
-  (* capture [covers] BEFORE the state callback runs: every mutation
-     applied after this point is either in the captured state AND
-     mirrored (benign double-apply, recovery skips by sequence or the
-     mutation vocabulary converges) or only mirrored — never lost *)
+(* The one way [snapshot.log] and [wal.log] are replaced. [covers] is
+   captured BEFORE [snapshot] runs, and the journal mirrors every
+   append from that point on; [snapshot covers] becomes the durable
+   snapshot, and only then does the journal shrink to the mirrored
+   tail. A failure before the snapshot is durable abandons the
+   rotation with both files as they were; a crash anywhere leaves the
+   old snapshot with the full journal, or the new snapshot with a
+   journal whose covered prefix recovery skips by sequence number. *)
+let rotate t snapshot =
   let covers = Journal.begin_rotation t.journal in
-  match write_snapshot t ~covers (state ()) with
+  match
+    Fsenv.replace t.env ~tmp:(snapshot_tmp t.dir) (snapshot_file t.dir)
+      (snapshot covers)
+  with
   | () ->
       Journal.commit_rotation t.journal;
       t.compactions <- t.compactions + 1
   | exception e ->
       Journal.abort_rotation t.journal;
       raise e
+
+(* Every mutation applied after [covers] is either in the captured
+   state AND mirrored (benign double-apply: recovery skips by sequence
+   or the mutation vocabulary converges) or only mirrored — never
+   lost. *)
+let compact_background t ~state =
+  rotate t (fun covers ->
+      let buf = Buffer.create 4096 in
+      Record.encode buf ~seq:covers "";
+      List.iter (fun payload -> Record.encode buf ~seq:covers payload) (state ());
+      Buffer.contents buf)
+
+(* Install an upstream snapshot shipped as raw record frames (the
+   bytes a reset batch carries: the meta record first, then one state
+   payload per record, all at the covered sequence). The bytes become
+   the local snapshot through the same rotation as a local compaction,
+   and the journal is re-based past the covered sequence, so the next
+   ingested batch continues contiguously and a local recovery or
+   downstream tail sees exactly what this store would have produced by
+   compacting at that point. *)
+let install_snapshot t data =
+  let records, valid_end, tail = Record.decode_all data in
+  let covers =
+    match (records, tail) with
+    | (covers, _) :: _, Record.Clean when valid_end = String.length data -> covers
+    | _ -> invalid_arg "Wal.install_snapshot: not a clean run of frames"
+  in
+  rotate t (fun _ -> data);
+  Journal.bump_seq t.journal covers;
+  covers
 
 let flush t = Journal.flush t.journal
 

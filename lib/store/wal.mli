@@ -7,16 +7,20 @@
     plus every journal entry appended after that snapshot was taken,
     in order. A torn or corrupt journal tail (the crash case) is
     discarded, never an error: the result is always a prefix of the
-    appended sequence. Snapshots are written to a temp file, fsynced,
-    and renamed into place (then the directory is fsynced), so a crash
-    anywhere during compaction leaves either the old or the new
-    snapshot — and journal entries are only discarded {e after} the
-    snapshot covering them is durable. Sequence numbers make the
-    overlap window safe: entries already folded into the snapshot are
-    skipped by their sequence number on recovery.
+    appended sequence. Both files are replaced only by one rotation
+    ({!compact_background}, {!install_snapshot}): the snapshot is
+    written with {!Fsenv.replace}, so a crash anywhere leaves either
+    the old or the new snapshot — and journal entries are only
+    discarded {e after} the snapshot covering them is durable.
+    Sequence numbers make the overlap window safe: entries already
+    folded into the snapshot are skipped by their sequence number on
+    recovery.
 
-    Thread-safe for concurrent appends (see {!Journal}); pass [?group]
-    to share fsyncs between concurrent [Always] writers. *)
+    Thread-safe for concurrent appends (see {!Journal}); concurrent
+    [Always] writers share fsyncs through the journal's group-commit
+    barrier. One rotation runs at a time: a second one raises
+    [Invalid_argument] while the first is in progress, so callers
+    serialize them. *)
 
 type t
 
@@ -35,18 +39,18 @@ val open_ :
   string ->
   t * recovery
 (** [open_ dir] creates [dir] (and parents) if needed, recovers, and
-    positions for appending. [?group] enables group commit on the
-    journal (see {!Journal.enable_group}). Every filesystem effect
-    goes through [env] (default {!Fsenv.real}). *)
+    positions for appending. [?group] tunes the journal's group-commit
+    barrier (see {!Journal.open_}). Every filesystem effect goes
+    through [env] (default {!Fsenv.real}). *)
 
 val append : t -> string -> int64
 (** Journal one payload; durable per the fsync policy on return.
     Equivalent to {!stage} then {!await}. *)
 
 val stage : t -> string -> int64
-(** Write one payload without waiting for durability — under group
-    commit the caller must {!await} the returned sequence number
-    before acknowledging. See {!Journal.stage}. *)
+(** Write one payload without waiting for durability — under [Always]
+    the caller must {!await} the returned sequence number before
+    acknowledging. See {!Journal.stage}. *)
 
 val await : t -> int64 -> unit
 (** Block until a completed fsync covers the sequence number. See
@@ -59,21 +63,15 @@ val ingest : t -> string -> unit
 val install_snapshot : t -> string -> int64
 (** Install an upstream snapshot shipped as raw record frames (what a
     reset batch carries: meta record first, then one state payload per
-    record). The bytes become the local [snapshot.log] under the same
-    tmp → fsync → rename → dir-fsync protocol as a compaction, the
-    journal is emptied, and sequence numbering is re-based past the
-    snapshot's covered sequence (returned), so the next {!ingest}
-    continues contiguously. Raises [Invalid_argument] when the bytes
-    are not a clean run of frames. *)
+    record). The bytes become the local [snapshot.log] through the
+    same rotation as {!compact_background}, the journal is emptied,
+    and sequence numbering is re-based past the snapshot's covered
+    sequence (returned), so the next {!ingest} continues contiguously.
+    Raises [Invalid_argument] when the bytes are not a clean run of
+    frames. *)
 
 val journal_bytes : t -> int
 (** Current size of the journal file — the compaction trigger input. *)
-
-val compact : t -> state:string list -> unit
-(** Write [state] as the new snapshot (covering every sequence number
-    assigned so far), atomically replace the old one, then empty the
-    journal. The caller must ensure no concurrent appends (the server
-    holds its mutation lock). *)
 
 val compact_background : t -> state:(unit -> string list) -> unit
 (** Compaction without stopping the writers: capture the covered
@@ -81,7 +79,9 @@ val compact_background : t -> state:(unit -> string list) -> unit
     (which must return a state reflecting {e at least} every mutation
     up to the captured sequence number), write it as a durable
     snapshot, then atomically replace the journal file with just the
-    mirrored tail. On failure the journal is left untouched. *)
+    mirrored tail — an empty one when the caller holds off writers.
+    On failure before the snapshot is durable the journal is left
+    untouched. *)
 
 val flush : t -> bool
 (** Fsync the journal if dirty (an [Interval] journal only once its
@@ -97,8 +97,8 @@ type counters = {
 
 val stats : t -> counters
 
-val group_stats : t -> Journal.Group.stats option
-(** [None] unless group commit was enabled. *)
+val group_stats : t -> Journal.Group.stats
+(** The journal's group-commit counters. *)
 
 val dir : t -> string
 

@@ -1266,11 +1266,7 @@ let test_registry_group_concurrent_recovery () =
       in
       List.iter Thread.join threads;
       let total = writers * per_writer in
-      let g =
-        match Server.Persist.group_stats persist with
-        | Some g -> g
-        | None -> Alcotest.fail "group stats missing"
-      in
+      let g = Server.Persist.group_stats persist in
       Alcotest.(check int) "every append released by a batch" total
         g.Store.Journal.Group.batched_appends;
       Alcotest.(check int) "saved accounts the batching"
@@ -1752,6 +1748,133 @@ let test_apply_shipped_reset () =
       Alcotest.(check (list string)) "reset replaced the state" [ "fresh" ]
         (Server.Registry.ids replica);
       Server.Persist.close persist)
+
+(* A reset batch's install and the maintenance compaction both replace
+   the snapshot. Here the compaction has started and is parked inside
+   its state capture, on [old]'s session lock, when a reset batch
+   installs an upstream snapshot at seq 10 holding [new]. Under any
+   interleaving a reopen must recover the installed state: a
+   compaction that finishes later must not rename its older snapshot
+   over it, and must not capture a half-reset registry either. *)
+let test_reset_install_vs_compaction () =
+  with_temp_dir (fun dir ->
+      let persist, _ =
+        Server.Persist.open_ ~fsync:Store.Journal.Always ~compact_bytes:1 dir
+      in
+      let registry = Server.Registry.create ~persist () in
+      (match Server.Registry.add registry ~id:"old" project with
+      | Ok () -> ()
+      | Error `Conflict -> Alcotest.fail "conflict");
+      let upstream =
+        let scenarios, architecture, mapping = Lazy.force artifact_strings in
+        let buf = Buffer.create 65536 in
+        Store.Record.encode buf ~seq:10L "";
+        Store.Record.encode buf ~seq:10L
+          (Server.Persist.encode
+             (Server.Persist.Create
+                { id = "new"; policy = Adl.Graph.Routed; scenarios; architecture; mapping }));
+        Buffer.contents buf
+      in
+      let gate = Mutex.create () and cond = Condition.create () in
+      let holding = ref false and release = ref false in
+      let set flag =
+        Mutex.protect gate (fun () ->
+            flag := true;
+            Condition.broadcast cond)
+      in
+      let wait_for flag =
+        Mutex.protect gate (fun () ->
+            while not !flag do
+              Condition.wait cond gate
+            done)
+      in
+      let failures = ref [] in
+      let spawn what f =
+        Thread.create
+          (fun () ->
+            try f ()
+            with e ->
+              Mutex.protect gate (fun () ->
+                  failures := (what ^ ": " ^ Printexc.to_string e) :: !failures))
+          ()
+      in
+      let holder =
+        spawn "holder" (fun () ->
+            ignore
+              (Server.Registry.with_session registry "old" (fun _ ->
+                   set holding;
+                   wait_for release)))
+      in
+      wait_for holding;
+      let compactor =
+        spawn "compaction" (fun () ->
+            ignore (Server.Registry.maintenance_compact registry))
+      in
+      Thread.delay 0.05;
+      let installer =
+        spawn "install" (fun () ->
+            match Server.Registry.apply_shipped registry ~reset:true upstream with
+            | Ok _ -> ()
+            | Error e -> failwith e)
+      in
+      Thread.delay 0.05;
+      set release;
+      List.iter Thread.join [ holder; compactor; installer ];
+      Alcotest.(check (list string)) "no thread failed" [] !failures;
+      Server.Persist.close persist;
+      let persist, (recovery : Server.Persist.recovery) =
+        Server.Persist.open_ ~fsync:Store.Journal.Always dir
+      in
+      let recovered = Server.Registry.create ~persist () in
+      ignore (Server.Registry.recover recovered recovery.Server.Persist.mutations);
+      Alcotest.(check (list string)) "the installed state is recovered" [ "new" ]
+        (Server.Registry.ids recovered);
+      Alcotest.(check bool) "numbering continues past the installed snapshot" true
+        (Server.Persist.next_seq persist >= 11L);
+      Server.Persist.close persist)
+
+(* A durable replica whose own journal refuses the shipped batches —
+   here it was closed underneath the apply loop — must say so while
+   the primary moves on: [last_error] set and [lag] above zero, so a
+   replica set stops trusting its reads. *)
+let test_replica_journal_failure_reported () =
+  with_temp_dir (fun dir ->
+      let config =
+        {
+          Server.Daemon.default_config with
+          Server.Daemon.data_dir = Some (Filename.concat dir "primary");
+        }
+      in
+      with_daemon ~config (fun primary ->
+          let persist, _ = Server.Persist.open_ (Filename.concat dir "replica") in
+          let registry = Server.Registry.create ~persist () in
+          let replica =
+            Server.Replica.start ~poll_interval:0.005 ~registry ~host:"127.0.0.1"
+              ~port:(Server.Daemon.port primary) ()
+          in
+          Fun.protect
+            ~finally:(fun () -> Server.Replica.seal replica)
+            (fun () ->
+              Server.Persist.close persist;
+              with_client primary (fun c ->
+                  Alcotest.(check int) "create on the primary" 201
+                    (ok (Server.Client.post c "/sessions" ~body:(create_body "s0")))
+                      .Server.Client.status);
+              let deadline = Unix.gettimeofday () +. 5.0 in
+              let rec wait () =
+                match (Server.Replica.last_error replica, Server.Replica.lag replica) with
+                | Some _, lag when lag > 0L -> ()
+                | error, lag ->
+                    if Unix.gettimeofday () > deadline then
+                      Alcotest.failf "replica reports error %s, lag %Ld"
+                        (Option.value error ~default:"none")
+                        lag
+                    else begin
+                      Thread.delay 0.01;
+                      wait ()
+                    end
+              in
+              wait ())))
 
 (* The replication prefix property: a replica that has applied ANY
    prefix of the shipped mutation stream — incrementally, batch by
@@ -2347,6 +2470,10 @@ let suite =
       test_e2e_replica_snapshot_bootstrap;
     Alcotest.test_case "replica: reads interleave with the apply loop" `Quick
       test_replica_apply_read_interleave;
+    Alcotest.test_case "registry: a reset install outlives a compaction" `Quick
+      test_reset_install_vs_compaction;
+    Alcotest.test_case "replica: a failing local journal is reported" `Quick
+      test_replica_journal_failure_reported;
     Alcotest.test_case "registry: reset batch replaces the state" `Quick
       test_apply_shipped_reset;
     QCheck_alcotest.to_alcotest prop_replica_prefix_equivalence;

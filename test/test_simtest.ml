@@ -258,6 +258,68 @@ let test_interval_quiet_spell () =
     (Server.Persist.stats persist).Store.Wal.fsyncs
 
 (* ------------------------------------------------------------------ *)
+(* A crash anywhere in a reset install                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A durable hop healing through a reset batch installs the upstream
+   snapshot by rotation: snapshot replace, then journal swap. Crash it
+   at every effect of that sequence, under every rename-survival
+   outcome, and recovery must land on exactly the old state or
+   exactly the installed one — never a mix, and never numbering that
+   restarts below the installed snapshot. *)
+let test_reset_install_crash_at_every_effect () =
+  let upstream =
+    let buf = Buffer.create 65536 in
+    Store.Record.encode buf ~seq:10L "";
+    Store.Record.encode buf ~seq:10L
+      (Server.Persist.encode
+         (Server.Persist.Create
+            {
+              id = "u0";
+              policy = Adl.Graph.Routed;
+              scenarios = Simtest.Model.scenarios_xml ();
+              architecture = Simtest.Model.architecture_xml ();
+              mapping = Simtest.Model.mapping_xml ();
+            }));
+    Buffer.contents buf
+  in
+  let recovered env =
+    let persist, registry = open_registry env in
+    (Server.Registry.ids registry, Server.Persist.next_seq persist)
+  in
+  let outcome = Alcotest.(pair (list string) int64) in
+  let rec crash_at n ~cut =
+    let env = Simtest.Env.create () in
+    let _persist, registry = open_registry env in
+    add_session registry 0;
+    Simtest.Env.arm env (Simtest.Env.Crash_at n);
+    match Server.Registry.apply_shipped registry ~reset:true upstream with
+    | Ok _ ->
+        Alcotest.(check bool)
+          (Printf.sprintf "effect %d is past the install" n)
+          true
+          (Simtest.Env.fired env = None);
+        Alcotest.check outcome "a completed install recovers"
+          ([ "u0" ], 11L) (recovered env);
+        n
+    | Error e -> Alcotest.failf "upstream snapshot refused: %s" e
+    | exception Simtest.Env.Crashed ->
+        Simtest.Env.crash env ~cut;
+        let got = recovered env in
+        if got <> ([ "s0" ], 2L) && got <> ([ "u0" ], 11L) then
+          Alcotest.failf "crash at effect %d (cut %d) recovered [%s], next seq %Ld"
+            n cut
+            (String.concat ";" (fst got))
+            (snd got);
+        crash_at (n + 1) ~cut
+  in
+  List.iter
+    (fun cut ->
+      Alcotest.(check bool) "the install has effects to crash at" true
+        (crash_at 1 ~cut > 1))
+    [ 0; 500; 1000 ]
+
+(* ------------------------------------------------------------------ *)
 (* Compaction outruns a replica's cursor                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -435,6 +497,8 @@ let suite =
     ("interval journal synced after a quiet spell", `Quick,
       test_interval_quiet_spell);
     ("compaction gap ships a reset", `Quick, test_ship_gap_resets);
+    ("reset install survives a crash at every effect", `Quick,
+      test_reset_install_crash_at_every_effect);
     ( "follow-primary: unreachable primary",
       `Quick,
       test_follow_primary_unreachable );

@@ -214,8 +214,8 @@ let prop_truncation_prefix =
 
 (* Group-commit equivalence: N concurrent writers appending through
    the stage/await path must leave a journal that is byte-identical to
-   appending the same payloads sequentially (without the group
-   barrier) in the order the group path serialized them — batching
+   appending the same payloads sequentially (under [Never], so without
+   the barrier) in the order the group path serialized them — batching
    shares fsyncs, it must never reorder, drop, or reframe records.
    The truncation invariant must survive the group path too: a
    group-committed log cut at EVERY byte offset recovers a prefix. *)
@@ -239,9 +239,11 @@ let prop_group_commit_equivalence =
               writer_payloads
           in
           let grouped = Filename.concat dir "grouped.log" in
-          let j, _ = Journal.open_ ~fsync:Journal.Always grouped in
-          Journal.enable_group
-            ~config:{ Journal.Group.window = 0.001; max_batch = 64 } j;
+          let j, _ =
+            Journal.open_ ~fsync:Journal.Always
+              ~group:{ Journal.Group.window = 0.001; max_batch = 64 }
+              grouped
+          in
           let threads =
             List.map
               (fun payloads ->
@@ -283,13 +285,10 @@ let prop_group_commit_equivalence =
                 QCheck2.Test.fail_report "writer order not preserved")
             writer_payloads;
           (* every append was released by a counted batch *)
-          (match stats with
-          | Some g ->
-              if g.Journal.Group.batched_appends <> total then
-                QCheck2.Test.fail_report
-                  (Printf.sprintf "batches released %d of %d appends"
-                     g.Journal.Group.batched_appends total)
-          | None -> QCheck2.Test.fail_report "group stats missing");
+          if stats.Journal.Group.batched_appends <> total then
+            QCheck2.Test.fail_report
+              (Printf.sprintf "batches released %d of %d appends"
+                 stats.Journal.Group.batched_appends total);
           (* sequential replay in serialized order → byte-identical *)
           let sequential = Filename.concat dir "sequential.log" in
           let j2, _ = Journal.open_ ~fsync:Journal.Never sequential in
@@ -334,9 +333,11 @@ let prop_group_commit_equivalence =
 let test_group_commit_batches () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "j.log" in
-      let j, _ = Journal.open_ ~fsync:Journal.Always path in
-      Journal.enable_group
-        ~config:{ Journal.Group.window = 0.002; max_batch = 64 } j;
+      let j, _ =
+        Journal.open_ ~fsync:Journal.Always
+          ~group:{ Journal.Group.window = 0.002; max_batch = 64 }
+          path
+      in
       let writers = 8 and per_writer = 4 in
       let threads =
         List.init writers (fun w ->
@@ -350,11 +351,7 @@ let test_group_commit_batches () =
       in
       List.iter Thread.join threads;
       let total = writers * per_writer in
-      let g =
-        match Journal.group_stats j with
-        | Some g -> g
-        | None -> Alcotest.fail "group stats missing"
-      in
+      let g = Journal.group_stats j in
       Alcotest.(check int) "every append released" total
         g.Journal.Group.batched_appends;
       Alcotest.(check int) "saved = appends - batches"
@@ -376,14 +373,12 @@ let test_group_commit_non_always () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "j.log" in
       let j, _ = Journal.open_ ~fsync:Journal.Never path in
-      Journal.enable_group j;
       let seq = Journal.stage j "a" in
       Journal.await j seq;
       let s = Journal.stats j in
       Alcotest.(check int) "no fsync under Never" 0 s.Journal.fsyncs;
-      (match Journal.group_stats j with
-      | Some g -> Alcotest.(check int) "no batches" 0 g.Journal.Group.batches
-      | None -> Alcotest.fail "group stats missing");
+      Alcotest.(check int) "no batches" 0
+        (Journal.group_stats j).Journal.Group.batches;
       Journal.close j)
 
 (* ---------------- Wal: snapshot + journal ------------------------- *)
@@ -394,7 +389,7 @@ let test_wal_compaction () =
       Alcotest.(check int) "fresh: no state" 0 (List.length r.Wal.state);
       ignore (Wal.append w "e1");
       ignore (Wal.append w "e2");
-      Wal.compact w ~state:[ "s1"; "s2" ];
+      Wal.compact_background w ~state:(fun () -> [ "s1"; "s2" ]);
       Alcotest.(check int) "journal emptied" 0 (Wal.journal_bytes w);
       ignore (Wal.append w "e3");
       Wal.close w;
@@ -406,7 +401,7 @@ let test_wal_compaction () =
       Alcotest.(check bool) "next append past all" true (Wal.append w "e4" > 3L);
       Wal.close w)
 
-(* The crash window between snapshot rename and journal truncate: the
+(* The crash window between snapshot rename and journal swap: the
    journal still holds entries the snapshot already covers. Recovery
    must skip them by sequence number, not replay them twice. *)
 let test_wal_compaction_overlap () =
@@ -416,11 +411,11 @@ let test_wal_compaction_overlap () =
       ignore (Wal.append w "e1");
       ignore (Wal.append w "e2");
       let covered = read_file wal_log in
-      Wal.compact w ~state:[ "s1" ];
+      Wal.compact_background w ~state:(fun () -> [ "s1" ]);
       ignore (Wal.append w "e3");
       Wal.close w;
       (* resurrect the pre-compaction journal prefix, as if the
-         truncate never hit the disk *)
+         journal swap never hit the disk *)
       write_file wal_log (covered ^ read_file wal_log);
       let w, r = Wal.open_ dir in
       Alcotest.(check (list string)) "state once" [ "s1" ] r.Wal.state;
@@ -553,7 +548,7 @@ let test_wal_fsync_stats () =
       let w, _ = Wal.open_ ~fsync:Journal.Always dir in
       ignore (Wal.append w "a");
       ignore (Wal.append w "b");
-      Wal.compact w ~state:[ "a"; "b" ];
+      Wal.compact_background w ~state:(fun () -> [ "a"; "b" ]);
       let s = Wal.stats w in
       Alcotest.(check int) "appends" 2 s.Wal.appends;
       Alcotest.(check bool) "every append synced" true (s.Wal.fsyncs >= 2);
@@ -655,7 +650,7 @@ let test_tail_rotation_and_gap () =
       | Journal.Tail.Gap, _ -> Alcotest.fail "gap before rotation");
       (* compaction replaces the file: the cursor must detect the epoch
          change, rescan, and ship only what it has not yet returned *)
-      Wal.compact w ~state:[ "s1" ];
+      Wal.compact_background w ~state:(fun () -> [ "s1" ]);
       ignore (Wal.append w "e3");
       (match Journal.Tail.read j c with
       | Journal.Tail.Records data, _ ->
@@ -686,7 +681,7 @@ let test_ship_fetch_bootstrap () =
       Alcotest.(check string) "caught up: empty batch" "" b.Ship.data;
       (* compact e1..e3 away, land one more record: a reader at seq 0
          can only be served from the snapshot *)
-      Wal.compact w ~state:[ "s1"; "s2" ];
+      Wal.compact_background w ~state:(fun () -> [ "s1"; "s2" ]);
       ignore (Wal.append w "e4");
       let b = Ship.fetch ship ~after:0L in
       Alcotest.(check bool) "bootstrap is a reset" true b.Ship.reset;

@@ -597,14 +597,6 @@ let synthetic_suite ~components ~scenarios ~span =
   in
   (set, architecture, mapping)
 
-let links_between architecture a b =
-  List.filter
-    (fun l ->
-      let f = l.Adl.Structure.link_from.Adl.Structure.anchor
-      and t = l.Adl.Structure.link_to.Adl.Structure.anchor in
-      (String.equal f a && String.equal t b) || (String.equal f b && String.equal t a))
-    architecture.Adl.Structure.links
-
 let incr_json : Jsonlight.t list ref = ref []
 
 (* Timed comparison: after excising the links between [a] and [b],
@@ -613,12 +605,7 @@ let incr_json : Jsonlight.t list ref = ref []
    the excision touched. Warming the sessions (the state a long-lived
    tool already has) is not timed. *)
 let incr_case ~label ~reps ~a ~b (set, architecture, mapping) =
-  let ops =
-    List.map
-      (fun l -> Adl.Diff.Remove_link l.Adl.Structure.link_id)
-      (links_between architecture a b)
-  in
-  assert (ops <> []);
+  let ops = Adl.Diff.excise_ops architecture a b in
   let time_ms f =
     (* compacting first puts both measurements in the same heap state,
        so earlier targets (the allocation-heavy micro-benchmarks in

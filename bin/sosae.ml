@@ -207,21 +207,13 @@ let session_cmd =
       List.fold_left
         (fun _ (a, b) ->
           let current = (Core.Sosae.Session.project session).Core.Sosae.architecture in
-          let doomed =
-            List.filter
-              (fun l ->
-                let fa = l.Adl.Structure.link_from.Adl.Structure.anchor in
-                let ta = l.Adl.Structure.link_to.Adl.Structure.anchor in
-                (String.equal fa a && String.equal ta b)
-                || (String.equal fa b && String.equal ta a))
-              current.Adl.Structure.links
+          let ops =
+            try Adl.Diff.excise_ops current a b
+            with Adl.Diff.Apply_error message ->
+              prerr_endline ("sosae: " ^ message);
+              exit 2
           in
-          if doomed = [] then begin
-            prerr_endline (Printf.sprintf "sosae: no link between %S and %S" a b);
-            exit 2
-          end;
-          Core.Sosae.Session.apply_diff session
-            (List.map (fun l -> Adl.Diff.Remove_link l.Adl.Structure.link_id) doomed);
+          Core.Sosae.Session.apply_diff session ops;
           round (Printf.sprintf "after excising %s -- %s" a b))
         initial excisions
     in

@@ -102,15 +102,17 @@ let apply t op =
 
 let apply_all t ops = List.fold_left apply t ops
 
-let excise_link_between t a b =
+let excise_ops t a b =
   let between l =
     let fa = l.Structure.link_from.Structure.anchor in
     let ta = l.Structure.link_to.Structure.anchor in
     (String.equal fa a && String.equal ta b) || (String.equal fa b && String.equal ta a)
   in
-  let doomed = List.filter between t.Structure.links in
-  if doomed = [] then apply_error "no link between %S and %S" a b;
-  List.fold_left (fun t l -> apply t (Remove_link l.Structure.link_id)) t doomed
+  match List.filter between t.Structure.links with
+  | [] -> apply_error "no link between %S and %S" a b
+  | doomed -> List.map (fun l -> Remove_link l.Structure.link_id) doomed
+
+let excise_link_between t a b = apply_all t (excise_ops t a b)
 
 let diff a b =
   let link_ids t = List.map (fun l -> l.Structure.link_id) t.Structure.links in

@@ -25,9 +25,13 @@ val apply : Structure.t -> op -> Structure.t
 
 val apply_all : Structure.t -> op list -> Structure.t
 
+val excise_ops : Structure.t -> string -> string -> op list
+(** One [Remove_link] for every link whose two anchors are the given
+    elements (in either orientation), in link order.
+    @raise Apply_error when no such link exists. *)
+
 val excise_link_between : Structure.t -> string -> string -> Structure.t
-(** Remove every link whose two anchors are the given elements (in
-    either orientation).
+(** [apply_all t (excise_ops t a b)].
     @raise Apply_error when no such link exists. *)
 
 val diff : Structure.t -> Structure.t -> op list

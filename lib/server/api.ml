@@ -184,12 +184,13 @@ let json_of_architecture (a : Adl.Structure.t) =
       ("links", Jsonlight.Int (List.length a.Adl.Structure.links));
     ]
 
+let no_session id =
+  error_response 404 ~category:"not_found" (Printf.sprintf "no session named %S" id)
+
 let with_session ctx id f =
   match Registry.with_session ctx.registry id f with
   | Ok response -> response
-  | Error `Not_found ->
-      error_response 404 ~category:"not_found"
-        (Printf.sprintf "no session named %S" id)
+  | Error `Not_found -> no_session id
 
 (* Stats deltas bracket the evaluation so concurrent clients each see
    what *their* call cost, not the session's lifetime totals. The
@@ -425,9 +426,7 @@ let delete_session ctx _request params =
   let id = Router.param params "id" in
   if Registry.remove ctx.registry id then
     json_reply ctx (Jsonlight.Obj [ ("deleted", Jsonlight.String id) ])
-  else
-    error_response 404 ~category:"not_found"
-      (Printf.sprintf "no session named %S" id)
+  else no_session id
 
 let session_stats ctx _request params =
   let id = Router.param params "id" in
@@ -607,21 +606,8 @@ let parse_diff_ops session json =
     (Core.Sosae.Session.project session).Core.Sosae.architecture
   in
   let excise_ops from_ to_ =
-    let between (l : Adl.Structure.link) =
-      let a = l.Adl.Structure.link_from.Adl.Structure.anchor
-      and b = l.Adl.Structure.link_to.Adl.Structure.anchor in
-      (String.equal a from_ && String.equal b to_)
-      || (String.equal a to_ && String.equal b from_)
-    in
-    match List.filter between architecture.Adl.Structure.links with
-    | [] ->
-        reply_error 409 ~category:"apply_error"
-          (Printf.sprintf "no link between %S and %S" from_ to_)
-    | links ->
-        List.map
-          (fun (l : Adl.Structure.link) ->
-            Adl.Diff.Remove_link l.Adl.Structure.link_id)
-          links
+    try Adl.Diff.excise_ops architecture from_ to_
+    with Adl.Diff.Apply_error message -> reply_error 409 ~category:"apply_error" message
   in
   let parse_op op_json =
     match optional_string op_json "op" with
@@ -667,9 +653,7 @@ let diff ctx (request : Http.request) params =
     Registry.apply_diff ctx.registry id ~ops:(fun session ->
         parse_diff_ops session json)
   with
-  | Error `Not_found ->
-      error_response 404 ~category:"not_found"
-        (Printf.sprintf "no session named %S" id)
+  | Error `Not_found -> no_session id
   | Error (`Apply_error message) ->
       error_response 409 ~category:"apply_error" message
   | Ok ops ->
@@ -940,10 +924,14 @@ let simulate ctx (request : Http.request) params =
     | j when j >= 1 -> j
     | _ -> reply_error 400 ~category:"bad_request" "\"jobs\" must be >= 1"
   in
-  with_session ctx id (fun session ->
-      let architecture =
-        (Core.Sosae.Session.project session).Core.Sosae.architecture
-      in
+  (* the architecture is immutable: hold the session lock only to read
+     it, so the trials block no stats read, evaluate or checkpoint *)
+  match
+    Registry.with_session ctx.registry id (fun session ->
+        (Core.Sosae.Session.project session).Core.Sosae.architecture)
+  with
+  | Error `Not_found -> no_session id
+  | Ok architecture ->
       let campaign =
         Dsim.Campaign.make ~config ?horizon ~faults ?watched ~architecture ~charts
           ~stimuli ~goal ()
@@ -958,7 +946,7 @@ let simulate ctx (request : Http.request) params =
              ("seed", Jsonlight.Int seed);
              ("report", Dsim.Stats.to_json report);
              ("elapsed_ms", Jsonlight.Float (1000.0 *. elapsed));
-           ]))
+           ])
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                           *)

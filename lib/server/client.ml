@@ -1,4 +1,11 @@
-type t = { fd : Unix.file_descr; mutable leftover : string }
+(* the parser keeps the bytes past one response for the next; no body
+   limit, since a replica's reset batch carries the whole state *)
+type t = { fd : Unix.file_descr; parser_ : Http.parser_ }
+
+(* wrap an already-connected descriptor (e.g. one end of a
+   socketpair) — how tests drive the protocol machinery with no
+   listener *)
+let of_fd fd = { fd; parser_ = Http.parser_ ~max_body:max_int () }
 
 (* getaddrinfo so names ("localhost") work, not just numeric
    addresses; first IPv4 stream result wins *)
@@ -17,7 +24,7 @@ let connect ?(host = "127.0.0.1") ~port () =
    with e ->
      Unix.close fd;
      raise e);
-  { fd; leftover = "" }
+  of_fd fd
 
 let connect_unix path =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -25,12 +32,7 @@ let connect_unix path =
    with e ->
      Unix.close fd;
      raise e);
-  { fd; leftover = "" }
-
-(* wrap an already-connected descriptor (e.g. one end of a
-   socketpair) — how tests drive the protocol machinery with no
-   listener *)
-let of_fd fd = { fd; leftover = "" }
+  of_fd fd
 
 type response = { status : int; headers : (string * string) list; body : string }
 
@@ -48,104 +50,23 @@ let write_all fd s =
   in
   go 0
 
-let find_sub haystack needle from =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub haystack i nn = needle then Some i
-    else go (i + 1)
-  in
-  go from
-
-(* Read until [buf] contains at least [target] bytes, or — when
-   [target] is [None] — until it contains "\r\n\r\n". The header scan
-   resumes where the previous one gave up (minus 3 bytes, in case the
-   separator straddles a chunk boundary) instead of rescanning the
-   whole buffer per chunk, which was quadratic in the head size. *)
-let read_until t buf target =
+let read_response ~head_only t =
   let chunk = Bytes.create 8192 in
-  let scanned = ref 0 in
-  let have_enough () =
-    match target with
-    | Some n -> Buffer.length buf >= n
-    | None -> (
-        match find_sub (Buffer.contents buf) "\r\n\r\n" !scanned with
-        | Some _ -> true
-        | None ->
-            scanned := max 0 (Buffer.length buf - 3);
-            false)
-  in
   let rec go () =
-    if have_enough () then Ok ()
-    else
-      match Unix.read t.fd chunk 0 (Bytes.length chunk) with
-      | 0 -> Error "connection closed mid-response"
-      | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          go ()
-      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-      | exception Sys_error m -> Error m
+    match Http.next_response ~head_only t.parser_ with
+    | `Response r ->
+        Ok { status = r.Http.status; headers = r.Http.resp_headers; body = r.Http.resp_body }
+    | `Error e -> Error (Http.parse_error_message e)
+    | `Need_more -> (
+        match Unix.read t.fd chunk 0 (Bytes.length chunk) with
+        | 0 -> Error "connection closed mid-response"
+        | n ->
+            Http.feed t.parser_ (Bytes.sub_string chunk 0 n);
+            go ()
+        | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+        | exception Sys_error m -> Error m)
   in
   go ()
-
-let ( let* ) = Result.bind
-
-let parse_status_line line =
-  match String.split_on_char ' ' line with
-  | _http :: status :: _ -> (
-      match int_of_string_opt status with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "malformed status line %S" line))
-  | _ -> Error (Printf.sprintf "malformed status line %S" line)
-
-let parse_head head =
-  match String.split_on_char '\n' head with
-  | [] -> Error "empty response head"
-  | status_line :: header_lines ->
-      let* status = parse_status_line (String.trim status_line) in
-      let headers =
-        List.filter_map
-          (fun line ->
-            let line = String.trim line in
-            match String.index_opt line ':' with
-            | Some c ->
-                Some
-                  ( String.lowercase_ascii (String.sub line 0 c),
-                    String.trim
-                      (String.sub line (c + 1) (String.length line - c - 1)) )
-            | None -> None)
-          header_lines
-      in
-      Ok (status, headers)
-
-let read_response ?(head_only = false) t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf t.leftover;
-  t.leftover <- "";
-  let* () = read_until t buf None in
-  let all = Buffer.contents buf in
-  let head_end = Option.get (find_sub all "\r\n\r\n" 0) in
-  let* status, headers = parse_head (String.sub all 0 head_end) in
-  let* length =
-    (* a HEAD response declares the GET body's length but carries no
-       bytes of it *)
-    if head_only then Ok 0
-    else
-      match List.assoc_opt "content-length" headers with
-      | None -> Ok 0
-      | Some v -> (
-          match int_of_string_opt (String.trim v) with
-          | Some n when n >= 0 -> Ok n
-          | _ -> Error (Printf.sprintf "malformed Content-Length %S" v))
-  in
-  let body_start = head_end + 4 in
-  let* () = read_until t buf (Some (body_start + length)) in
-  let all = Buffer.contents buf in
-  let body = String.sub all body_start length in
-  (* keep-alive: bytes past this response belong to the next one *)
-  let consumed = body_start + length in
-  t.leftover <- String.sub all consumed (String.length all - consumed);
-  Ok { status; headers; body }
 
 let request t ?(headers = []) ?body meth target =
   let head = Buffer.create 256 in
@@ -408,6 +329,8 @@ type replication = {
   covered_seq : int64;
   lag : int64;
 }
+
+let ( let* ) = Result.bind
 
 let replication r =
   if r.status <> 200 then

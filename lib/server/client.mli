@@ -1,8 +1,11 @@
 (** A minimal blocking HTTP/1.1 client, just enough to talk to
-    {!Daemon}: keep-alive connections, [Content-Length]-framed
-    responses, and one retry loop. {!Replica} fetches shipped batches
-    with it, and the tests and the bench harness ([bench/main.ml])
-    drive daemons with it — not a general-purpose client. *)
+    {!Daemon}: keep-alive connections, responses framed by
+    {!Http.next_response} (the daemon's own framer, strict on malformed
+    heads, with no body limit since a replica's reset batch carries the
+    whole state), and one retry loop. {!Replica} fetches shipped
+    batches with it, and the tests and the bench harness
+    ([bench/main.ml]) drive daemons with it — not a general-purpose
+    client. *)
 
 type t
 
@@ -32,7 +35,8 @@ val request :
     A [Content-Length] header is added when [body] is given. A [HEAD]
     response is read as header-only (its [Content-Length] names the
     GET body it does not carry). [Error] means the connection is
-    unusable (closed, timed out, or the response did not parse) —
+    unusable: ["connection closed mid-response"], a socket error, or
+    the {!Http.parse_error_message} of a response that does not frame —
     reconnect to retry. Never raises. *)
 
 val get : t -> string -> (response, string) result

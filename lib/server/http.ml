@@ -131,34 +131,98 @@ let split_target target =
   (path, query)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental parsing                                                *)
+(* Incremental framing                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The unconsumed bytes are [buf.[off, len)]. [feed] appends with
+   amortized growth and a consumed message advances [off], so each byte
+   is copied O(1) times. [scan] resumes the head-end search, and
+   [framed] keeps a found head's size and body length until the body is
+   complete, so a head is neither re-scanned nor re-parsed per read. *)
 type parser_ = {
   max_head : int;
   max_body : int;
-  mutable buf : string;  (** unconsumed bytes *)
+  mutable buf : Bytes.t;
+  mutable off : int;  (** first unconsumed byte *)
+  mutable len : int;  (** end of the buffered bytes *)
+  mutable scan : int;  (** no head ends before this offset *)
+  mutable framed : (int * int) option;
+      (** the head at [off]: its size, blank line included, and body length *)
   mutable failed : parse_error option;  (** sticky *)
 }
 
+(* what a parser starts with, and shrinks back to once emptied *)
+let capacity = 8192
+
 let parser_ ?(max_head = 16 * 1024) ?(max_body = 4 * 1024 * 1024) () =
-  { max_head; max_body; buf = ""; failed = None }
+  let buf = Bytes.create capacity in
+  { max_head; max_body; buf; off = 0; len = 0; scan = 0; framed = None; failed = None }
 
-let feed p s = if s <> "" then p.buf <- p.buf ^ s
-
-let buffered p = String.length p.buf
-
-(* index of "\r\n\r\n" in [s], if any *)
-let find_head_end s =
+let feed p s =
   let n = String.length s in
+  if p.len + n > Bytes.length p.buf then begin
+    (* slide the unconsumed bytes to the front when that leaves the
+       buffer at most half full, else move them into one twice as big *)
+    let live = p.len - p.off in
+    let buf =
+      if live + n <= Bytes.length p.buf / 2 then p.buf
+      else Bytes.create (max (2 * Bytes.length p.buf) (live + n))
+    in
+    Bytes.blit p.buf p.off buf 0 live;
+    p.buf <- buf;
+    p.scan <- p.scan - p.off;
+    p.off <- 0;
+    p.len <- live
+  end;
+  Bytes.blit_string s 0 p.buf p.len n;
+  p.len <- p.len + n
+
+let buffered p = p.len - p.off
+
+(* Take [n] bytes off the front. An emptied buffer starts over and
+   gives back the capacity a large message grew it to. *)
+let consume p n =
+  p.off <- p.off + n;
+  p.scan <- p.off;
+  p.framed <- None;
+  if p.off = p.len then begin
+    p.off <- 0;
+    p.len <- 0;
+    p.scan <- 0;
+    if Bytes.length p.buf > capacity then p.buf <- Bytes.create capacity
+  end
+
+let crlf b i = Bytes.get b i = '\r' && Bytes.get b (i + 1) = '\n'
+
+(* tolerate CRLFs preceding the start line (RFC 9112 §2.2) *)
+let rec skip_crlfs p =
+  if p.len - p.off >= 2 && crlf p.buf p.off then begin
+    consume p 2;
+    skip_crlfs p
+  end
+
+(* offset of the "\r\n\r\n" ending the head at [off], if buffered. A
+   byte that is neither CR nor LF rules out the four matches covering
+   it, so the search probes plain text every fourth byte. *)
+let find_head_end p =
+  let b = p.buf and len = p.len in
   let rec go i =
-    if i + 3 >= n then None
-    else if
-      s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n'
-    then Some i
+    if i + 3 >= len then (p.scan <- i; None)
+    else
+      match Bytes.get b (i + 3) with
+      | '\r' | '\n' -> if crlf b i && crlf b (i + 2) then Some i else go (i + 1)
+      | _ -> go (i + 4)
+  in
+  go p.scan
+
+(* offset of the first CRLF in [b.[i, stop)], else [stop] *)
+let line_end b i stop =
+  let rec go i =
+    if i + 1 >= stop then stop
+    else if Bytes.get b i = '\r' && Bytes.get b (i + 1) = '\n' then i
     else go (i + 1)
   in
-  go 0
+  go i
 
 let is_tchar c =
   match c with
@@ -170,9 +234,14 @@ let is_tchar c =
 
 let is_token s = s <> "" && String.for_all is_tchar s
 
-let trim_ows s = String.trim s
+let is_digits s = s <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) s
 
 let ( let* ) = Result.bind
+
+let parse_version = function
+  | "HTTP/1.1" -> Ok `Http_1_1
+  | "HTTP/1.0" -> Ok `Http_1_0
+  | v -> Error (Bad_request (Printf.sprintf "unsupported protocol version %S" v))
 
 let parse_request_line line =
   match String.split_on_char ' ' line with
@@ -185,47 +254,30 @@ let parse_request_line line =
         if target <> "" && target.[0] = '/' then Ok ()
         else Error (Bad_request (Printf.sprintf "malformed request target %S" target))
       in
-      let* version =
-        match version with
-        | "HTTP/1.1" -> Ok `Http_1_1
-        | "HTTP/1.0" -> Ok `Http_1_0
-        | v -> Error (Bad_request (Printf.sprintf "unsupported protocol version %S" v))
-      in
+      let* version = parse_version version in
       Ok (meth_of_string meth, target, version)
   | _ -> Error (Bad_request (Printf.sprintf "malformed request line %S" line))
 
+(* HTTP-version SP 3DIGIT SP [ reason-phrase ] (RFC 9112 §4) *)
+let parse_status_line line =
+  match String.split_on_char ' ' line with
+  | version :: code :: reason when String.length code = 3 && is_digits code ->
+      let* _ = parse_version version in
+      Ok (int_of_string code, String.concat " " reason)
+  | _ -> Error (Bad_request (Printf.sprintf "malformed status line %S" line))
+
 let parse_header_line line =
-  match String.index_opt line ':' with
-  | None -> Error (Bad_request (Printf.sprintf "malformed header line %S" line))
-  | Some colon ->
-      let name = String.sub line 0 colon in
-      let value = String.sub line (colon + 1) (String.length line - colon - 1) in
-      if not (is_token name) then
-        Error (Bad_request (Printf.sprintf "malformed header name %S" name))
-      else Ok (String.lowercase_ascii name, trim_ows value)
-
-let rec split_crlf_lines s =
-  match
-    let n = String.length s in
-    let rec go i = if i + 1 >= n then None else if s.[i] = '\r' && s.[i + 1] = '\n' then Some i else go (i + 1) in
-    go 0
-  with
-  | Some i ->
-      String.sub s 0 i
-      :: split_crlf_lines (String.sub s (i + 2) (String.length s - i - 2))
-  | None -> if s = "" then [] else [ s ]
-
-let parse_headers lines =
-  List.fold_left
-    (fun acc line ->
-      let* acc = acc in
-      if line <> "" && (line.[0] = ' ' || line.[0] = '\t') then
-        Error (Bad_request "obsolete header folding is not supported")
-      else
-        let* kv = parse_header_line line in
-        Ok (kv :: acc))
-    (Ok []) lines
-  |> Result.map List.rev
+  if line <> "" && (line.[0] = ' ' || line.[0] = '\t') then
+    Error (Bad_request "obsolete header folding is not supported")
+  else
+    match String.index_opt line ':' with
+    | None -> Error (Bad_request (Printf.sprintf "malformed header line %S" line))
+    | Some colon ->
+        let name = String.sub line 0 colon in
+        let value = String.sub line (colon + 1) (String.length line - colon - 1) in
+        if not (is_token name) then
+          Error (Bad_request (Printf.sprintf "malformed header name %S" name))
+        else Ok (String.lowercase_ascii name, String.trim value)
 
 let content_length p headers =
   match List.filter (fun (k, _) -> k = "content-length") headers with
@@ -233,73 +285,81 @@ let content_length p headers =
   | (_, v) :: rest ->
       if List.exists (fun (_, v') -> v' <> v) rest then
         Error (Bad_request "conflicting Content-Length headers")
-      else if not (v <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) v)
-      then Error (Bad_request (Printf.sprintf "malformed Content-Length %S" v))
+      else if not (is_digits v) then
+        Error (Bad_request (Printf.sprintf "malformed Content-Length %S" v))
       else (
         (* lengths within the limit always fit in an int *)
         match int_of_string_opt v with
         | Some n when n <= p.max_body -> Ok n
         | Some _ | None -> Error Body_too_large)
 
-let parse_head p head =
-  let* lines =
-    match split_crlf_lines head with
-    | [] -> Error (Bad_request "empty request head")
-    | request_line :: header_lines -> Ok (request_line, header_lines)
+(* The head in [buf.[off, stop)]: the start line, then the header
+   lines, then Transfer-Encoding, then Content-Length, which
+   [body_length] may overrule (a HEAD response carries no body). *)
+let parse_head p stop ~start_line ~body_length =
+  let line i j = Bytes.sub_string p.buf i (j - i) in
+  let first = line_end p.buf p.off stop in
+  let* start = start_line (line p.off first) in
+  let rec fields i acc =
+    if i >= stop then Ok (List.rev acc)
+    else
+      let j = line_end p.buf i stop in
+      let* field = parse_header_line (line i j) in
+      fields (j + 2) (field :: acc)
   in
-  let request_line, header_lines = lines in
-  let* meth, target, version = parse_request_line request_line in
-  let* headers = parse_headers header_lines in
+  let* headers = fields (first + 2) [] in
   let* () =
     if List.mem_assoc "transfer-encoding" headers then
       Error (Unsupported "Transfer-Encoding is not supported; use Content-Length")
     else Ok ()
   in
   let* length = content_length p headers in
-  let path, query = split_target target in
-  Ok ({ meth; target; path; query; version; headers; body = "" }, length)
+  Ok (start, headers, body_length start length)
+
+let fail p e =
+  p.failed <- Some e;
+  `Error e
+
+(* not [size + length]: a client's unlimited length may be near max_int *)
+let complete p size length = p.len - p.off - size >= length
+
+let take p size (start, headers, length) =
+  let body = Bytes.sub_string p.buf (p.off + size) length in
+  consume p (size + length);
+  `Message (start, headers, body)
+
+(* The next message off the front of the buffer, framed the same way in
+   both directions; only the start line differs. A head found before
+   its body is parsed once more when the body completes. *)
+let frame p ~start_line ~body_length =
+  let parse size = parse_head p (p.off + size - 4) ~start_line ~body_length in
+  match (p.failed, p.framed) with
+  | Some e, _ -> `Error e
+  | None, Some (size, length) ->
+      if not (complete p size length) then `Need_more
+      else (match parse size with Ok head -> take p size head | Error e -> fail p e)
+  | None, None -> (
+      skip_crlfs p;
+      match find_head_end p with
+      | None -> if p.len - p.off > p.max_head then fail p Head_too_large else `Need_more
+      | Some head_end when head_end - p.off > p.max_head -> fail p Head_too_large
+      | Some head_end -> (
+          let size = head_end + 4 - p.off in
+          match parse size with
+          | Error e -> fail p e
+          | Ok ((_, _, length) as head) ->
+              if complete p size length then take p size head
+              else begin
+                p.framed <- Some (size, length);
+                `Need_more
+              end))
 
 let next p =
-  match p.failed with
-  | Some e -> `Error e
-  | None -> (
-      (* tolerate CRLFs preceding the request line (RFC 9112 §2.2) *)
-      let skip = ref 0 in
-      let n = String.length p.buf in
-      while
-        !skip + 1 < n && p.buf.[!skip] = '\r' && p.buf.[!skip + 1] = '\n'
-      do
-        skip := !skip + 2
-      done;
-      if !skip > 0 then p.buf <- String.sub p.buf !skip (n - !skip);
-      match find_head_end p.buf with
-      | None ->
-          if String.length p.buf > p.max_head then begin
-            p.failed <- Some Head_too_large;
-            `Error Head_too_large
-          end
-          else `Need_more
-      | Some head_end ->
-          if head_end > p.max_head then begin
-            p.failed <- Some Head_too_large;
-            `Error Head_too_large
-          end
-          else (
-            let head = String.sub p.buf 0 head_end in
-            match parse_head p head with
-            | Error e ->
-                p.failed <- Some e;
-                `Error e
-            | Ok (request, length) ->
-                let body_start = head_end + 4 in
-                if String.length p.buf - body_start < length then `Need_more
-                else begin
-                  let body = String.sub p.buf body_start length in
-                  let consumed = body_start + length in
-                  p.buf <-
-                    String.sub p.buf consumed (String.length p.buf - consumed);
-                  `Request { request with body }
-                end))
+  match frame p ~start_line:parse_request_line ~body_length:(fun _ n -> n) with
+  | `Message ((meth, target, version), headers, body) ->
+      let path, query = split_target target in
+      `Request { meth; target; path; query; version; headers; body }
+  | (`Need_more | `Error _) as r -> r
 
 (* ------------------------------------------------------------------ *)
 (* Responses                                                          *)
@@ -339,6 +399,13 @@ let response ?(headers = []) status body =
    body-less statuses — so keep-alive clients always know where the
    response ends without waiting for a close. *)
 let body_suppressed status = status = 204 || status = 304 || status / 100 = 1
+
+let next_response ?(head_only = false) p =
+  let body_length (status, _) n = if head_only || body_suppressed status then 0 else n in
+  match frame p ~start_line:parse_status_line ~body_length with
+  | `Message ((status, reason), resp_headers, resp_body) ->
+      `Response { status; reason; resp_headers; resp_body }
+  | (`Need_more | `Error _) as r -> r
 
 let serialize_to buf ?request_meth ~close r =
   let suppressed = body_suppressed r.status in

@@ -1,13 +1,16 @@
-(** Hand-rolled HTTP/1.1 on byte strings: an incremental request parser
-    and a response serializer. No sockets here — the daemon feeds bytes
-    in as they arrive and writes the serialized response out — which is
-    what makes the parser property-testable: any split of a valid
-    request into chunks must parse identically, and no byte sequence
-    may raise.
+(** Hand-rolled HTTP/1.1 on byte strings: one incremental framer for
+    both ends of the wire, and a response serializer. No sockets here —
+    the daemon feeds in request bytes and {!Client} response bytes as
+    they arrive — which is what makes the framer property-testable: any
+    split of a valid message into chunks must parse identically, and no
+    byte sequence may raise. Framing is linear in the message: bytes
+    wait in a growable buffer with a read offset, the head-end search
+    resumes where it stopped, a framed head is not re-parsed per read,
+    and an emptied buffer gives back the capacity a large message grew.
 
-    Supported: request line + headers + [Content-Length] bodies,
+    Supported: start line + headers + [Content-Length] bodies,
     percent-encoded targets with query strings, keep-alive pipelining
-    (unconsumed bytes stay buffered for the next request). Not
+    (unconsumed bytes stay buffered for the next message). Not
     supported, by design: [Transfer-Encoding] (rejected as 501-shaped
     [`Unsupported]), multiline header folding (rejected), HTTP/2. *)
 
@@ -39,8 +42,8 @@ val if_none_match_matches : request -> etag:string -> bool
     byte-for-byte. [false] without the header. *)
 
 type parse_error =
-  | Bad_request of string  (** malformed request line, header, or framing *)
-  | Head_too_large  (** request line + headers exceed the head limit *)
+  | Bad_request of string  (** malformed start line, header, or framing *)
+  | Head_too_large  (** start line + headers exceed the head limit *)
   | Body_too_large  (** declared [Content-Length] exceeds the body limit *)
   | Unsupported of string  (** e.g. [Transfer-Encoding: chunked] *)
 
@@ -78,6 +81,15 @@ val response : ?headers:(string * string) list -> int -> string -> response
     code. *)
 
 val reason_phrase : int -> string
+
+val next_response :
+  ?head_only:bool ->
+  parser_ ->
+  [ `Response of response | `Need_more | `Error of parse_error ]
+(** {!next} for the other end of the wire: the same head rules, limits
+    and sticky errors after a status line. Header names are lowercased.
+    With [head_only] (the answer to a [HEAD]) the declared body is
+    absent, as it is after 1xx, 204 and 304. *)
 
 val serialize : ?request_meth:meth -> close:bool -> response -> string
 (** Status line, headers ([Content-Length] computed and always

@@ -5,8 +5,9 @@
    raising [f]. No listener and no real sleeping: each connection is
    one end of a socketpair whose other end was preloaded with canned
    responses and then shut for writing, and every connect and every
-   sleep is recorded. Plus the end-to-end regression for a replica
-   honouring the primary's [Connection: close]. *)
+   sleep is recorded. Plus how one connection reads its responses, and
+   the end-to-end regression for a replica honouring the primary's
+   [Connection: close]. *)
 
 module C = Server.Client
 
@@ -277,6 +278,47 @@ let table_case r =
       Alcotest.(check (list string)) "connects" r.connects connects;
       Alcotest.(check (list (float 1e-9))) "sleeps" r.sleeps sleeps)
 
+(* ---------------- one connection's responses ---------------------- *)
+
+(* [request] frames responses with [Http.next_response]: bytes past one
+   response wait for the next, a HEAD answer has no body, and end of
+   stream mid-response or a framing error is an [Error] naming the
+   cause. *)
+let test_response_reading () =
+  let s = { script = []; dialed = []; slept = []; peers = [] } in
+  let on canned f =
+    s.script <- [ Serve canned ];
+    let c = dial s ("a", 1) in
+    Fun.protect ~finally:(fun () -> C.close c) (fun () -> f c)
+  in
+  let check label expected outcome =
+    Alcotest.(check (result (pair int string) string))
+      label expected
+      (Result.map (fun r -> (r.C.status, r.C.body)) outcome)
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Unix.close s.peers)
+    (fun () ->
+      on
+        [ ok; "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n"; response 201 ~body:"next" ]
+        (fun c ->
+          check "first" (Ok (200, "ok")) (C.get c "/x");
+          check "HEAD" (Ok (200, "")) (C.request c Server.Http.HEAD "/x");
+          check "after HEAD" (Ok (201, "next")) (C.get c "/x");
+          check "drained" (Error "connection closed mid-response") (C.get c "/x"));
+      List.iter
+        (fun (canned, message) ->
+          on [ canned ] (fun c -> check message (Error message) (C.get c "/x")))
+        [
+          (torn, "connection closed mid-response");
+          ( "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+            "Transfer-Encoding is not supported; use Content-Length" );
+          ( "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nhi",
+            "conflicting Content-Length headers" );
+          ("HTTP/1.1 200 OK\r\nBad Name: x\r\n\r\n", {|malformed header name "Bad Name"|});
+          ("HTTP/1.1 OK\r\n\r\n", {|malformed status line "HTTP/1.1 OK"|});
+        ])
+
 (* ---------------- the replica honours Connection: close ---------- *)
 
 let with_temp_dir f =
@@ -379,4 +421,6 @@ let suite =
   @ [
       Alcotest.test_case "replica reconnects after Connection: close" `Quick
         test_replica_connection_close;
+      Alcotest.test_case "request: one connection's responses" `Quick
+        test_response_reading;
     ]

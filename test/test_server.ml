@@ -135,6 +135,57 @@ let test_serialize () =
   Alcotest.(check string) "head ends at blank line" "\r\n\r\n"
     (String.sub head (String.length head - 4) 4)
 
+(* The response side of the framer: the status line replaces the
+   request line, the rest of the head follows the same rules. *)
+let test_response_framing () =
+  let read ?head_only bytes =
+    let p = Http.parser_ () in
+    Http.feed p bytes;
+    match Http.next_response ?head_only p with
+    | `Response r -> r
+    | `Need_more -> Alcotest.fail ("need more: " ^ String.escaped bytes)
+    | `Error e -> Alcotest.fail (Http.parse_error_message e)
+  in
+  let r = read "\r\nHTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 2\r\n\r\nhi" in
+  Alcotest.(check int) "status" 200 r.Http.status;
+  Alcotest.(check string) "reason" "OK" r.Http.reason;
+  Alcotest.(check (list (pair string string)))
+    "headers lowercased"
+    [ ("content-type", "text/plain"); ("content-length", "2") ]
+    r.Http.resp_headers;
+  Alcotest.(check string) "body" "hi" r.Http.resp_body;
+  Alcotest.(check string) "a HEAD response declares a body it does not carry" ""
+    (read ~head_only:true "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n").Http.resp_body;
+  Alcotest.(check string) "so does a 304" ""
+    (read "HTTP/1.1 304 Not Modified\r\nContent-Length: 5\r\n\r\n").Http.resp_body;
+  Alcotest.(check string) "reason phrases may hold spaces" "Content Too Large"
+    (read "HTTP/1.1 413 Content Too Large\r\n\r\n").Http.reason;
+  Alcotest.(check int) "or be absent" 204 (read "HTTP/1.0 204\r\n\r\n").Http.status;
+  (* a client frames with no body limit: a length near max_int waits *)
+  let p = Http.parser_ ~max_body:max_int () in
+  Http.feed p (Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\nabc" max_int);
+  Alcotest.(check bool) "a huge declared body waits for its bytes" true
+    (Http.next_response p = `Need_more);
+  List.iter
+    (fun (bytes, message) ->
+      let p = Http.parser_ () in
+      Http.feed p bytes;
+      match Http.next_response p with
+      | `Error e ->
+          Alcotest.(check string) (String.escaped bytes) message (Http.parse_error_message e)
+      | `Response _ | `Need_more -> Alcotest.fail ("framed: " ^ String.escaped bytes))
+    [
+      ("HTTP/1.1 20 OK\r\n\r\n", {|malformed status line "HTTP/1.1 20 OK"|});
+      ("HTTP/2 200 OK\r\n\r\n", {|unsupported protocol version "HTTP/2"|});
+      ("HTTP/1.2 200 OK\r\n\r\n", {|unsupported protocol version "HTTP/1.2"|});
+      ("HTTP/1.1 200 OK\r\nBad Name: x\r\n\r\n", {|malformed header name "Bad Name"|});
+      ("HTTP/1.1 200 OK\r\n folded\r\n\r\n", "obsolete header folding is not supported");
+      ( "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+        "Transfer-Encoding is not supported; use Content-Length" );
+      ( "HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\n",
+        "conflicting Content-Length headers" );
+    ]
+
 (* ---------------- HTTP parser: properties -------------------------- *)
 
 (* the bytes of one valid request *)
@@ -233,6 +284,129 @@ let prop_pipelined_framing =
           drain ())
         (chunks_of (String.concat "" requests) cuts);
       List.rev !parsed = expected && Http.buffered p = 0)
+
+(* The other end of the wire: responses as the daemon serializes them,
+   pipelined and torn at arbitrary byte boundaries, read back through
+   [next_response] as the same status, headers and body, in order. A
+   HEAD response declares its GET body's length and carries no body; a
+   204 or 304 declares 0. *)
+let gen_response =
+  QCheck2.Gen.(
+    let ident = string_size ~gen:(oneofl [ 'a'; 'b'; 'z'; '0'; '-' ]) (int_range 1 8) in
+    let* status = oneofl [ 200; 201; 204; 304; 404; 409; 503 ] in
+    let* headers = list_size (int_range 0 3) (pair ident ident) in
+    let* body = string_size ~gen:(oneofl [ 'x'; '{'; '"'; ' '; '\r'; '\n' ]) (int_range 0 64) in
+    let* head = bool in
+    let* close = bool in
+    let headers = List.map (fun (k, v) -> ("X-" ^ k, v)) headers in
+    return (Http.response ~headers status body, head, close))
+
+let serialize_all responses =
+  String.concat ""
+    (List.map
+       (fun (r, head, close) ->
+         Http.serialize ~request_meth:(if head then Http.HEAD else Http.GET) ~close r)
+       responses)
+
+let prop_response_framing =
+  QCheck2.Test.make
+    ~name:
+      "http framer: any chunking of pipelined responses reads back each one \
+       in order"
+    ~count:500
+    QCheck2.Gen.(
+      let* responses = list_size (int_range 1 4) gen_response in
+      let total = String.length (serialize_all responses) in
+      let* cuts = list_size (int_range 0 12) (int_range 0 total) in
+      return (responses, cuts))
+    (fun (responses, cuts) ->
+      let bytes = serialize_all responses in
+      let expected (r, head, close) =
+        let suppressed = r.Http.status = 204 || r.Http.status = 304 in
+        let length = if suppressed then 0 else String.length r.Http.resp_body in
+        {
+          r with
+          Http.resp_headers =
+            List.map (fun (k, v) -> (String.lowercase_ascii k, v)) r.Http.resp_headers
+            @ [ ("content-length", string_of_int length) ]
+            @ if close then [ ("connection", "close") ] else [];
+          resp_body = (if head || suppressed then "" else r.Http.resp_body);
+        }
+      in
+      let p = Http.parser_ () in
+      let pending = ref (List.map (fun (_, head, _) -> head) responses) in
+      let parsed = ref [] in
+      let rec drain () =
+        match !pending with
+        | [] -> ()
+        | head_only :: rest -> (
+            match Http.next_response ~head_only p with
+            | `Response r ->
+                parsed := r :: !parsed;
+                pending := rest;
+                drain ()
+            | `Need_more -> ()
+            | `Error e -> QCheck2.Test.fail_report (Http.parse_error_message e))
+      in
+      List.iter
+        (fun chunk ->
+          Http.feed p chunk;
+          drain ())
+        (chunks_of bytes cuts);
+      List.rev !parsed = List.map expected responses && Http.buffered p = 0)
+
+(* Framing is linear in the message: a 4 MiB body arriving in 8 KiB
+   reads, alone or behind a ~15 KiB head of short header lines,
+   allocates a small multiple of the body in the framer, in either
+   direction. (A framer that rebuilds its buffer or re-parses the head
+   on every read allocates hundreds of times the body.) *)
+let test_framing_allocation () =
+  let body = String.make (4 * 1024 * 1024) 'b' in
+  let padding =
+    String.concat ""
+      (List.init 465 (fun i -> Printf.sprintf "X-Pad-%03d: %s\r\n" i (String.make 20 'v')))
+  in
+  let check label start_line headers next =
+    let message =
+      Printf.sprintf "%s\r\n%sContent-Length: %d\r\n\r\n%s" start_line headers
+        (String.length body) body
+    in
+    let chunks =
+      chunks_of message (List.init (String.length message / 8192) (fun i -> (i + 1) * 8192))
+    in
+    let p = Http.parser_ () in
+    let before = Gc.allocated_bytes () in
+    let framed =
+      List.fold_left
+        (fun framed chunk ->
+          Http.feed p chunk;
+          match framed with Some _ -> framed | None -> next p)
+        None chunks
+    in
+    let ratio = (Gc.allocated_bytes () -. before) /. float_of_int (String.length body) in
+    Alcotest.(check bool) (label ^ ": body framed intact") true (framed = Some body);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.1fx the body allocated, under 16x" label ratio)
+      true (ratio < 16.0)
+  in
+  let request p =
+    match Http.next p with
+    | `Request r -> Some r.Http.body
+    | `Need_more -> None
+    | `Error e -> Alcotest.fail (Http.parse_error_message e)
+  in
+  let response p =
+    match Http.next_response p with
+    | `Response r -> Some r.Http.resp_body
+    | `Need_more -> None
+    | `Error e -> Alcotest.fail (Http.parse_error_message e)
+  in
+  Alcotest.(check bool) "the padded head is under the head limit" true
+    (String.length padding < 16 * 1024);
+  check "request" "POST /sessions HTTP/1.1" "" request;
+  check "request behind a 15 KiB head" "POST /sessions HTTP/1.1" padding request;
+  check "response" "HTTP/1.1 200 OK" "" response;
+  check "response behind a 15 KiB head" "HTTP/1.1 200 OK" padding response
 
 let prop_suppressed_body =
   QCheck2.Test.make
@@ -853,6 +1027,67 @@ let test_e2e_simulate () =
                   ~body:(Printf.sprintf {|{"behavior":%s}|} (json_escape behavior))));
           expect_error 404 "not_found"
             (ok (Server.Client.post c "/sessions/ghost/simulate" ~body:(body ~jobs:1)))))
+
+(* A campaign runs outside its session's lock, so a simulate of a
+   second or more in flight keeps nothing that reads every session's
+   stats waiting: /metrics and /sessions each answer within a quarter
+   of its duration, before it ends. The trial count is sized from a
+   short probe so the campaign runs 2-3 s on any machine. *)
+let test_e2e_simulate_lock_scope () =
+  with_daemon (fun t ->
+      with_client t (fun c ->
+          let r = ok (Server.Client.post c "/sessions" ~body:(create_body "sim")) in
+          Alcotest.(check int) "created" 201 r.Server.Client.status;
+          let behavior =
+            Statechart.Bundle.to_string
+              (Statechart.Bundle.make ~id:"price-feed"
+                 Casestudies.Campaigns.price_feed_charts)
+          in
+          let simulate c trials =
+            let body =
+              Printf.sprintf
+                {|{"behavior":%s,
+                   "stimuli":[{"component":"master-controller","trigger":"user-initiates"}],
+                   "goal":{"component":"remote-price-db","payload":"fetch-prices"},
+                   "trials":%d,"seed":3,"horizon":10,"jobs":1}|}
+                (json_escape behavior) trials
+            in
+            let r = ok (Server.Client.post c "/sessions/sim/simulate" ~body) in
+            Alcotest.(check int) "simulate 200" 200 r.Server.Client.status
+          in
+          let timed f =
+            let started = Unix.gettimeofday () in
+            f ();
+            Unix.gettimeofday () -. started
+          in
+          let probe = timed (fun () -> simulate c 5000) in
+          let trials = min 1_000_000 (int_of_float (3.0 /. probe *. 5000.0)) in
+          let duration = ref 0.0 and ended = ref 0.0 in
+          let campaign =
+            Thread.create
+              (fun () ->
+                with_client t (fun c ->
+                    duration := timed (fun () -> simulate c trials);
+                    ended := Unix.gettimeofday ()))
+              ()
+          in
+          Thread.delay 0.2;
+          let metrics = timed (fun () -> ignore (ok (Server.Client.get c "/metrics"))) in
+          let sessions = timed (fun () -> ignore (ok (Server.Client.get c "/sessions"))) in
+          let answered = Unix.gettimeofday () in
+          Thread.join campaign;
+          Alcotest.(check bool)
+            (Printf.sprintf "the simulate ran %.2f s, at least 1 s" !duration)
+            true (!duration >= 1.0);
+          Alcotest.(check bool) "both answered while it ran" true (answered < !ended);
+          List.iter
+            (fun (path, latency) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s answered in %.3f s, under a quarter of %.2f s" path
+                   latency !duration)
+                true
+                (latency < !duration /. 4.0))
+            [ ("/metrics", metrics); ("/sessions", sessions) ]))
 
 let test_e2e_robustness () =
   let config =
@@ -2486,4 +2721,9 @@ let suite =
       test_e2e_chained_replication;
     Alcotest.test_case "e2e: SIGKILL primary, never-ahead + promotion" `Quick
       test_e2e_replication_promote_crash;
+    Alcotest.test_case "http: response framing" `Quick test_response_framing;
+    Alcotest.test_case "http: framing allocates linearly" `Quick test_framing_allocation;
+    QCheck_alcotest.to_alcotest prop_response_framing;
+    Alcotest.test_case "e2e: simulate holds no session lock while it runs" `Quick
+      test_e2e_simulate_lock_scope;
   ]

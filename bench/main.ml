@@ -1607,7 +1607,9 @@ let bench_json_file = "BENCH_walkthrough.json"
 (* Machine-readable companion of the PERF/INCR/SCALE tables, for
    tooling and for EXPERIMENTS.md to cite stable numbers. Sections
    whose target did not run in this invocation are carried over from
-   the existing file instead of being clobbered with empty lists. *)
+   the existing file instead of being clobbered with empty lists. A
+   smoke run's samples are no record: it leaves the file alone and
+   writes only bench/results/, which the CI trend gate reads. *)
 let write_bench_json () =
   let sections =
     [
@@ -1651,8 +1653,12 @@ let write_bench_json () =
       output_char oc '\n';
       close_out oc
     in
-    write bench_json_file;
-    Printf.printf "\nwrote %s\n" bench_json_file;
+    if smoke then
+      Printf.printf "\nSOSAE_BENCH_SMOKE is set: %s left as it is\n" bench_json_file
+    else begin
+      write bench_json_file;
+      Printf.printf "\nwrote %s\n" bench_json_file
+    end;
     (* Trend history: every run also lands in bench/results/ as a
        timestamped file plus latest.json, which bench/trend.exe diffs
        against a previous run's latest.json (CI fails on a >20% serve

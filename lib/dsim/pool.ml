@@ -57,6 +57,14 @@ let helper t =
   in
   loop ()
 
+let shutdown t =
+  Mutex.lock t.lock;
+  t.stop <- true;
+  Condition.broadcast t.work;
+  Mutex.unlock t.lock;
+  List.iter Domain.join t.domains;
+  t.domains <- []
+
 let create ~jobs =
   let size = max 1 jobs in
   let t =
@@ -71,7 +79,15 @@ let create ~jobs =
       size;
     }
   in
-  t.domains <- List.init (size - 1) (fun _ -> Domain.spawn (fun () -> helper t));
+  (* a spawn past the runtime's domain limit raises: stop and join the
+     helpers already running before passing the failure on *)
+  (try
+     for _ = 2 to size do
+       t.domains <- Domain.spawn (fun () -> helper t) :: t.domains
+     done
+   with e ->
+     shutdown t;
+     raise e);
   t
 
 let run t ~tasks make_body =
@@ -108,14 +124,6 @@ let run t ~tasks make_body =
       | Some exn, _ | None, Some exn -> raise exn
       | None, None -> ()
     end
-
-let shutdown t =
-  Mutex.lock t.lock;
-  t.stop <- true;
-  Condition.broadcast t.work;
-  Mutex.unlock t.lock;
-  List.iter Domain.join t.domains;
-  t.domains <- []
 
 let with_pool ~jobs f =
   let t = create ~jobs in

@@ -17,7 +17,9 @@ type t
 
 val create : jobs:int -> t
 (** Spawn a pool of [max 1 jobs] domains (the caller counts as one; a
-    1-job pool spawns nothing and [run]s inline). *)
+    1-job pool spawns nothing and [run]s inline). If a spawn fails
+    (the runtime's domain limit), the helpers already spawned are
+    joined and the exception is re-raised. *)
 
 val size : t -> int
 

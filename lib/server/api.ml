@@ -862,9 +862,11 @@ let parse_stimuli json =
    over the session's *current* architecture (so diff-then-simulate
    measures the edited system). The behavioral bundle, stimuli, goal,
    and fault windows come from the request body; trials fan out on a
-   domain pool sized like evaluation ([Registry.jobs]) unless the body
-   says otherwise. Responses are deterministic for a given seed —
-   timing is reported separately in "elapsed_ms". *)
+   domain pool sized like evaluation ([Registry.jobs]). The body's
+   "jobs" may narrow the pool, never widen it: each helper is a domain,
+   and the runtime's limit on domains is process-wide. Responses are
+   deterministic for a given seed, whatever the pool size — timing is
+   reported separately in "elapsed_ms". *)
 let simulate ctx (request : Http.request) params =
   let id = Router.param params "id" in
   let json = parse_body request in
@@ -920,8 +922,9 @@ let simulate ctx (request : Http.request) params =
     }
   in
   let jobs =
-    match optional_int json "jobs" ~default:(Registry.jobs ctx.registry) with
-    | j when j >= 1 -> j
+    let limit = Registry.jobs ctx.registry in
+    match optional_int json "jobs" ~default:limit with
+    | j when j >= 1 -> min j limit
     | _ -> reply_error 400 ~category:"bad_request" "\"jobs\" must be >= 1"
   in
   (* the architecture is immutable: hold the session lock only to read

@@ -1,8 +1,18 @@
-type cache_entry = { c_revision : int; c_etag : string; c_body : string }
+(* The serialized full-suite result of one revision of an entry's
+   session, and the etag minted for it. *)
+type response = { revision : int; etag : string; body : string }
+
+(* One id's entry: the session incarnation registered under the id and
+   the response cached for it. A delete and re-create makes a new entry,
+   so a new incarnation never sees its namesake's response. *)
+type entry = {
+  session : Core.Sosae.Session.t;
+  mutable response : response option;
+}
 
 type t = {
   lock : Mutex.t;
-  sessions : (string, Core.Sosae.Session.t) Hashtbl.t;
+  entries : (string, entry) Hashtbl.t;
   jobs : int;
   (* [mu] serializes mutations (create/diff/remove) end to end — apply
      in memory, then journal — so journal order always equals apply
@@ -11,18 +21,13 @@ type t = {
      checkpoint and a reset batch's install each hold it from state
      capture to snapshot swap, so none renames an older snapshot over
      a newer one or captures a half-reset registry. Lock order:
-     mu > snapshot_lock > per-session locks > lock > cache_lock, with
-     cache_lock a leaf. The response cache takes [lock] from inside an
-     evaluation (to check the session is still the registered
-     incarnation), so [lock] must never be held while taking a
-     per-session lock. *)
+     mu > snapshot_lock > per-session locks > lock. The response cache
+     takes [lock] from inside an evaluation (to check the session is
+     still the registered incarnation), so [lock] must never be held
+     while taking a per-session lock. *)
   mu : Mutex.t;
   snapshot_lock : Mutex.t;
   persist : Persist.t option;
-  (* Serialized full-suite evaluate results, one per session, valid
-     while the session's revision is unchanged. *)
-  cache_lock : Mutex.t;
-  cache : (string, cache_entry) Hashtbl.t;
   (* Etags embed a random per-boot component plus a registry-global
      mint counter, so an etag can never be minted twice for different
      content: the counter covers delete/recreate within one process
@@ -38,13 +43,11 @@ let create ?jobs ?persist () =
   let rng = Random.State.make_self_init () in
   {
     lock = Mutex.create ();
-    sessions = Hashtbl.create 8;
+    entries = Hashtbl.create 8;
     jobs;
     mu = Mutex.create ();
     snapshot_lock = Mutex.create ();
     persist;
-    cache_lock = Mutex.create ();
-    cache = Hashtbl.create 8;
     etag_boot =
       Printf.sprintf "%07x%07x"
         (Random.State.bits rng land 0xFFFFFFF)
@@ -52,79 +55,226 @@ let create ?jobs ?persist () =
     etag_token = 0;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Serialized-response cache                                          *)
-(* ------------------------------------------------------------------ *)
-
-let drop_cached t id =
-  Mutex.protect t.cache_lock (fun () -> Hashtbl.remove t.cache id)
-
-(* The cache answers for a (session, revision) pair only while that
-   exact session object is still the one registered under [id]:
-   [with_session] holds no registry lock during the callback, so an
-   in-flight evaluate can outlive a DELETE and a namesake re-create
-   (whose revision counter restarts at 0 — same key, different
-   content). Checking physical identity under [t.lock], held across
-   the cache access, is race-free against [add]/[remove]: they mutate
-   the session table under the same lock *before* invalidating the
-   cache, so a stale session can never pass the check after the
-   namesake's invalidation has run. *)
-let is_registered t id session =
-  match Hashtbl.find_opt t.sessions id with
-  | Some s -> s == session
-  | None -> false
-
-let cached_response t id ~session ~revision =
-  Mutex.protect t.lock (fun () ->
-      if not (is_registered t id session) then None
-      else
-        Mutex.protect t.cache_lock (fun () ->
-            match Hashtbl.find_opt t.cache id with
-            | Some e when e.c_revision = revision -> Some (e.c_etag, e.c_body)
-            | Some _ | None -> None))
-
-let cache_response t id ~session ~revision ~body =
-  Mutex.protect t.lock (fun () ->
-      let live = is_registered t id session in
-      Mutex.protect t.cache_lock (fun () ->
-          match Hashtbl.find_opt t.cache id with
-          | Some e when live && e.c_revision = revision ->
-              (* a concurrent evaluate of the same revision won the race;
-                 both bodies are bit-identical, keep the first etag *)
-              e.c_etag
-          | Some _ | None ->
-              t.etag_token <- t.etag_token + 1;
-              let etag =
-                Printf.sprintf "\"r%d-%s-%d\"" revision t.etag_boot t.etag_token
-              in
-              (* a stale incarnation's body must not be stored (the
-                 namesake would serve it); its response still carries
-                 a fresh etag, which by construction never validates
-                 again *)
-              if live then
-                Hashtbl.replace t.cache id
-                  { c_revision = revision; c_etag = etag; c_body = body };
-              etag))
-
 let jobs t = t.jobs
 
 let persist t = t.persist
 
 (* ------------------------------------------------------------------ *)
-(* Serialization of live state (journals and snapshots)               *)
+(* Reads                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let create_mutation ~id session =
-  let project = Core.Sosae.Session.project session in
-  Persist.Create
-    {
-      id;
-      policy = (Core.Sosae.Session.config session).Walkthrough.Engine.policy;
-      scenarios =
-        Scenarioml.Xml_io.set_to_string project.Core.Sosae.scenarios;
-      architecture = Adl.Xml_io.to_string project.Core.Sosae.architecture;
-      mapping = Mapping.Xml_io.to_string project.Core.Sosae.mapping;
-    }
+let find t id = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.entries id)
+
+let ids t =
+  Mutex.protect t.lock (fun () ->
+      Hashtbl.fold (fun id _ acc -> id :: acc) t.entries [])
+  |> List.sort String.compare
+
+let with_session t id f =
+  match find t id with
+  | None -> Error `Not_found
+  | Some { session; _ } ->
+      Ok (Core.Sosae.Session.exclusively session (fun () -> f session))
+
+(* ------------------------------------------------------------------ *)
+(* Serialized-response cache                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [lock] held. The cache answers for a (session, revision) pair only
+   while that exact session object is still the one registered under
+   [id]: [with_session] holds no registry lock during the callback, so
+   an in-flight evaluate can outlive a DELETE and a namesake re-create
+   (whose revision counter restarts at 0 — same key, different
+   content). The namesake is a new entry, so the check and the access
+   are one lookup under [lock]. *)
+let live_entry t id session =
+  match Hashtbl.find_opt t.entries id with
+  | Some e when e.session == session -> Some e
+  | Some _ | None -> None
+
+let cached_response t id ~session ~revision =
+  Mutex.protect t.lock (fun () ->
+      match live_entry t id session with
+      | Some { response = Some r; _ } when r.revision = revision ->
+          Some (r.etag, r.body)
+      | Some _ | None -> None)
+
+let cache_response t id ~session ~revision ~body =
+  Mutex.protect t.lock (fun () ->
+      t.etag_token <- t.etag_token + 1;
+      let etag =
+        Printf.sprintf "\"r%d-%s-%d\"" revision t.etag_boot t.etag_token
+      in
+      (* a stale incarnation's body is not stored; its response still
+         carries a fresh etag, which by construction never validates *)
+      (match live_entry t id session with
+      | Some e -> e.response <- Some { revision; etag; body }
+      | None -> ());
+      etag)
+
+(* ------------------------------------------------------------------ *)
+(* The three memory changes                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* [insert], [delete] and [edit] are the only code that changes which
+   session an id names or what its architecture is. The caller holds
+   [mu]; each returns its result with the undo that puts memory back. *)
+
+let insert t id session =
+  Mutex.protect t.lock (fun () ->
+      if Hashtbl.mem t.entries id then Error `Conflict
+      else begin
+        Hashtbl.replace t.entries id { session; response = None };
+        let undo () = Mutex.protect t.lock (fun () -> Hashtbl.remove t.entries id) in
+        Ok ((), undo)
+      end)
+
+let delete t id =
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.entries id with
+      | None -> Error `Not_found
+      | Some entry ->
+          Hashtbl.remove t.entries id;
+          let undo () = Mutex.protect t.lock (fun () -> Hashtbl.replace t.entries id entry) in
+          Ok ((), undo))
+
+(* [f] edits the session under its lock. The undo restores the
+   architecture [f] found: the revision moves on, so cached verdicts
+   revalidate by replay and cached responses stop matching. *)
+let edit t id f =
+  match find t id with
+  | None -> Error `Not_found
+  | Some { session; _ } ->
+      Core.Sosae.Session.exclusively session (fun () ->
+          let before = (Core.Sosae.Session.project session).Core.Sosae.architecture in
+          match f session with
+          | value ->
+              let undo () =
+                Core.Sosae.Session.exclusively session (fun () ->
+                    Core.Sosae.Session.set_architecture session before)
+              in
+              Ok (value, undo)
+          | exception Adl.Diff.Apply_error message -> Error (`Apply_error message))
+
+(* ------------------------------------------------------------------ *)
+(* Mutations (journaled before they are acknowledged)                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The primary's one mutation routine: apply in memory and *stage* the
+   journal record while holding [mu] (journal order = apply order),
+   undo the change if staging raises (un-journaled means
+   un-acknowledged, so memory never outlives what recovery rebuilds),
+   then wait for the record's durability with [mu] released — so under
+   group commit concurrent mutators batch into one shared fsync instead
+   of queuing behind eight sequential ones. The wait happens before the
+   caller returns, so the journal-before-acknowledge contract holds. *)
+let mutate t change record =
+  let result, pending =
+    Mutex.protect t.mu (fun () ->
+        match (change (), t.persist) with
+        | Error _ as e, _ -> (e, None)
+        | Ok (value, _), None -> (Ok value, None)
+        | Ok (value, undo), Some p -> (
+            match Persist.stage p (record value) with
+            | seq -> (Ok value, Some (p, seq))
+            | exception e ->
+                undo ();
+                raise e))
+  in
+  Option.iter (fun (p, seq) -> Persist.await p seq) pending;
+  result
+
+(* [source] skips re-serializing the project the caller just parsed
+   from those very strings — the dominant cost of a journaled create
+   after the fsync is amortized *)
+let create_mutation ~id ?source session =
+  let scenarios, architecture, mapping =
+    match source with
+    | Some source -> source
+    | None ->
+        let project = Core.Sosae.Session.project session in
+        ( Scenarioml.Xml_io.set_to_string project.Core.Sosae.scenarios,
+          Adl.Xml_io.to_string project.Core.Sosae.architecture,
+          Mapping.Xml_io.to_string project.Core.Sosae.mapping )
+  in
+  let policy = (Core.Sosae.Session.config session).Walkthrough.Engine.policy in
+  Persist.Create { id; policy; scenarios; architecture; mapping }
+
+let add t ~id ?config ?source project =
+  let session = Core.Sosae.Session.create ?config project in
+  mutate t (fun () -> insert t id session) (fun () -> create_mutation ~id ?source session)
+
+let remove t id =
+  match mutate t (fun () -> delete t id) (fun () -> Persist.Remove { id }) with
+  | Ok () -> true
+  | Error `Not_found -> false
+
+let apply_diff t id ~ops =
+  mutate t
+    (fun () ->
+      edit t id (fun session ->
+          let ops = ops session in
+          Core.Sosae.Session.apply_diff session ops;
+          (ops, session)))
+    (fun (ops, session) ->
+      match Persist.encode_ops ops with
+      | Some _ -> Persist.Diff { id; ops }
+      | None ->
+          (* ops with no wire encoding (the Add_ ones): journal the
+             whole post-diff architecture *)
+          Persist.Set_architecture
+            {
+              id;
+              architecture =
+                Adl.Xml_io.to_string
+                  (Core.Sosae.Session.project session).Core.Sosae.architecture;
+            })
+  |> Result.map fst
+
+(* ------------------------------------------------------------------ *)
+(* Boot-time recovery and the replica apply loop                      *)
+(* ------------------------------------------------------------------ *)
+
+type recovery_stats = { applied : int; skipped : int }
+
+(* Replay without journaling: the records being applied are the
+   journal. A record that no longer applies is skipped, not fatal —
+   the benign source is the compaction overlap window (a mutation
+   journaled just before a snapshot that already contains its effect),
+   and recovery must get the registry up regardless. One routine for
+   boot recovery and the replica's live apply loop, where `/stats` and
+   evaluates run concurrently; it changes memory through the same
+   three helpers as the primary, and counts their [Error] as skipped.
+   The caller holds [mu]. *)
+let apply_mutation t = function
+  | Persist.Create { id; policy; scenarios; architecture; mapping } -> (
+      match Core.Sosae.project_of_strings ~scenarios ~architecture ~mapping with
+      | Ok project ->
+          let config = Walkthrough.Engine.config ~policy () in
+          insert t id (Core.Sosae.Session.create ~config project)
+      | Error _ -> Error `Undecodable)
+  | Persist.Diff { id; ops } ->
+      edit t id (fun session -> Core.Sosae.Session.apply_diff session ops)
+  | Persist.Set_architecture { id; architecture } -> (
+      match Adl.Xml_io.of_string architecture with
+      | arch -> edit t id (fun session -> Core.Sosae.Session.set_architecture session arch)
+      | exception Adl.Xml_io.Malformed _ -> Error `Undecodable)
+  | Persist.Remove { id } -> delete t id
+
+let apply_mutations t mutations =
+  List.fold_left
+    (fun stats mutation ->
+      match apply_mutation t mutation with
+      | Ok _ -> { stats with applied = stats.applied + 1 }
+      | Error _ -> { stats with skipped = stats.skipped + 1 })
+    { applied = 0; skipped = 0 } mutations
+
+let recover t mutations =
+  Mutex.protect t.mu (fun () -> apply_mutations t mutations)
+
+(* ------------------------------------------------------------------ *)
+(* Snapshots (compaction and checkpoint)                              *)
+(* ------------------------------------------------------------------ *)
 
 (* Per-session consistency is enough for a snapshot: every mutation
    the capture misses is in the rotation's mirrored tail (see
@@ -133,7 +283,7 @@ let create_mutation ~id session =
 let state_mutations t =
   let pairs =
     Mutex.protect t.lock (fun () ->
-        Hashtbl.fold (fun id s acc -> (id, s) :: acc) t.sessions [])
+        Hashtbl.fold (fun id e acc -> (id, e.session) :: acc) t.entries [])
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   List.map
@@ -172,216 +322,6 @@ let checkpoint t =
       Mutex.protect t.mu (fun () ->
           Mutex.protect t.snapshot_lock (fun () -> compact_locked t p))
 
-(* ------------------------------------------------------------------ *)
-(* Mutations (journaled before they are acknowledged)                 *)
-(* ------------------------------------------------------------------ *)
-
-(* The shape shared by every mutation: apply in memory and *stage* the
-   journal record while holding [mu] (journal order = apply order),
-   but wait for the record's durability with [mu] released — so under
-   group commit concurrent mutators batch into one shared fsync
-   instead of queuing behind eight sequential ones. The durability
-   wait happens before the caller returns, so the journal-before-
-   acknowledge contract is unchanged. *)
-let settle t pending =
-  match (pending, t.persist) with
-  | Some seq, Some p -> Persist.await p seq
-  | _, _ -> ()
-
-let add t ~id ?config ?source project =
-  let result, pending =
-    Mutex.protect t.mu (fun () ->
-        let inserted =
-          Mutex.protect t.lock (fun () ->
-              if Hashtbl.mem t.sessions id then Error `Conflict
-              else begin
-                Hashtbl.replace t.sessions id
-                  (Core.Sosae.Session.create ?config project);
-                Ok ()
-              end)
-        in
-        (match inserted with Ok () -> drop_cached t id | Error _ -> ());
-        match (inserted, t.persist) with
-        | Ok (), Some p ->
-            let session =
-              Mutex.protect t.lock (fun () -> Hashtbl.find t.sessions id)
-            in
-            (* [source] skips re-serializing the project the caller
-               just parsed from those very strings — the dominant cost
-               of a journaled create after the fsync is amortized *)
-            let mutation =
-              match source with
-              | Some (scenarios, architecture, mapping) ->
-                  Persist.Create
-                    {
-                      id;
-                      policy =
-                        (Core.Sosae.Session.config session)
-                          .Walkthrough.Engine.policy;
-                      scenarios;
-                      architecture;
-                      mapping;
-                    }
-              | None -> create_mutation ~id session
-            in
-            (match Persist.stage p mutation with
-            | seq -> (Ok (), Some seq)
-            | exception e ->
-                (* un-journaled means un-acknowledged: roll the insert
-                   back so memory never outlives what recovery rebuilds *)
-                Mutex.protect t.lock (fun () -> Hashtbl.remove t.sessions id);
-                raise e)
-        | result, _ -> (result, None))
-  in
-  settle t pending;
-  result
-
-let remove t id =
-  let result, pending =
-    Mutex.protect t.mu (fun () ->
-        let removed =
-          Mutex.protect t.lock (fun () ->
-              match Hashtbl.find_opt t.sessions id with
-              | Some session ->
-                  Hashtbl.remove t.sessions id;
-                  Some session
-              | None -> None)
-        in
-        (match removed with Some _ -> drop_cached t id | None -> ());
-        match (removed, t.persist) with
-        | Some session, Some p ->
-            (match Persist.stage p (Persist.Remove { id }) with
-            | seq -> (true, Some seq)
-            | exception e ->
-                Mutex.protect t.lock (fun () ->
-                    Hashtbl.replace t.sessions id session);
-                raise e)
-        | Some _, None -> (true, None)
-        | None, _ -> (false, None))
-  in
-  settle t pending;
-  result
-
-let apply_diff t id ~ops =
-  let result, pending =
-    Mutex.protect t.mu (fun () ->
-        let session =
-          Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.sessions id)
-        in
-        match session with
-        | None -> (Error `Not_found, None)
-        | Some session -> (
-            match
-              Core.Sosae.Session.exclusively session (fun () ->
-                  let ops = ops session in
-                  Core.Sosae.Session.apply_diff session ops;
-                  ops)
-            with
-            | ops ->
-                let pending =
-                  match t.persist with
-                  | None -> None
-                  | Some p ->
-                      let mutation =
-                        match Persist.encode_ops ops with
-                        | Some _ -> Persist.Diff { id; ops }
-                        | None ->
-                            (* ops with no wire encoding (the Add_ ones):
-                               journal the whole post-diff architecture *)
-                            Persist.Set_architecture
-                              {
-                                id;
-                                architecture =
-                                  Adl.Xml_io.to_string
-                                    (Core.Sosae.Session.project session)
-                                      .Core.Sosae.architecture;
-                              }
-                      in
-                      Some (Persist.stage p mutation)
-                in
-                (Ok ops, pending)
-            | exception Adl.Diff.Apply_error message ->
-                (Error (`Apply_error message), None)))
-  in
-  settle t pending;
-  result
-
-(* ------------------------------------------------------------------ *)
-(* Boot-time recovery                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type recovery_stats = { applied : int; skipped : int }
-
-(* Replay without journaling: the records being applied are the
-   journal. A record that no longer applies is skipped, not fatal —
-   the benign source is the compaction overlap window (a mutation
-   journaled just before a snapshot that already contains its effect),
-   and recovery must get the registry up regardless. One routine for
-   boot recovery and the replica's live apply loop, where `/stats` and
-   evaluates run concurrently: every table access goes through
-   [t.lock], every session edit through its own lock, and create/
-   remove invalidate the response cache exactly like the primary's
-   mutation path. At boot the locks are simply uncontended. The
-   caller holds [mu]. *)
-let apply_mutations t mutations =
-  let applied = ref 0 and skipped = ref 0 in
-  let ok () = incr applied in
-  let skip () = incr skipped in
-  let locked f = Mutex.protect t.lock f in
-  List.iter
-    (fun mutation ->
-      match mutation with
-      | Persist.Create { id; policy; scenarios; architecture; mapping } -> (
-          if locked (fun () -> Hashtbl.mem t.sessions id) then skip ()
-          else
-            match Core.Sosae.project_of_strings ~scenarios ~architecture ~mapping with
-            | Ok project ->
-                let config = Walkthrough.Engine.config ~policy () in
-                let session = Core.Sosae.Session.create ~config project in
-                locked (fun () -> Hashtbl.replace t.sessions id session);
-                drop_cached t id;
-                ok ()
-            | Error _ -> skip ())
-      | Persist.Diff { id; ops } -> (
-          match locked (fun () -> Hashtbl.find_opt t.sessions id) with
-          | None -> skip ()
-          | Some session -> (
-              match
-                Core.Sosae.Session.exclusively session (fun () ->
-                    Core.Sosae.Session.apply_diff session ops)
-              with
-              | () -> ok ()
-              | exception Adl.Diff.Apply_error _ -> skip ()))
-      | Persist.Set_architecture { id; architecture } -> (
-          match locked (fun () -> Hashtbl.find_opt t.sessions id) with
-          | None -> skip ()
-          | Some session -> (
-              match Adl.Xml_io.of_string architecture with
-              | arch ->
-                  Core.Sosae.Session.exclusively session (fun () ->
-                      Core.Sosae.Session.set_architecture session arch);
-                  ok ()
-              | exception Adl.Xml_io.Malformed _ -> skip ()))
-      | Persist.Remove { id } ->
-          let removed =
-            locked (fun () ->
-                if Hashtbl.mem t.sessions id then begin
-                  Hashtbl.remove t.sessions id;
-                  true
-                end
-                else false)
-          in
-          if removed then begin
-            drop_cached t id;
-            ok ()
-          end
-          else skip ())
-    mutations;
-  { applied = !applied; skipped = !skipped }
-
-let recover t mutations =
-  Mutex.protect t.mu (fun () -> apply_mutations t mutations)
-
 (* The replica apply loop. Takes the shipped batch raw — when the
    registry persists, the frames go into the local journal
    byte-for-byte (a reset batch becomes the local snapshot), so a
@@ -399,8 +339,8 @@ let recover t mutations =
    [mu] is released and the loop stopped, the primary's mutation path
    finds the same ordering discipline it relies on. A [reset] batch
    (snapshot bootstrap after the upstream compacted away our position)
-   clears every session and cached response first, and holds
-   [snapshot_lock] from the clear until its snapshot is installed. *)
+   deletes every session first, and holds [snapshot_lock] from the
+   deletes until its snapshot is installed. *)
 let apply_shipped t ~reset data =
   let ( let* ) = Result.bind in
   let* records = Store.Ship.decode data in
@@ -428,28 +368,10 @@ let apply_shipped t ~reset data =
         if not reset then apply ()
         else
           Mutex.protect t.snapshot_lock (fun () ->
-              Mutex.protect t.lock (fun () -> Hashtbl.reset t.sessions);
-              Mutex.protect t.cache_lock (fun () -> Hashtbl.reset t.cache);
+              List.iter (fun id -> ignore (delete t id)) (ids t);
               apply ()))
   in
   let last_seq =
     List.fold_left (fun acc (seq, _) -> if seq > acc then seq else acc) 0L records
   in
   Ok (stats, last_seq)
-
-(* ------------------------------------------------------------------ *)
-(* Reads                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let ids t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.fold (fun id _ acc -> id :: acc) t.sessions [])
-  |> List.sort String.compare
-
-let with_session t id f =
-  let session =
-    Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.sessions id)
-  in
-  match session with
-  | None -> Error `Not_found
-  | Some s -> Ok (Core.Sosae.Session.exclusively s (fun () -> f s))

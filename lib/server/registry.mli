@@ -1,20 +1,26 @@
 (** The daemon's collection of named evaluation sessions.
 
-    The registry map itself is guarded by its own lock (creation,
-    lookup, removal); each held {!Core.Sosae.Session.t} is additionally
-    serialized through {!Core.Sosae.Session.exclusively} by
-    {!with_session}, so concurrent requests against the same session
-    queue up while requests against distinct sessions run in
-    parallel.
+    One table, guarded by its own lock, maps each id to one entry: the
+    session incarnation registered under it (a delete and re-create
+    makes a new one) and that incarnation's cached response. Each held
+    {!Core.Sosae.Session.t} is additionally serialized through
+    {!Core.Sosae.Session.exclusively} by {!with_session}, so concurrent
+    requests against the same session queue up while requests against
+    distinct sessions run in parallel.
 
-    With a {!Persist.t}, every mutation — {!add}, {!apply_diff},
-    {!remove} — is appended to the write-ahead journal before the call
-    returns (and so before the API acknowledges it); a mutation lock
-    serializes the apply-and-stage step so journal order equals apply
-    order, but the durability wait happens with that lock released —
-    under group commit, concurrent mutators share one fsync instead of
-    queuing behind each other's. Evaluations and other reads never
-    touch that lock. *)
+    Memory changes along one path: an insert, a delete or an edit of an
+    entry, each of which knows its own undo. With a {!Persist.t}, every
+    mutation — {!add}, {!apply_diff}, {!remove} — is appended to the
+    write-ahead journal before the call returns (and so before the API
+    acknowledges it). A mutation lock serializes the apply-and-stage
+    step so journal order equals apply order; when the journal refuses
+    the record, the change is undone before the exception propagates,
+    so memory never holds a mutation recovery would not rebuild. The
+    durability wait happens with that lock released — under group
+    commit, concurrent mutators share one fsync instead of queuing
+    behind each other's. Evaluations and other reads never touch that
+    lock. Lock order: mutation lock > snapshot lock > session locks >
+    table lock. *)
 
 type t
 
@@ -38,9 +44,11 @@ val add :
   (unit, [ `Conflict ]) result
 (** Create a session named [id] over the project. [`Conflict] when the
     name is taken. Durable on return (per the fsync policy) when the
-    registry persists; if journaling fails, the in-memory insert is
-    rolled back and the exception propagates (the API answers 500 —
-    never an acknowledged-but-lost session).
+    registry persists; if the journal refuses the record, the in-memory
+    insert is undone and the exception propagates (the API answers 500
+    — never an acknowledged-but-lost session). A failed fsync after a
+    successful stage leaves the session in memory, unacknowledged;
+    recovery may keep it, since its bytes were written.
 
     [source] is the [(scenarios, architecture, mapping)] XML the
     project was parsed from; when given, those exact strings are
@@ -50,7 +58,8 @@ val add :
     journaled create. *)
 
 val remove : t -> string -> bool
-(** [true] when a session was removed (journaled first, like {!add}). *)
+(** [true] when a session was removed (journaled first, and undone
+    when the journal refuses the record, like {!add}). *)
 
 val apply_diff :
   t ->
@@ -61,7 +70,11 @@ val apply_diff :
     read the current architecture — the API expands [excise] there),
     applies the resulting op list, journals it, and returns it. Ops
     without a wire encoding ([Add_*]) are journaled as the whole
-    post-diff architecture instead. *)
+    post-diff architecture instead. When the journal refuses the
+    record, the pre-diff architecture is restored and the exception
+    propagates, like {!add}. The restore is a new revision: cached
+    verdicts revalidate by replay, and the response cached for the
+    diff's revision no longer matches. *)
 
 type recovery_stats = { applied : int; skipped : int }
 
@@ -78,18 +91,18 @@ val apply_shipped :
 (** The replica apply loop's entry point: decode a shipped batch's raw
     frames and apply them — like {!recover} but safe while the
     registry is serving reads (the batch is applied under the mutation
-    lock, table accesses under the registry lock, session edits under
-    each session's own lock, and create/remove invalidate the response
-    cache). Returns the apply statistics plus the highest record
+    lock through the same inserts, deletes and edits as the primary's
+    mutations, so a re-created session starts with no cached
+    response). Returns the apply statistics plus the highest record
     sequence in the batch ([0L] for an empty one). When the registry
     persists, the batch is journaled locally first, byte-for-byte and
     under the same mutation lock, so a durable replica is itself
     shippable-from and immediately durable after promotion. [reset]
     (the batch is a snapshot bootstrap: the primary compacted away the
     records after this replica's position) installs the batch as the
-    local snapshot, re-bases the journal, and clears every session and
-    cached response before applying; no compaction runs between the
-    clear and the install. [Error] means the batch failed CRC
+    local snapshot, re-bases the journal, and deletes every session
+    (with its cached response) before applying; no compaction runs
+    between the deletes and the install. [Error] means the batch failed CRC
     validation or carried an undecodable payload — a transport bug,
     nothing was applied. A journal failure raises after the batch was
     applied in memory (the local journal then lags it). *)
@@ -117,18 +130,19 @@ val ids : t -> string list
 
     The warm evaluate path is dominated by serializing the full-suite
     result, not by evaluating it (verdicts are already cached in the
-    session). The registry therefore keeps, per session, one serialized
-    result body keyed on {!Core.Sosae.Session.revision} — valid exactly
-    while no architecture edit lands — together with a strong entity
-    tag the API surfaces as [ETag] / answers [If-None-Match] with.
-    Entries are dropped when a session is created or removed under the
-    same id; both accessors verify (under the registry lock) that
-    [session] is still physically the one registered for [id], so an
-    evaluate that outlives a delete/recreate can neither poison the
-    namesake's cache nor serve its bytes. Etags carry a random
-    per-boot component plus a registry-global mint counter, so an etag
-    handed out for one incarnation of a session — or by an earlier
-    run of the daemon — can never validate against a later one. *)
+    session). Each session's registry entry therefore holds one
+    serialized result body keyed on {!Core.Sosae.Session.revision} —
+    valid exactly while no architecture edit lands — together with a
+    strong entity tag the API surfaces as [ETag] / answers
+    [If-None-Match] with. A re-created session is a new entry, so it
+    starts with nothing cached; both accessors check (under the table
+    lock) that [session] is still physically the one registered for
+    [id], so an evaluate that outlives a delete/recreate can neither
+    poison the namesake's cache nor serve its bytes. Etags read
+    ["r<revision>-<boot>-<n>"]: a random per-boot component plus a
+    registry-global mint counter, so an etag handed out for one
+    incarnation of a session — or by an earlier run of the daemon —
+    can never validate against a later one. *)
 
 val cached_response :
   t -> string -> session:Core.Sosae.Session.t -> revision:int ->
@@ -140,11 +154,10 @@ val cached_response :
 val cache_response :
   t -> string -> session:Core.Sosae.Session.t -> revision:int ->
   body:string -> string
-(** Store the serialized result for [revision] and return its freshly
-    minted etag. If a concurrent caller already stored the same
-    revision, its (equivalent) entry and etag are kept. When [session]
-    is no longer the one registered for [id], nothing is stored and
-    the returned etag will never validate. *)
+(** Store the serialized result for [revision] on [id]'s entry,
+    replacing what it held, and return a freshly minted etag. When
+    [session] is no longer the one registered for [id], nothing is
+    stored and the returned etag will never validate. *)
 
 val with_session :
   t -> string -> (Core.Sosae.Session.t -> 'a) -> ('a, [ `Not_found ]) result

@@ -323,12 +323,10 @@ let plan_remove t slot =
           else violation "remove of live %s refused" id);
     }
 
-(* [rollback_safe]: does the registry roll its memory back when the
-   journal refuses the record? Creates and removes do; diffs apply to
-   the session before staging and stay applied, so after a staging
-   failure memory is ahead of the journal and only a reopen
-   reconverges them. *)
-let run_mutation t ~index ~fault ~rollback_safe planned =
+(* A record the journal refuses is undone in memory for every
+   mutation kind, so after a refused append registry ≡ model with no
+   reopen. *)
+let run_mutation t ~index ~fault planned =
   let floor = Server.Persist.covered_seq t.persist in
   let predicted = Server.Persist.next_seq t.persist in
   (match fault with
@@ -369,8 +367,7 @@ let run_mutation t ~index ~fault ~rollback_safe planned =
              been consumed and nothing new may be on disk *)
           if Server.Persist.next_seq t.persist <> predicted then
             violation "failed append consumed seq %Ld" predicted;
-          if rollback_safe then check_digest t "after refused append"
-          else forced_reopen t ~floor ~index
+          check_digest t "after refused append"
       | Some (Env.Fsync_fail _) ->
           (* staged but not durable: memory keeps the mutation, the
              journal is poisoned, the caller saw the error — an
@@ -383,8 +380,7 @@ let run_mutation t ~index ~fault ~rollback_safe planned =
           (* the journal keeps refusing with its original error *)
           if Server.Persist.next_seq t.persist <> predicted then
             violation "poisoned journal consumed seq %Ld" predicted;
-          if rollback_safe then check_digest t "after poisoned append"
-          else forced_reopen t ~floor ~index
+          check_digest t "after poisoned append"
       | _ ->
           violation "unexpected exception at op %d: %s" index
             (Printexc.to_string e)));
@@ -538,14 +534,13 @@ let run_kill_hop t =
 let step t ~index op =
   (match op with
   | Gen.Create (slot, fault) ->
-      run_mutation t ~index ~fault ~rollback_safe:true (plan_create t slot)
+      run_mutation t ~index ~fault (plan_create t slot)
   | Gen.Diff (slot, pick, fault) ->
-      run_mutation t ~index ~fault ~rollback_safe:false (plan_diff t slot pick)
+      run_mutation t ~index ~fault (plan_diff t slot pick)
   | Gen.Excise (slot, pick, fault) ->
-      run_mutation t ~index ~fault ~rollback_safe:false
-        (plan_excise t slot pick)
+      run_mutation t ~index ~fault (plan_excise t slot pick)
   | Gen.Remove (slot, fault) ->
-      run_mutation t ~index ~fault ~rollback_safe:true (plan_remove t slot)
+      run_mutation t ~index ~fault (plan_remove t slot)
   | Gen.Eval slot -> run_eval t slot
   | Gen.Ckpt fault ->
       run_maintenance t ~index ~fault (fun () ->

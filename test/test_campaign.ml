@@ -247,6 +247,20 @@ let test_pool_propagates_exceptions () =
       Dsim.Pool.run pool ~tasks:3 (fun () -> fun _ -> incr ok);
       Alcotest.(check bool) "pool still usable" true (!ok >= 1))
 
+(* A pool past the runtime's domain limit (128 domains in OCaml 5.1)
+   fails to spawn; the helpers it did spawn must be joined, or every
+   later pool in the process fails to spawn too. *)
+let test_pool_failed_spawn_leaks_nothing () =
+  (match Dsim.Pool.with_pool ~jobs:1000 ignore with
+  | () -> ()
+  | exception Failure _ -> ());
+  Dsim.Pool.with_pool ~jobs:2 (fun pool ->
+      Alcotest.(check int) "a two-domain pool" 2 (Dsim.Pool.size pool);
+      let hits = Array.make 64 0 in
+      Dsim.Pool.run pool ~tasks:64 (fun () -> fun i -> hits.(i) <- hits.(i) + 1);
+      Alcotest.(check bool) "every index exactly once" true
+        (Array.for_all (Int.equal 1) hits))
+
 let test_run_fold_order () =
   let c = campaign `Crash in
   let indices =
@@ -275,4 +289,6 @@ let suite =
     Alcotest.test_case "pool propagates worker exceptions" `Quick
       test_pool_propagates_exceptions;
     Alcotest.test_case "run_fold aggregates in trial order" `Quick test_run_fold_order;
+    Alcotest.test_case "pool: a failed spawn leaks no domain" `Quick
+      test_pool_failed_spawn_leaks_nothing;
   ]

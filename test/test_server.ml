@@ -2648,6 +2648,200 @@ let test_e2e_replication_promote_crash () =
       ignore (Unix.waitpid [] rpid);
       close_in ric)
 
+(* A simulate body's "jobs" is clamped to the server's --jobs. Each
+   pool helper is a domain and the runtime caps the domains of a
+   process, so an unclamped 1000 failed to spawn, leaked the helpers it
+   had spawned, and left every later pool failing until a restart: the
+   next simulate, and a new session's first evaluate. *)
+let test_e2e_simulate_jobs_bounded () =
+  let config = { Server.Daemon.default_config with jobs = Some 2 } in
+  with_daemon ~config (fun t ->
+      with_client t (fun c ->
+          let r = ok (Server.Client.post c "/sessions" ~body:(create_body "sim")) in
+          Alcotest.(check int) "created" 201 r.Server.Client.status;
+          let behavior =
+            Statechart.Bundle.to_string
+              (Statechart.Bundle.make ~id:"price-feed"
+                 Casestudies.Campaigns.price_feed_charts)
+          in
+          let simulate jobs =
+            let body =
+              Printf.sprintf
+                {|{"behavior":%s,
+                   "stimuli":[{"component":"master-controller","trigger":"user-initiates"}],
+                   "goal":{"component":"remote-price-db","payload":"fetch-prices"},
+                   "trials":40,"seed":5,"horizon":10,"jobs":%d}|}
+                (json_escape behavior) jobs
+            in
+            let r = ok (Server.Client.post c "/sessions/sim/simulate" ~body) in
+            Alcotest.(check int)
+              (Printf.sprintf "\"jobs\": %d answers 200" jobs)
+              200 r.Server.Client.status;
+            Jsonlight.to_string (member_exn "report" (body_json r))
+          in
+          let one = simulate 1 in
+          Alcotest.(check string) "\"jobs\": 1000 reports what \"jobs\": 1 does" one
+            (simulate 1000);
+          let r = ok (Server.Client.post c "/sessions" ~body:(create_body "fresh")) in
+          Alcotest.(check int) "created after the simulate" 201 r.Server.Client.status;
+          let r = ok (Server.Client.post c "/sessions/fresh/evaluate" ~body:"{}") in
+          Alcotest.(check int) "a new session's first evaluate" 200
+            r.Server.Client.status))
+
+(* The response cache against a slow reference. Random sequences of
+   create, delete, excise (a random link of the current architecture),
+   evaluate and evaluate with If-None-Match (the last etag issued for
+   that id) over two ids, through Api.handle on an in-memory registry.
+   The model holds each id's incarnation, its excision count and its
+   architecture. A 200 full-suite result must be byte-equal to a fresh
+   evaluation of the model's project; a 304 must come back exactly when
+   the etag was issued for the current incarnation and architecture;
+   and no etag may be issued for two different states. *)
+let prop_response_cache_reference =
+  let base =
+    lazy
+      (let scenarios, architecture, mapping = Lazy.force artifact_strings in
+       match Core.Sosae.project_of_strings ~scenarios ~architecture ~mapping with
+       | Ok p -> p
+       | Error e -> failwith (Core.Sosae.load_error_to_string e))
+  in
+  let reference = Hashtbl.create 16 in
+  let expected_result architecture =
+    let key = Adl.Xml_io.to_string architecture in
+    match Hashtbl.find_opt reference key with
+    | Some bytes -> bytes
+    | None ->
+        let bytes =
+          Jsonlight.to_string
+            (Walkthrough.Report.json_of_set_result
+               (Core.Sosae.evaluate ~jobs:1 { (Lazy.force base) with architecture }))
+        in
+        Hashtbl.replace reference key bytes;
+        bytes
+  in
+  (* the "result" member's bytes, exactly as spliced into the body *)
+  let result_bytes body =
+    let prefix = {|{"result":|} and suffix = {|,"re_evaluated":|} in
+    let rec last_suffix i =
+      if i < 0 then QCheck2.Test.fail_reportf "no counters in %s" body
+      else if String.sub body i (String.length suffix) = suffix then i
+      else last_suffix (i - 1)
+    in
+    let stop = last_suffix (String.length body - String.length suffix) in
+    if not (String.starts_with ~prefix body) then
+      QCheck2.Test.fail_reportf "not a full-suite body: %s" body;
+    String.sub body (String.length prefix) (stop - String.length prefix)
+  in
+  QCheck2.Test.make ~name:"response cache: ETag/304 and bodies match a fresh evaluation"
+    ~count:100
+    ~print:QCheck2.Print.(list (triple int int int))
+    QCheck2.Gen.(
+      list_size (int_range 1 30) (triple (int_range 0 4) (int_range 0 1) (int_bound 999)))
+    (fun steps ->
+      let ctx = Server.Api.make_ctx ~jobs:1 () in
+      let live = Hashtbl.create 2 (* id -> (incarnation, excisions, architecture) *)
+      and last_etag = Hashtbl.create 2 (* id -> etag *)
+      and issued = Hashtbl.create 16 (* etag -> (incarnation, excisions) *)
+      and incarnations = ref 0 in
+      let call ?(headers = []) meth path body =
+        snd
+          (Server.Api.handle ctx
+             {
+               Http.meth;
+               target = "/" ^ String.concat "/" path;
+               path;
+               query = [];
+               version = `Http_1_1;
+               headers;
+               body;
+             })
+      in
+      let expect what status (r : Http.response) =
+        if r.Http.status <> status then
+          QCheck2.Test.fail_reportf "%s: %d, expected %d: %s" what r.Http.status status
+            r.Http.resp_body
+      in
+      let etag_of (r : Http.response) =
+        match List.assoc_opt "ETag" r.Http.resp_headers with
+        | Some etag -> etag
+        | None -> QCheck2.Test.fail_report "full-suite evaluate without an ETag"
+      in
+      let issue id state etag =
+        (match Hashtbl.find_opt issued etag with
+        | Some s when s <> state ->
+            QCheck2.Test.fail_reportf "etag %s issued for two states" etag
+        | Some _ | None -> Hashtbl.replace issued etag state);
+        Hashtbl.replace last_etag id etag
+      in
+      let evaluate ?etag id (incarnation, excisions, architecture) =
+        let state = (incarnation, excisions) in
+        let headers = Option.to_list (Option.map (fun e -> ("if-none-match", e)) etag) in
+        let r = call ~headers Http.POST [ "sessions"; id; "evaluate" ] "{}" in
+        let fresh =
+          match etag with
+          | Some e -> Hashtbl.find_opt issued e = Some state
+          | None -> false
+        in
+        if fresh then begin
+          expect "evaluate with a current etag" 304 r;
+          if etag_of r <> Option.get etag then
+            QCheck2.Test.fail_report "a 304 that does not echo its etag"
+        end
+        else begin
+          expect "evaluate" 200 r;
+          if result_bytes r.Http.resp_body <> expected_result architecture then
+            QCheck2.Test.fail_reportf "%s: result differs from a fresh evaluation" id
+        end;
+        issue id state (etag_of r)
+      in
+      List.iter
+        (fun (kind, slot, pick) ->
+          let id = Printf.sprintf "s%d" slot in
+          match (kind, Hashtbl.find_opt live id) with
+          | 0, current ->
+              let r = call Http.POST [ "sessions" ] (create_body id) in
+              if current = None then begin
+                expect "create" 201 r;
+                incr incarnations;
+                Hashtbl.replace live id
+                  (!incarnations, 0, (Lazy.force base).Core.Sosae.architecture)
+              end
+              else expect "create of a live id" 409 r
+          | 1, current ->
+              let r = call Http.DELETE [ "sessions"; id ] "" in
+              if current = None then expect "delete of a missing id" 404 r
+              else begin
+                expect "delete" 200 r;
+                Hashtbl.remove live id
+              end
+          | 2, None ->
+              expect "excise on a missing id" 404
+                (call Http.POST [ "sessions"; id; "diff" ]
+                   {|{"ops":[{"op":"excise","from":"a","to":"b"}]}|})
+          | 2, Some (_, _, { Adl.Structure.links = []; _ }) -> ()
+          | 2, Some (incarnation, excisions, architecture) ->
+              let links = architecture.Adl.Structure.links in
+              let link = List.nth links (pick mod List.length links) in
+              let from_ = link.Adl.Structure.link_from.Adl.Structure.anchor
+              and to_ = link.Adl.Structure.link_to.Adl.Structure.anchor in
+              let r =
+                call Http.POST [ "sessions"; id; "diff" ]
+                  (Printf.sprintf {|{"ops":[{"op":"excise","from":%s,"to":%s}]}|}
+                     (json_escape from_) (json_escape to_))
+              in
+              expect "excise" 200 r;
+              Hashtbl.replace live id
+                ( incarnation,
+                  excisions + 1,
+                  Adl.Diff.excise_link_between architecture from_ to_ )
+          | _, None ->
+              expect "evaluate on a missing id" 404
+                (call Http.POST [ "sessions"; id; "evaluate" ] "{}")
+          | 3, Some current -> evaluate id current
+          | _, Some current -> evaluate ?etag:(Hashtbl.find_opt last_etag id) id current)
+        steps;
+      true)
+
 let suite =
   [
     Alcotest.test_case "http: simple request" `Quick test_parse_simple;
@@ -2726,4 +2920,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_response_framing;
     Alcotest.test_case "e2e: simulate holds no session lock while it runs" `Quick
       test_e2e_simulate_lock_scope;
+    Alcotest.test_case "e2e: simulate \"jobs\" is bounded by --jobs" `Quick
+      test_e2e_simulate_jobs_bounded;
+    QCheck_alcotest.to_alcotest prop_response_cache_reference;
   ]

@@ -209,6 +209,94 @@ let test_poisoned_journal_answers_500 () =
   Alcotest.(check int) "reads still answered" 200 r.Server.Http.status
 
 (* ------------------------------------------------------------------ *)
+(* A refused diff is undone (regression)                              *)
+(* ------------------------------------------------------------------ *)
+
+let links registry id =
+  match
+    Server.Registry.with_session registry id (fun s ->
+        List.map
+          (fun l -> l.Adl.Structure.link_id)
+          (Core.Sosae.Session.project s).Core.Sosae.architecture.Adl.Structure.links)
+  with
+  | Ok links -> links
+  | Error `Not_found -> Alcotest.failf "%s should exist" id
+
+(* An excise whose record the journal refuses, on a full disk and on a
+   journal a failed fsync poisoned, raises and leaves the session's
+   links as they were: like a refused create or remove, memory never
+   outlives what recovery rebuilds. *)
+let test_refused_diff_is_undone () =
+  let env = Simtest.Env.create () in
+  let _persist, registry = open_registry env in
+  add_session registry 0;
+  let before = links registry "s0" in
+  let refused what =
+    (match
+       Server.Registry.apply_diff registry "s0" ~ops:(fun s ->
+           Adl.Diff.excise_ops (Core.Sosae.Session.project s).Core.Sosae.architecture
+             "scheduler" "store")
+     with
+    | _ -> Alcotest.failf "%s: the excise was acknowledged" what
+    | exception Unix.Unix_error _ -> ());
+    Alcotest.(check (list string)) (what ^ ": links unchanged") before
+      (links registry "s0")
+  in
+  Simtest.Env.arm env (Simtest.Env.Disk_full 1);
+  refused "disk full";
+  Simtest.Env.disarm env;
+  Simtest.Env.arm env (Simtest.Env.Fsync_fail 1);
+  (try
+     add_session registry 1;
+     Alcotest.fail "add succeeded through a failed fsync"
+   with Unix.Unix_error (Unix.EIO, _, _) -> ());
+  Simtest.Env.disarm env;
+  refused "poisoned journal"
+
+let api_request meth path body =
+  {
+    Server.Http.meth;
+    target = "/" ^ String.concat "/" path;
+    path;
+    query = [];
+    version = `Http_1_1;
+    headers = [];
+    body;
+  }
+
+(* The same at the API boundary: the diff answers 500, and the
+   session's stats still count the pre-diff links. *)
+let test_refused_diff_answers_500 () =
+  let env = Simtest.Env.create () in
+  let persist, _ = open_registry env in
+  let ctx = Server.Api.make_ctx ~jobs:1 ~persist () in
+  add_session ctx.Server.Api.registry 0;
+  let link_count () =
+    let _, r =
+      Server.Api.handle ctx (api_request Server.Http.GET [ "sessions"; "s0"; "stats" ] "")
+    in
+    Alcotest.(check int) "stats answered" 200 r.Server.Http.status;
+    match Jsonlight.of_string r.Server.Http.resp_body with
+    | Ok json -> (
+        match
+          Option.bind (Jsonlight.member "architecture" json) (Jsonlight.member "links")
+        with
+        | Some (Jsonlight.Int n) -> n
+        | _ -> Alcotest.failf "no link count in %s" r.Server.Http.resp_body)
+    | Error e -> Alcotest.failf "stats body is not JSON: %s" e
+  in
+  let before = link_count () in
+  Simtest.Env.arm env (Simtest.Env.Disk_full 1);
+  let _, r =
+    Server.Api.handle ctx
+      (api_request Server.Http.POST [ "sessions"; "s0"; "diff" ]
+         {|{"ops":[{"op":"excise","from":"scheduler","to":"store"}]}|})
+  in
+  Simtest.Env.disarm env;
+  Alcotest.(check int) "refused diff answers 500" 500 r.Server.Http.status;
+  Alcotest.(check int) "pre-diff link count" before (link_count ())
+
+(* ------------------------------------------------------------------ *)
 (* Interval fsync after a quiet spell                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -503,4 +591,7 @@ let suite =
       `Quick,
       test_follow_primary_unreachable );
     ("follow-primary: never loops", `Quick, test_follow_primary_never_loops);
+    ("a refused diff is undone", `Quick, test_refused_diff_is_undone);
+    ("a refused diff answers 500 and is undone", `Quick,
+      test_refused_diff_answers_500);
   ]

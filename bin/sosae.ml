@@ -870,7 +870,7 @@ let serve_cmd =
         end
         else begin
           (* the daemon's lifecycle and failure events, one line each
-             on stderr; the worker threads log too, hence the lock *)
+             on stderr; the connection threads log too, hence the lock *)
           Logs_threaded.enable ();
           Logs.set_reporter (Logs.format_reporter ());
           Logs.set_level (Some Logs.Info);
@@ -920,15 +920,16 @@ let serve_cmd =
   let workers =
     Arg.(
       value & opt int 4
-      & info [ "workers" ] ~docv:"N" ~doc:"Worker threads serving requests.")
+      & info [ "workers" ] ~docv:"N"
+          ~doc:"Requests in progress at once; an idle connection holds none.")
   in
   let queue =
     Arg.(
       value & opt int 64
       & info [ "queue" ] ~docv:"N"
           ~doc:
-            "Accepted-connection queue bound; connections beyond it are answered \
-             $(b,429).")
+            "Connections admitted beyond $(b,--workers); the connection after \
+             $(b,--workers) + $(docv) open ones is answered $(b,429).")
   in
   let timeout =
     Arg.(

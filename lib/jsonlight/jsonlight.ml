@@ -239,7 +239,20 @@ let parse_number c =
         | Some f -> Float f
         | None -> parse_error "invalid number %S at offset %d" text start)
 
-let rec parse_value c =
+(* RFC 8259 §9 lets a parser bound nesting. Each level is a stack
+   frame, and every minor collection scans the whole stack, so without
+   a bound a body of nothing but '[' costs time quadratic in its
+   length. *)
+let max_depth = 512
+
+(* The depth inside the array or object opening at the cursor. *)
+let nest c depth =
+  if depth >= max_depth then
+    parse_error "nesting deeper than %d at offset %d" max_depth c.pos;
+  depth + 1
+
+(* [depth] counts the arrays and objects around the value *)
+let rec parse_value c depth =
   skip_ws c;
   match peek c with
   | Some 'n' -> literal c "null" Null
@@ -248,6 +261,7 @@ let rec parse_value c =
   | Some '"' -> String (parse_string c)
   | Some ('-' | '0' .. '9') -> parse_number c
   | Some '[' ->
+      let depth = nest c depth in
       advance c;
       skip_ws c;
       if peek c = Some ']' then begin
@@ -256,7 +270,7 @@ let rec parse_value c =
       end
       else begin
         let rec items acc =
-          let v = parse_value c in
+          let v = parse_value c depth in
           skip_ws c;
           match peek c with
           | Some ',' ->
@@ -271,6 +285,7 @@ let rec parse_value c =
         List (items [])
       end
   | Some '{' ->
+      let depth = nest c depth in
       advance c;
       skip_ws c;
       if peek c = Some '}' then begin
@@ -283,7 +298,7 @@ let rec parse_value c =
           let k = parse_string c in
           skip_ws c;
           expect c ':';
-          (k, parse_value c)
+          (k, parse_value c depth)
         in
         let rec fields acc =
           let kv = field () in
@@ -305,7 +320,7 @@ let rec parse_value c =
 
 let of_string s =
   let c = { input = s; pos = 0 } in
-  match parse_value c with
+  match parse_value c 0 with
   | v ->
       skip_ws c;
       if c.pos < String.length s then

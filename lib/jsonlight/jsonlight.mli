@@ -29,12 +29,11 @@ val strings : string list -> t
 
 (** {1 Reused-buffer writer}
 
-    The zero-copy serialization path of the evaluation server: one
-    {!Writer.t} per connection (or per pooled worker) renders every
-    response into the same backing store, so the steady state
-    allocates no fresh buffers, and {!Writer.raw} splices
-    already-serialized JSON — cached response bodies — without
-    re-rendering the tree. *)
+    The journal's record encoder ({!Server.Persist}): one {!Writer.t}
+    per journal renders every record into the same backing store, so
+    the steady state allocates no fresh buffers, and {!Writer.raw}
+    splices already-serialized fragments — a create record's artifact
+    documents — without re-rendering them. *)
 
 module Writer : sig
   type json = t
@@ -78,7 +77,10 @@ end
 val of_string : string -> (t, string) result
 (** Parse one JSON document. Numbers without [.]/[e] parse as [Int]
     (falling back to [Float] when out of [int] range), others as
-    [Float]. *)
+    [Float]. Arrays and objects nest at most 512 deep (RFC 8259 §9
+    allows the bound): a deeper document is
+    [Error "nesting deeper than 512 at offset N"], [N] being the offset
+    of the bracket past the bound. *)
 
 val member : string -> t -> t option
 (** First field of that name when the value is an [Obj]; [None]

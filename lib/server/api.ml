@@ -1,9 +1,3 @@
-(* A small free-list of serialization buffers: each in-flight response
-   render checks one out, so steady-state traffic reuses a handful of
-   grown-to-size buffers instead of allocating a fresh one per
-   response. *)
-type writer_pool = { pool : Jsonlight.Writer.t Queue.t; pool_lock : Mutex.t }
-
 (* What this daemon is in the replication topology. A [Replica] serves
    reads from locally applied shipped records and bounces mutations to
    the primary; promotion flips the field to [Primary] (a word-sized
@@ -13,7 +7,6 @@ type role = Primary | Replica of Replica.t
 type ctx = {
   registry : Registry.t;
   metrics : Metrics.t;
-  writers : writer_pool;
   mutable role : role;
 }
 
@@ -21,53 +14,36 @@ let make_ctx ?jobs ?persist () =
   {
     registry = Registry.create ?jobs ?persist ();
     metrics = Metrics.create ();
-    writers = { pool = Queue.create (); pool_lock = Mutex.create () };
     role = Primary;
   }
-
-let with_writer ctx f =
-  let { pool; pool_lock } = ctx.writers in
-  let w =
-    match Mutex.protect pool_lock (fun () -> Queue.take_opt pool) with
-    | Some w -> w
-    | None -> Jsonlight.Writer.create ~size:(16 * 1024) ()
-  in
-  Jsonlight.Writer.clear w;
-  Fun.protect
-    ~finally:(fun () -> Mutex.protect pool_lock (fun () -> Queue.push w pool))
-    (fun () -> f w)
 
 (* ------------------------------------------------------------------ *)
 (* JSON bodies                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let json_reply ctx ?(status = 200) json =
-  with_writer ctx (fun w ->
-      Jsonlight.Writer.json w json;
-      Http.response
-        ~headers:[ ("Content-Type", "application/json") ]
-        status
-        (Jsonlight.Writer.contents w))
+(* [body] is already-serialized JSON *)
+let json_string_reply ?(headers = []) ?(status = 200) body =
+  Http.response ~headers:(("Content-Type", "application/json") :: headers) status body
+
+let json_reply ?headers ?status json =
+  json_string_reply ?headers ?status (Jsonlight.to_string json)
 
 (* Every non-2xx body is {"error":{category,message,…}}; [extra]
    appends machine-readable fields to the error object (the read-only
    rejection carries the primary's address there), [headers] appends
    to the response headers (Retry-After, Allow). *)
-let error_response ?(headers = []) ?(extra = []) status ~category message =
-  Http.response
-    ~headers:(("Content-Type", "application/json") :: headers)
-    status
-    (Jsonlight.to_string
-       (Jsonlight.Obj
-          [
-            ( "error",
-              Jsonlight.Obj
-                ([
-                   ("category", Jsonlight.String category);
-                   ("message", Jsonlight.String message);
-                 ]
-                @ extra) );
-          ]))
+let error_response ?headers ?(extra = []) status ~category message =
+  json_reply ?headers ~status
+    (Jsonlight.Obj
+       [
+         ( "error",
+           Jsonlight.Obj
+             ([
+                ("category", Jsonlight.String category);
+                ("message", Jsonlight.String message);
+              ]
+             @ extra) );
+       ])
 
 let response_of_parse_error e =
   let status, category =
@@ -80,7 +56,7 @@ let response_of_parse_error e =
 
 let overloaded_response =
   error_response 429 ~category:"overloaded"
-    "the server's accept queue is full; retry later"
+    "the server has too many open connections; retry later"
 
 let load_error_category = function
   | Core.Sosae.Io_error _ -> "io_error"
@@ -213,7 +189,7 @@ let bracket_stats session f =
 (* ------------------------------------------------------------------ *)
 
 let health ctx _request _params =
-  json_reply ctx
+  json_reply
     (Jsonlight.Obj
        [
          ("status", Jsonlight.String "ok");
@@ -331,22 +307,17 @@ let metrics ctx _request _params =
                 replay_hits = t.replay_hits + s.replay_hits;
               })
     ids;
-  with_writer ctx (fun w ->
-      Metrics.write ctx.metrics
-        ~extra:
-          ((match Registry.persist ctx.registry with
-           | Some p -> [ ("journal", journal_json ctx p) ]
-           | None -> [])
-          @ [
-              ("replication", replication_json ctx);
-              ("sessions", Jsonlight.Int (List.length ids));
-              ("cache", json_of_stats !totals);
-            ])
-        w;
-      Http.response
-        ~headers:[ ("Content-Type", "application/json") ]
-        200
-        (Jsonlight.Writer.contents w))
+  json_reply
+    (Metrics.to_json ctx.metrics
+       ~extra:
+         ((match Registry.persist ctx.registry with
+          | Some p -> [ ("journal", journal_json ctx p) ]
+          | None -> [])
+         @ [
+             ("replication", replication_json ctx);
+             ("sessions", Jsonlight.Int (List.length ids));
+             ("cache", json_of_stats !totals);
+           ]))
 
 let list_sessions ctx _request _params =
   let sessions =
@@ -364,7 +335,7 @@ let list_sessions ctx _request _params =
         | Error `Not_found -> None)
       (Registry.ids ctx.registry)
   in
-  json_reply ctx (Jsonlight.Obj [ ("sessions", Jsonlight.List sessions) ])
+  json_reply (Jsonlight.Obj [ ("sessions", Jsonlight.List sessions) ])
 
 let parse_policy json =
   match optional_string json "policy" with
@@ -409,7 +380,7 @@ let create_session ctx (request : Http.request) _params =
           error_response 409 ~category:"conflict"
             (Printf.sprintf "session %S already exists" id)
       | Ok () ->
-          json_reply ctx ~status:201
+          json_reply ~status:201
             (Jsonlight.Obj
                [
                  ("id", Jsonlight.String id);
@@ -425,13 +396,13 @@ let delete_session ctx _request params =
   reject_read_only ctx;
   let id = Router.param params "id" in
   if Registry.remove ctx.registry id then
-    json_reply ctx (Jsonlight.Obj [ ("deleted", Jsonlight.String id) ])
+    json_reply (Jsonlight.Obj [ ("deleted", Jsonlight.String id) ])
   else no_session id
 
 let session_stats ctx _request params =
   let id = Router.param params "id" in
   with_session ctx id (fun s ->
-      json_reply ctx
+      json_reply
         (Jsonlight.Obj
            [
              ("id", Jsonlight.String id);
@@ -512,26 +483,31 @@ let evaluate_once ctx ~id ~jobs session json =
       in
       Sub_suite { results; re_evaluated; served_from_cache }
 
-(* Writes exactly what the pre-cache handler answered:
+(* Exactly what the pre-cache handler answered:
    [{"result":…,"re_evaluated":n,"served_from_cache":n}] (full suite)
-   or the same with ["results"] (sub-suite). *)
-let write_outcome w outcome =
-  let counters re_evaluated served_from_cache =
-    Jsonlight.Writer.raw w ",\"re_evaluated\":";
-    Jsonlight.Writer.int w re_evaluated;
-    Jsonlight.Writer.raw w ",\"served_from_cache\":";
-    Jsonlight.Writer.int w served_from_cache;
-    Jsonlight.Writer.char w '}'
+   or the same with ["results"] (sub-suite), built in one concatenation
+   around the cached result string. *)
+let outcome_body outcome =
+  let field, value, re_evaluated, served_from_cache =
+    match outcome with
+    | Full_suite { result; re_evaluated; served_from_cache; etag = _ } ->
+        ("{\"result\":", result, re_evaluated, served_from_cache)
+    | Sub_suite { results; re_evaluated; served_from_cache } ->
+        ( "{\"results\":",
+          Jsonlight.to_string (Jsonlight.List results),
+          re_evaluated,
+          served_from_cache )
   in
-  match outcome with
-  | Full_suite { result; re_evaluated; served_from_cache; etag = _ } ->
-      Jsonlight.Writer.raw w "{\"result\":";
-      Jsonlight.Writer.raw w result;
-      counters re_evaluated served_from_cache
-  | Sub_suite { results; re_evaluated; served_from_cache } ->
-      Jsonlight.Writer.raw w "{\"results\":";
-      Jsonlight.Writer.json w (Jsonlight.List results);
-      counters re_evaluated served_from_cache
+  String.concat ""
+    [
+      field;
+      value;
+      ",\"re_evaluated\":";
+      string_of_int re_evaluated;
+      ",\"served_from_cache\":";
+      string_of_int served_from_cache;
+      "}";
+    ]
 
 let evaluate ctx (request : Http.request) params =
   let id = Router.param params "id" in
@@ -544,19 +520,15 @@ let evaluate ctx (request : Http.request) params =
           Http.response ~headers:[ ("ETag", etag) ] 304 ""
       | outcome ->
           let headers =
-            ("Content-Type", "application/json")
-            ::
-            (match outcome with
+            match outcome with
             | Full_suite { etag; _ } -> [ ("ETag", etag) ]
-            | Sub_suite _ -> [])
+            | Sub_suite _ -> []
           in
-          with_writer ctx (fun w ->
-              write_outcome w outcome;
-              Http.response ~headers 200 (Jsonlight.Writer.contents w)))
+          json_string_reply ~headers (outcome_body outcome))
 
 (* POST /sessions/:id/evaluate/batch — many evaluate bodies through one
-   request: the session lock is taken once, responses render into one
-   reused buffer, and the client pays dispatch + framing once for the
+   request: the session lock is taken once, the responses concatenate
+   into one body, and the client pays dispatch + framing once for the
    whole batch. Each element of "suites" is shaped exactly like a
    one-shot evaluate body; each element of "responses" is byte-for-byte
    the matching one-shot 200 body, in order. All-or-nothing on errors:
@@ -582,18 +554,9 @@ let evaluate_batch ctx (request : Http.request) params =
       let outcomes =
         List.map (fun body -> evaluate_once ctx ~id ~jobs session body) suites
       in
-      with_writer ctx (fun w ->
-          Jsonlight.Writer.raw w "{\"responses\":[";
-          List.iteri
-            (fun i outcome ->
-              if i > 0 then Jsonlight.Writer.char w ',';
-              write_outcome w outcome)
-            outcomes;
-          Jsonlight.Writer.raw w "]}";
-          Http.response
-            ~headers:[ ("Content-Type", "application/json") ]
-            200
-            (Jsonlight.Writer.contents w)))
+      json_string_reply
+        (String.concat ""
+           [ "{\"responses\":["; String.concat "," (List.map outcome_body outcomes); "]}" ]))
 
 (* Diff ops arrive as [{"op":"remove_link","id":...}] objects. The
    supported vocabulary is the removal/rename subset of {!Adl.Diff.op}
@@ -648,17 +611,22 @@ let diff ctx (request : Http.request) params =
   let json = parse_body request in
   (* the registry applies and journals the ops atomically; the parse
      callback runs under the session lock because excise expansion
-     reads the current link set *)
+     reads the current link set. The reply renders from the session
+     the ops edited, not from a second lookup: a DELETE staged while
+     the diff's record is fsynced must not turn it into a 404. *)
+  let edited = ref None in
   match
     Registry.apply_diff ctx.registry id ~ops:(fun session ->
+        edited := Some session;
         parse_diff_ops session json)
   with
   | Error `Not_found -> no_session id
   | Error (`Apply_error message) ->
       error_response 409 ~category:"apply_error" message
   | Ok ops ->
-      with_session ctx id (fun session ->
-          json_reply ctx
+      let session = Option.get !edited in
+      Core.Sosae.Session.exclusively session (fun () ->
+          json_reply
             (Jsonlight.Obj
                [
                  ("applied", Jsonlight.Int (List.length ops));
@@ -685,7 +653,7 @@ let diff_preview ctx (request : Http.request) params =
            have a wire encoding *)
         | None -> Jsonlight.List []
       in
-      json_reply ctx
+      json_reply
         (Jsonlight.Obj
            [ ("would_apply", Jsonlight.Int (List.length ops)); ("ops", encoded) ]))
 
@@ -693,7 +661,7 @@ let diff_preview ctx (request : Http.request) params =
 (* Replication                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let replication ctx _request _params = json_reply ctx (replication_json ctx)
+let replication ctx _request _params = json_reply (replication_json ctx)
 
 (* GET /replication/log?after=N — the ship endpoint: raw framed
    journal records, gated at the covered sequence number. The body is
@@ -942,7 +910,7 @@ let simulate ctx (request : Http.request) params =
       let started = Unix.gettimeofday () in
       let report = Dsim.Campaign.report ~jobs ~seed ~trials campaign in
       let elapsed = Unix.gettimeofday () -. started in
-      json_reply ctx
+      json_reply
         (Jsonlight.Obj
            [
              ("trials", Jsonlight.Int trials);

@@ -70,17 +70,11 @@
       [X-Sosae-Covered], and [X-Sosae-Reset: 1] when the body is a
       snapshot bootstrap. [409] [no_journal] without a data dir. *)
 
-type writer_pool
-(** A free-list of {!Jsonlight.Writer}s; every response render checks
-    one out, so steady-state traffic reuses a few grown-to-size buffers
-    instead of allocating per response. *)
-
 type role = Primary | Replica of Replica.t
 
 type ctx = {
   registry : Registry.t;
   metrics : Metrics.t;
-  writers : writer_pool;
   mutable role : role;
       (** set once by the daemon before serving; flipped to [Primary]
           by a promotion *)
@@ -105,7 +99,8 @@ val response_of_parse_error : Http.parse_error -> Http.response
 (** 400/413/501 with the matching category, for the connection layer. *)
 
 val overloaded_response : Http.response
-(** The 429 written when the accept queue is full. *)
+(** The 429 [overloaded] the daemon writes to a connection that finds
+    its bound of open connections reached. *)
 
 val handle : ctx -> Http.request -> string * Http.response
 (** Dispatch one request. The returned string is the matched route

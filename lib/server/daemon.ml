@@ -46,58 +46,6 @@ let default_config =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Bounded connection queue                                           *)
-(* ------------------------------------------------------------------ *)
-
-type queue = {
-  lock : Mutex.t;
-  nonempty : Condition.t;
-  items : Unix.file_descr Queue.t;
-  capacity : int;
-  mutable closed : bool;
-}
-
-let queue_create capacity =
-  {
-    lock = Mutex.create ();
-    nonempty = Condition.create ();
-    items = Queue.create ();
-    capacity;
-    closed = false;
-  }
-
-(* [`Full] instead of blocking: the accept thread must keep accepting
-   to answer 429, so saturation is reported, not absorbed. *)
-let queue_push q fd =
-  Mutex.protect q.lock (fun () ->
-      if q.closed then `Closed
-      else if Queue.length q.items >= q.capacity then `Full
-      else begin
-        Queue.push fd q.items;
-        Condition.signal q.nonempty;
-        `Queued
-      end)
-
-(* Blocks until an item or close+empty: workers drain what was accepted
-   before exiting, which is the graceful part of the drain. *)
-let queue_pop q =
-  Mutex.protect q.lock (fun () ->
-      let rec wait () =
-        if not (Queue.is_empty q.items) then Some (Queue.pop q.items)
-        else if q.closed then None
-        else begin
-          Condition.wait q.nonempty q.lock;
-          wait ()
-        end
-      in
-      wait ())
-
-let queue_close q =
-  Mutex.protect q.lock (fun () ->
-      q.closed <- true;
-      Condition.broadcast q.nonempty)
-
-(* ------------------------------------------------------------------ *)
 (* Connection handling                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -114,16 +62,34 @@ let write_all fd s =
 
 let best_effort f = try f () with _ -> ()
 
-let serve_connection config api_ctx fd =
+(* [permits] bounds the requests in progress, not the connections: a
+   connection takes one when a read brings it bytes and gives it back
+   once nothing is buffered, so a half-sent request, a running handler
+   and a pipelined burst keep it, and a keep-alive connection waiting
+   for its next request holds none. That also bounds the
+   [Pool.with_pool] domain sets requests spawn to [workers]. Never
+   raises: its thread must live on to park (see [accept_loop]). *)
+let serve_connection config api_ctx permits fd =
   let metrics = api_ctx.Api.metrics in
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO config.read_timeout;
-  Unix.setsockopt_float fd Unix.SO_SNDTIMEO config.write_timeout;
   let parser_ = Http.parser_ ~max_head:config.max_head ~max_body:config.max_body () in
   let chunk = Bytes.create 8192 in
   (* one response buffer per connection: keep-alive steady state
      serializes every response into the same grown-to-size buffer *)
   let out = Buffer.create 8192 in
   let served = ref 0 in
+  let permit = ref false in
+  let take_permit () =
+    if not !permit then begin
+      Semaphore.Counting.acquire permits;
+      permit := true
+    end
+  in
+  let give_permit () =
+    if !permit then begin
+      permit := false;
+      Semaphore.Counting.release permits
+    end
+  in
   (* SO_RCVTIMEO switches between the two waits — [read_timeout] while
      a request is partly buffered, [idle_timeout] between requests on a
      quiescent keep-alive connection — but only when the mode actually
@@ -165,10 +131,13 @@ let serve_connection config api_ctx fd =
         best_effort (fun () ->
             write_all fd (Http.serialize ~close:true (Api.response_of_parse_error e)))
     | `Need_more -> (
-        set_timeout ~idle:(Http.buffered parser_ = 0);
+        let idle = Http.buffered parser_ = 0 in
+        if idle then give_permit ();
+        set_timeout ~idle;
         match Unix.read fd chunk 0 (Bytes.length chunk) with
         | 0 -> ()  (* peer closed; a torn request just dies with it *)
         | n ->
+            take_permit ();
             Http.feed parser_ (Bytes.sub_string chunk 0 n);
             loop ()
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -184,9 +153,15 @@ let serve_connection config api_ctx fd =
             end)
   in
   Fun.protect
-    ~finally:(fun () -> best_effort (fun () -> Unix.close fd))
+    ~finally:(fun () ->
+      give_permit ();
+      best_effort (fun () -> Unix.close fd))
     (fun () ->
-      try loop () with
+      try
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO config.read_timeout;
+        Unix.setsockopt_float fd Unix.SO_SNDTIMEO config.write_timeout;
+        loop ()
+      with
       | Unix.Unix_error _ | Sys_error _ -> ()
       | e ->
           Log.err (fun m ->
@@ -202,8 +177,12 @@ type t = {
   tcp_listener : Unix.file_descr;
   tcp_port : int;
   unix_listener : Unix.file_descr option;
-  queue : queue;
-  threads : Thread.t list;
+  acceptors : Thread.t list;
+  permits : Semaphore.Counting.t;  (** one per request in progress *)
+  slots : Semaphore.Counting.t;  (** one per admitted connection *)
+  spare : Unix.file_descr option Event.channel;
+      (** a parked connection thread's next connection *)
+  threads : int Atomic.t;  (** connection threads started *)
   replica : Replica.t option;
   maintenance : Thread.t option;
   maintenance_stop : bool Atomic.t;
@@ -238,33 +217,44 @@ let listen_unix path =
      raise e);
   fd
 
+(* Every admitted connection gets a thread of its own and gives its
+   slot back when it closes. The thread then parks on [t.spare] for the
+   next admitted connection, or for [stop]'s [None]; a thread starts
+   only when none is parked. A new thread per connection would cost a
+   malloc arena whenever it starts before the thread of the client's
+   previous connection has exited: servebench's what-if peak RSS rose
+   ~15% over 20 s on a 2-vCPU host. Past the bound, the accept thread
+   answers 429 itself and keeps accepting: saturation is reported, not
+   absorbed. *)
 let accept_loop t listener =
+  let rec serve fd =
+    serve_connection t.config t.api_ctx t.permits fd;
+    Semaphore.Counting.release t.slots;
+    match Event.sync (Event.receive t.spare) with Some fd -> serve fd | None -> ()
+  in
+  let admit fd =
+    if Event.poll (Event.send t.spare (Some fd)) = None then
+      match Thread.create serve fd with
+      | _ -> Atomic.incr t.threads
+      | exception e ->
+          best_effort (fun () -> Unix.close fd);
+          Semaphore.Counting.release t.slots;
+          Log.err (fun m ->
+              m "cannot start a connection thread: %s" (Printexc.to_string e))
+  in
   let rec loop () =
     match Unix.accept ~cloexec:true listener with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     | exception Unix.Unix_error _ -> ()  (* listener closed: stop *)
-    | fd, _peer -> (
-        match queue_push t.queue fd with
-        | `Queued -> loop ()
-        | `Closed ->
-            best_effort (fun () -> Unix.close fd);
-            ()
-        | `Full ->
-            Metrics.reject_overload t.api_ctx.Api.metrics;
-            best_effort (fun () ->
-                Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0;
-                write_all fd (Http.serialize ~close:true Api.overloaded_response));
-            best_effort (fun () -> Unix.close fd);
-            loop ())
-  in
-  loop ()
-
-let worker_loop t =
-  let rec loop () =
-    match queue_pop t.queue with
-    | None -> ()
-    | Some fd ->
-        serve_connection t.config t.api_ctx fd;
+    | fd, _peer ->
+        if Semaphore.Counting.try_acquire t.slots then admit fd
+        else begin
+          Metrics.reject_overload t.api_ctx.Api.metrics;
+          best_effort (fun () ->
+              Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0;
+              write_all fd (Http.serialize ~close:true Api.overloaded_response));
+          best_effort (fun () -> Unix.close fd)
+        end;
         loop ()
   in
   loop ()
@@ -360,7 +350,6 @@ let start ?(config = default_config) () =
           Unix.close tcp_listener;
           raise e)
   in
-  let queue = queue_create config.queue_capacity in
   let t =
     {
       config;
@@ -368,8 +357,14 @@ let start ?(config = default_config) () =
       tcp_listener;
       tcp_port;
       unix_listener;
-      queue;
-      threads = [];
+      acceptors = [];
+      permits = Semaphore.Counting.make (max 1 config.workers);
+      (* [workers] connections can have a request in progress, and
+         [queue_capacity] more can idle or wait for a permit *)
+      slots =
+        Semaphore.Counting.make (max 1 config.workers + max 0 config.queue_capacity);
+      spare = Event.new_channel ();
+      threads = Atomic.make 0;
       replica;
       maintenance = None;
       maintenance_stop = Atomic.make false;
@@ -389,11 +384,7 @@ let start ?(config = default_config) () =
     | None -> []
     | Some fd -> [ Thread.create (fun () -> accept_loop t fd) () ])
   in
-  let workers =
-    List.init (max 1 config.workers) (fun _ ->
-        Thread.create (fun () -> worker_loop t) ())
-  in
-  let t = { t with threads = acceptors @ workers; maintenance } in
+  let t = { t with acceptors; maintenance } in
   Log.info (fun m ->
       m "listening on %s:%d (%d workers, queue %d)" config.host tcp_port
         config.workers config.queue_capacity);
@@ -429,24 +420,28 @@ let stop t =
   in
   if first then begin
     (* shutdown() before close(): merely closing a listening fd does
-       not wake a thread blocked in accept(), shutting it down does;
-       closing the queue then lets workers exit once it is drained *)
+       not wake a thread blocked in accept(), shutting it down does *)
     let kill_listener fd =
       best_effort (fun () -> Unix.shutdown fd Unix.SHUTDOWN_ALL);
       best_effort (fun () -> Unix.close fd)
     in
     kill_listener t.tcp_listener;
     Option.iter kill_listener t.unix_listener;
-    queue_close t.queue;
-    List.iter Thread.join t.threads;
+    List.iter Thread.join t.acceptors;
+    (* nothing is admitted any more, and a connection thread parks for
+       its [None] only once its connection has closed, so this waits out
+       the connections still open, idle ones included *)
+    for _ = 1 to Atomic.get t.threads do
+      Event.sync (Event.send t.spare None)
+    done;
     (* the maintenance thread must be gone before the journal
        closes (the registry already serializes its compaction with
        the drain checkpoint) *)
     Atomic.set t.maintenance_stop true;
     Option.iter Thread.join t.maintenance;
     Option.iter Replica.seal t.replica;
-    (* workers are drained, so the state is quiescent: checkpoint it
-       into a snapshot and close the journal cleanly *)
+    (* every connection is closed, so the state is quiescent:
+       checkpoint it into a snapshot and close the journal cleanly *)
     (match Registry.persist t.api_ctx.Api.registry with
     | None -> ()
     | Some p ->

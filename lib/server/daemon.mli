@@ -1,13 +1,17 @@
 (** The long-running evaluation server: a TCP (and optionally Unix
     domain) listener in front of {!Api.handle}.
 
-    Concurrency model: one accept thread per listener pushes connections
-    into a bounded queue drained by a fixed pool of worker threads.
-    Workers do blocking socket IO; the CPU-parallel part — walking
-    scenarios — happens on {!Core.Sosae.Session.evaluate}'s domain pool
-    inside the request. When the queue is full, the accept thread writes
-    a best-effort 429 and closes the connection instead of queueing it
-    (bounded memory, fast failure).
+    Concurrency model: one accept thread per listener serves each
+    admitted connection on a thread of its own, with blocking socket
+    IO; a thread whose connection closed parks and serves the next
+    one, so threads start only as open connections grow. A connection
+    holds one of [workers] permits only while a request is in progress
+    on it (a half-sent request and a pipelined burst included), so an
+    idle keep-alive connection holds none, and at most [workers] of
+    {!Core.Sosae.Session.evaluate}'s domain pools run at once. Past
+    [workers + queue_capacity] open connections, the accept thread
+    writes a best-effort 429 and closes the connection (bounded
+    memory, fast failure).
 
     Connection lifecycle: connections are keep-alive by default
     (HTTP/1.1 semantics, pipelining included — see {!Http.parser_}) and
@@ -23,9 +27,8 @@
     connection serializes every response into one reused buffer.
 
     {!stop} drains gracefully: the listeners close (no new
-    connections), queued connections are still served, then the workers
-    exit and [stop] returns. {!run} wires this to [SIGTERM]/[SIGINT]
-    for the CLI. *)
+    connections), and every admitted connection is still served until
+    it closes. {!run} wires this to [SIGTERM]/[SIGINT] for the CLI. *)
 
 type config = {
   port : int;  (** 0 picks an ephemeral port — see {!port} *)
@@ -33,8 +36,8 @@ type config = {
   unix_path : string option;  (** additional Unix-domain listener *)
   jobs : int option;  (** domain-pool width per evaluation;
                           [None] = {!Core.Sosae.default_jobs} *)
-  workers : int;  (** worker-thread pool size *)
-  queue_capacity : int;  (** accepted-but-unserved connection bound *)
+  workers : int;  (** requests in progress at once (at least 1) *)
+  queue_capacity : int;  (** open connections admitted beyond [workers] *)
   read_timeout : float;  (** seconds, while a request is in flight *)
   write_timeout : float;  (** seconds *)
   idle_timeout : float;
@@ -85,13 +88,13 @@ type config = {
 }
 
 val default_config : config
-(** Port 8080 on 127.0.0.1, no Unix listener, 4 workers, queue of 64,
-    10 s timeouts, {!Http.parser_}'s default size limits. *)
+(** Port 8080 on 127.0.0.1, no Unix listener, 4 workers and 64 more
+    connections, 10 s timeouts, {!Http.parser_}'s default size limits. *)
 
 type t
 
 val start : ?config:config -> unit -> t
-(** Bind, spawn the pool, return immediately. The registry starts
+(** Bind, spawn the accept threads, return immediately. The registry starts
     empty — unless [config.data_dir] is set, in which case the journal
     and snapshot found there are replayed into the registry first
     (tolerating a torn tail from a crash) and every subsequent
@@ -116,10 +119,12 @@ val promote : t -> unit
     {!run} wires this to [SIGUSR1]. *)
 
 val stop : t -> unit
-(** Graceful drain; idempotent. Returns once every worker has exited.
-    With persistence, the drained state is then checkpointed into a
-    snapshot and the journal closed, so the next boot recovers from
-    the snapshot instead of replaying a long journal. *)
+(** Graceful drain; idempotent. Returns once every admitted
+    connection has closed, an idle keep-alive one after up to
+    [idle_timeout]. With persistence, the drained state is then
+    checkpointed into a snapshot and the journal closed, so the next
+    boot recovers from the snapshot instead of replaying a long
+    journal. *)
 
 val run : ?config:config -> unit -> unit
 (** [start], print the bound address on stdout, then block until

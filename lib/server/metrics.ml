@@ -127,5 +127,3 @@ let to_json t ~extra =
            ("rejected_timeout", Jsonlight.Int t.rejected_timeout);
          ]
         @ extra))
-
-let write t ~extra w = Jsonlight.Writer.json w (to_json t ~extra)

@@ -1,11 +1,11 @@
-(** Request counters, safe to update from every worker thread. One
+(** Request counters, safe to update from every connection thread. One
     instance lives for the daemon's lifetime and is rendered by
     [GET /metrics].
 
     Tracked: per-route/status request counts, a fixed-bucket latency
     histogram (cumulative, Prometheus-style), an in-flight gauge, and
-    rejection counters for the two load-shedding paths (full accept
-    queue, request timeouts). The one other value kept here is the
+    rejection counters for the two load-shedding paths (too many open
+    connections, request timeouts). The one other value kept here is the
     boot recovery summary, handed over once by the daemon. Journal
     and replication state stays with its owners, and the API layer
     reads it when [/metrics] is scraped. *)
@@ -24,8 +24,8 @@ val observe : t -> route:string -> status:int -> seconds:float -> unit
     cardinality stays bounded. *)
 
 val reject_overload : t -> unit
-(** A connection was turned away with 429 because the accept queue was
-    full. *)
+(** A connection was turned away with 429 because the daemon already
+    had its bound of connections open. *)
 
 val reject_timeout : t -> unit
 (** A connection was closed after a read or write timeout. *)
@@ -50,9 +50,8 @@ val cumulative : Jsonlight.t array -> int array -> Jsonlight.t
     list of [{"le":bound,"count":running total}] objects; [counts] has
     one more bucket than [bounds], rendered with ["le":"+inf"]. *)
 
-val write : t -> extra:(string * Jsonlight.t) list -> Jsonlight.Writer.t -> unit
-(** Render the counters as one JSON object into a caller-reused
-    {!Jsonlight.Writer}, with [extra] appended verbatim (the API layer
-    adds the journal, replication and cache objects). Buckets are
-    upper bounds in seconds; counts are cumulative ("le" semantics),
-    the last bucket is +inf. *)
+val to_json : t -> extra:(string * Jsonlight.t) list -> Jsonlight.t
+(** The counters as one JSON object, with [extra] appended verbatim
+    (the API layer adds the journal, replication and cache objects).
+    Buckets are upper bounds in seconds; counts are cumulative ("le"
+    semantics), the last bucket is +inf. *)

@@ -2842,6 +2842,222 @@ let prop_response_cache_reference =
         steps;
       true)
 
+(* ---------------- Connections, permits and drain ----------------- *)
+
+let connect_raw t =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd
+    (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", Server.Daemon.port t));
+  fd
+
+(* everything the server writes until it closes the connection *)
+let read_to_eof fd =
+  let buf = Buffer.create 1024 and chunk = Bytes.create 1024 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents buf
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+  in
+  go ()
+
+let health_status c = (ok (Server.Client.get c "/health")).Server.Client.status
+
+let check_answered_within what limit f =
+  let started = Unix.gettimeofday () in
+  Alcotest.(check int) what 200 (f ());
+  let elapsed = Unix.gettimeofday () -. started in
+  if elapsed >= limit then
+    Alcotest.failf "%s: answered after %.2f s, expected under %.1f s" what elapsed limit
+
+(* Four keep-alive clients each get one /health answered and stay
+   open; a fifth client must not wait for any of them to idle out. *)
+let test_e2e_idle_clients_hold_no_worker () =
+  let config = { Server.Daemon.default_config with Server.Daemon.idle_timeout = 5.0 } in
+  with_daemon ~config (fun t ->
+      let idle = List.init 4 (fun _ -> Server.Client.connect ~port:(Server.Daemon.port t) ()) in
+      Fun.protect
+        ~finally:(fun () -> List.iter Server.Client.close idle)
+        (fun () ->
+          List.iter
+            (fun c -> Alcotest.(check int) "idle client answered" 200 (health_status c))
+            idle;
+          with_client t (fun c ->
+              check_answered_within "fifth client" 1.0 (fun () -> health_status c))))
+
+(* workers = 1 and queue_capacity = 1 admit two connections. The idle
+   one holds no permit, so the other is answered at once; a third is
+   turned away with 429. *)
+let test_e2e_connection_bound () =
+  let config =
+    {
+      Server.Daemon.default_config with
+      Server.Daemon.workers = 1;
+      queue_capacity = 1;
+      idle_timeout = 5.0;
+    }
+  in
+  with_daemon ~config (fun t ->
+      with_client t (fun a ->
+          Alcotest.(check int) "A answered" 200 (health_status a);
+          with_client t (fun b ->
+              check_answered_within "B while A idles" 1.0 (fun () -> health_status b);
+              let c = connect_raw t in
+              let response =
+                Fun.protect ~finally:(fun () -> Unix.close c) (fun () -> read_to_eof c)
+              in
+              Alcotest.(check string) "C's status line" "HTTP/1.1 429"
+                (String.sub response 0 (min 12 (String.length response)));
+              Testutil.check_contains "C's body" response {|"category":"overloaded"|})))
+
+(* workers = 1: a half-sent request holds the only permit, so another
+   client's /health is answered only after the 408. This bound keeps
+   the domain pools that requests spawn at [workers]. *)
+let test_e2e_half_sent_request_holds_permit () =
+  let config =
+    { Server.Daemon.default_config with Server.Daemon.workers = 1; read_timeout = 1.0 }
+  in
+  with_daemon ~config (fun t ->
+      let a = connect_raw t in
+      Fun.protect
+        ~finally:(fun () -> Unix.close a)
+        (fun () ->
+          let partial = "POST /sessions HTTP/1.1\r\nContent-Le" in
+          ignore (Unix.write_substring a partial 0 (String.length partial));
+          Thread.delay 0.2;
+          with_client t (fun b ->
+              let started = Unix.gettimeofday () in
+              Alcotest.(check int) "B answered" 200 (health_status b);
+              let elapsed = Unix.gettimeofday () -. started in
+              if elapsed < 0.4 then
+                Alcotest.failf
+                  "B answered in %.2f s while a half-sent request held the only permit"
+                  elapsed);
+          let response = read_to_eof a in
+          Alcotest.(check string) "A's status line" "HTTP/1.1 408"
+            (String.sub response 0 (min 12 (String.length response)))))
+
+(* stop waits for every admitted connection: a client holding one is
+   still answered after stop began, and stop returns only once that
+   client closes. *)
+let test_e2e_drain_waits_for_connections () =
+  let t =
+    Server.Daemon.start ~config:{ Server.Daemon.default_config with Server.Daemon.port = 0 } ()
+  in
+  let c = Server.Client.connect ~port:(Server.Daemon.port t) () in
+  Alcotest.(check int) "answered before stop" 200 (health_status c);
+  let stopped = Atomic.make false in
+  let stopper =
+    Thread.create
+      (fun () ->
+        Server.Daemon.stop t;
+        Atomic.set stopped true)
+      ()
+  in
+  Thread.delay 0.2;
+  Alcotest.(check bool) "stop waits for the open connection" false (Atomic.get stopped);
+  Alcotest.(check int) "answered while stop waits" 200 (health_status c);
+  Alcotest.(check bool) "stop still waits" false (Atomic.get stopped);
+  Server.Client.close c;
+  Thread.join stopper;
+  Alcotest.(check bool) "stop returned after the close" true (Atomic.get stopped)
+
+(* ---------------- Hostile and racing requests --------------------- *)
+
+let test_json_nesting_bounded () =
+  let arrays n = String.make n '[' ^ String.make n ']' in
+  let objects n = String.concat "" (List.init n (fun _ -> {|{"a":|})) ^ "null" ^ String.make n '}' in
+  List.iter
+    (fun (what, doc, offset) ->
+      (match Jsonlight.of_string (doc 512) with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "512 nested %s: %s" what m);
+      match Jsonlight.of_string (doc 513) with
+      | Ok _ -> Alcotest.failf "513 nested %s parsed" what
+      | Error m ->
+          Alcotest.(check string) ("513 nested " ^ what)
+            (Printf.sprintf "nesting deeper than 512 at offset %d" offset)
+            m)
+    [ ("arrays", arrays, 512); ("objects", objects, 512 * 5) ]
+
+let test_e2e_deep_json_rejected () =
+  with_daemon (fun t ->
+      with_client t (fun c ->
+          let r =
+            ok (Server.Client.post c "/sessions" ~body:(String.make (1024 * 1024) '['))
+          in
+          expect_error 400 "bad_request" r;
+          Testutil.check_contains "error message"
+            (body_json r |> member_exn "error" |> member_exn "message"
+           |> Jsonlight.string_opt |> Option.get)
+            "nesting deeper than 512"))
+
+(* A DELETE that lands while an acknowledged diff's record is fsynced
+   must not turn the diff's reply into a 404: the diff was applied and
+   journaled. The first fsync after arming (the diff's) waits until the
+   DELETE, sent from another thread, has unlinked the id. *)
+let test_diff_reply_survives_delete () =
+  with_temp_dir (fun dir ->
+      let armed = Atomic.make false and in_fsync = Atomic.make false in
+      let registry = ref None in
+      let module Env = struct
+        include Store.Fsenv.Real
+
+        let fsync fd =
+          if Atomic.compare_and_set armed true false then begin
+            Atomic.set in_fsync true;
+            while List.mem "s" (Server.Registry.ids (Option.get !registry)) do
+              Thread.delay 0.001
+            done
+          end;
+          Store.Fsenv.Real.fsync fd
+      end in
+      let p, _ = Server.Persist.open_ ~env:(module Env) dir in
+      Fun.protect
+        ~finally:(fun () -> Server.Persist.close p)
+        (fun () ->
+          let ctx = Server.Api.make_ctx ~jobs:1 ~persist:p () in
+          registry := Some ctx.Server.Api.registry;
+          let call meth path body =
+            snd
+              (Server.Api.handle ctx
+                 {
+                   Http.meth;
+                   target = "/" ^ String.concat "/" path;
+                   path;
+                   query = [];
+                   version = `Http_1_1;
+                   headers = [];
+                   body;
+                 })
+          in
+          let created = call Http.POST [ "sessions" ] (create_body "s") in
+          Alcotest.(check int) "created" 201 created.Http.status;
+          Atomic.set armed true;
+          let deleted = ref None in
+          let deleter =
+            Thread.create
+              (fun () ->
+                while not (Atomic.get in_fsync) do
+                  Thread.delay 0.001
+                done;
+                deleted := Some (call Http.DELETE [ "sessions"; "s" ] ""))
+              ()
+          in
+          let diffed = call Http.POST [ "sessions"; "s"; "diff" ] excise_auth_body in
+          Thread.join deleter;
+          Alcotest.(check int) "DELETE" 200 (Option.get !deleted).Http.status;
+          Alcotest.(check int) "diff" 200 diffed.Http.status;
+          let body =
+            match Jsonlight.of_string diffed.Http.resp_body with
+            | Ok j -> j
+            | Error m -> Alcotest.fail m
+          in
+          Alcotest.(check (option int)) "applied" (Some 1)
+            (Jsonlight.int_opt (member_exn "applied" body));
+          Alcotest.(check int) "links after the diff" 15 (links_of_stats body)))
+
 let suite =
   [
     Alcotest.test_case "http: simple request" `Quick test_parse_simple;
@@ -2923,4 +3139,18 @@ let suite =
     Alcotest.test_case "e2e: simulate \"jobs\" is bounded by --jobs" `Quick
       test_e2e_simulate_jobs_bounded;
     QCheck_alcotest.to_alcotest prop_response_cache_reference;
+    Alcotest.test_case "e2e: idle keep-alive clients hold no worker" `Quick
+      test_e2e_idle_clients_hold_no_worker;
+    Alcotest.test_case "e2e: connection bound, idle holds no permit, 429" `Quick
+      test_e2e_connection_bound;
+    Alcotest.test_case "e2e: a half-sent request holds its permit" `Quick
+      test_e2e_half_sent_request_holds_permit;
+    Alcotest.test_case "e2e: stop waits for admitted connections" `Quick
+      test_e2e_drain_waits_for_connections;
+    Alcotest.test_case "jsonlight: nesting is bounded at 512" `Quick
+      test_json_nesting_bounded;
+    Alcotest.test_case "e2e: deeply nested JSON answers 400" `Quick
+      test_e2e_deep_json_rejected;
+    Alcotest.test_case "api: a diff's reply survives a racing DELETE" `Quick
+      test_diff_reply_survives_delete;
   ]

@@ -1137,9 +1137,8 @@ let repl_json : Jsonlight.t list ref = ref []
    [GET /replication]: one try per call (the loop is the retry), and
    a reconnect whenever the daemon caps or drops the connection. *)
 let repl_handle daemon =
-  Server.Client.persistent
-    ~policy:{ Server.Client.default_policy with max_attempts = 1 }
-    (fun () -> Server.Client.connect ~port:(Server.Daemon.port daemon) ())
+  Server.Client.persistent (fun () ->
+      Server.Client.connect ~port:(Server.Daemon.port daemon) ())
 
 let repl_status p =
   Result.bind

@@ -681,6 +681,7 @@ let simulate_cmd =
       | `Crash -> ("crash", Casestudies.Campaigns.crash_availability ~loss ())
       | `Pims -> ("pims", Casestudies.Campaigns.pims_price_feed ~loss ())
     in
+    or_die (Dsim.Campaign.validate campaign);
     let started = Unix.gettimeofday () in
     let report = Dsim.Campaign.report ~jobs ~seed ~trials campaign in
     let elapsed = Unix.gettimeofday () -. started in
@@ -727,7 +728,7 @@ let simulate_cmd =
   let loss =
     Arg.(
       value & opt float 0.0
-      & info [ "loss" ] ~docv:"P" ~doc:"Uniform message-loss probability in [0, 1).")
+      & info [ "loss" ] ~docv:"P" ~doc:"Uniform message-loss probability in [0, 1].")
   in
   Cmd.v
     (Cmd.info "simulate"

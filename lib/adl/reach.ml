@@ -83,5 +83,3 @@ let replay t log =
 type stats = { sources : int; queries : int; memo_hits : int }
 
 let stats (t : t) = { sources = t.sources; queries = t.queries; memo_hits = t.memo_hits }
-
-let fingerprint (s : Structure.t) = Digest.to_hex (Digest.string (Marshal.to_string s []))

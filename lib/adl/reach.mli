@@ -64,7 +64,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val fingerprint : Structure.t -> string
-(** Content digest of a structure; equal fingerprints mean equal
-    architectures (components, connectors, interfaces, links). *)

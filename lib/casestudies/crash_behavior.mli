@@ -5,15 +5,6 @@
     to the network — the three components Fig. 8 maps [sendMessage] to —
     and an incoming one climbs the same path in reverse. *)
 
-val ui_chart : Statechart.Types.t
-(** [compose] → emits [sendMessage]; [notifyUp] → reaches [informed]. *)
-
-val sharing_chart : Statechart.Types.t
-(** Relays [sendMessage] downward and [notifyUp] upward. *)
-
-val communication_chart : Statechart.Types.t
-(** [sendMessage] → emits [netSend]; [netReceive] → emits [notifyUp]. *)
-
 val charts : Statechart.Types.t list
 
 type message_path_run = {

@@ -11,12 +11,6 @@
 val loader_chart : Statechart.Types.t
 (** [idle --system-downloads--> loaded --system-saves--> idle]. *)
 
-val master_controller_chart : Statechart.Types.t
-(** Accepts every user-interface event at any time (self-loops). *)
-
-val data_access_chart : Statechart.Types.t
-(** Accepts every persistence event at any time (self-loops). *)
-
 val charts : Statechart.Types.t list
 (** All PIMS behavior charts. *)
 

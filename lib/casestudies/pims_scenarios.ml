@@ -293,24 +293,6 @@ let restore_repository =
       t s "5" "system-displays" [ ("item", "the restored state") ];
     ]
 
-let refresh_alerts =
-  let s = "refresh-alerts" in
-  scenario ~id:s ~name:"Refresh prices and check alerts"
-    ~description:"Periodic refresh: download prices, then raise any alerts."
-    [
-      t s "1" "user-initiates" [ ("function", "refresh prices") ];
-      ti s "2" "system-downloads"
-        [ ("item", "the current share prices") ]
-        [ ("source", "price-website") ];
-      t s "3" "system-saves" [ ("item", "the current share prices") ];
-      Event.Iteration
-        {
-          id = s ^ "-i4";
-          bound = Event.Zero_or_more;
-          body = [ t s "4" "system-alerts" [ ("message", "a crossed threshold") ] ];
-        };
-    ]
-
 let all =
   [
     create_portfolio;

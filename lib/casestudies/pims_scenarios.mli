@@ -13,10 +13,6 @@ val create_portfolio : Scenarioml.Scen.t
 
 val get_share_prices : Scenarioml.Scen.t
 
-val refresh_alerts : Scenarioml.Scen.t
-(** An extra scenario (not one of the book's 22) exercising the
-    iteration schema; used by tests and examples. *)
-
 val all : Scenarioml.Scen.t list
 (** All 22 scenarios, {!create_portfolio} and {!get_share_prices}
-    included ({!refresh_alerts} is not). *)
+    included. *)

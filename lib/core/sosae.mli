@@ -199,8 +199,6 @@ val project_of_strings :
     names the artifact slot (["<scenarios>"], ["<architecture>"],
     ["<mapping>"]); [Io_error] cannot occur. *)
 
-val pp_load_error : Format.formatter -> load_error -> unit
-
 val load_error_to_string : load_error -> string
 
 val save_project :
@@ -208,8 +206,6 @@ val save_project :
 (** Write the three artifacts to XML files. *)
 
 val pp_validation : Format.formatter -> validation -> unit
-
-val json_of_validation : validation -> Jsonlight.t
 
 val validation_to_json : validation -> string
 (** Machine-readable {!validation}, the companion of

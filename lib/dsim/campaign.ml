@@ -50,6 +50,70 @@ let make ?(config = Network.default_config) ?(hop_budget = 16) ?horizon ?(faults
   { architecture; charts; config; hop_budget; stimuli; goal; horizon; faults; watched }
 
 (* ------------------------------------------------------------------ *)
+(* Validation                                                         *)
+(* ------------------------------------------------------------------ *)
+
+exception Invalid of string
+
+(* Each check raises [Invalid] with a message naming the field the way
+   a simulate body spells it. [not (x >= 0.)] also refuses a NaN. *)
+let check t =
+  let fail fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt in
+  let nonneg field x = if not (x >= 0.0) then fail "%S must be >= 0, got %g" field x in
+  let range field { lo; hi } =
+    nonneg field lo;
+    nonneg field hi
+  in
+  let bricks = Adl.Structure.brick_ids t.architecture in
+  let node field id =
+    if not (List.mem id bricks) then
+      fail "%S names %S, which is no component or connector of the architecture" field
+        id
+  in
+  let p = t.config.Network.drop_probability in
+  if not (p >= 0.0 && p <= 1.0) then fail "\"loss\" must lie in [0, 1], got %g" p;
+  nonneg "latency" t.config.Network.default_latency;
+  nonneg "jitter" t.config.Network.jitter;
+  Option.iter
+    (fun h -> if not (h > 0.0) then fail "\"horizon\" must be > 0, got %g" h)
+    t.horizon;
+  List.iteri
+    (fun i spec ->
+      let field name = Printf.sprintf "faults[%d].%s" i name in
+      match spec with
+      | Crash_window { node = n; at; downtime } ->
+          node (field "node") n;
+          range (field "at") at;
+          range (field "downtime") downtime
+      | Partition_window { groups; from_; width } ->
+          List.iter (List.iter (node (field "groups"))) groups;
+          range (field "from") from_;
+          range (field "width") width
+      | Always (Faults.Crash { node = n; at } | Faults.Restart { node = n; at }) ->
+          node (field "node") n;
+          nonneg (field "at") at
+      | Always (Faults.Crash_restart { node = n; at; downtime }) ->
+          node (field "node") n;
+          nonneg (field "at") at;
+          nonneg (field "downtime") downtime
+      | Always (Faults.Partition { groups; from_; until }) ->
+          List.iter (List.iter (node (field "groups"))) groups;
+          nonneg (field "from") from_;
+          nonneg (field "until") until)
+    t.faults;
+  List.iteri
+    (fun i { at; component; _ } ->
+      nonneg (Printf.sprintf "stimuli[%d].at" i) at;
+      node (Printf.sprintf "stimuli[%d].component" i) component)
+    t.stimuli;
+  (match t.goal with
+  | Delivered { component; _ } | Chart_state { component; _ } ->
+      node "goal.component" component);
+  List.iter (node "watched") t.watched
+
+let validate t = match check t with () -> Ok () | exception Invalid m -> Error m
+
+(* ------------------------------------------------------------------ *)
 (* Per-trial seeds                                                    *)
 (* ------------------------------------------------------------------ *)
 

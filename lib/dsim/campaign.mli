@@ -65,7 +65,18 @@ val make :
   unit ->
   t
 (** [watched] defaults to the crash targets named by [faults], or to
-    every component when the plan names none. *)
+    every component when the plan names none. [make] checks nothing;
+    {!validate} does. *)
+
+val validate : t -> (unit, string) result
+(** [Error] naming the first bad field, spelled as in a simulate body
+    (["loss"], ["faults[0].downtime"], ["stimuli[1].component"]):
+    - the loss probability lies in [[0, 1]];
+    - latency, jitter, every range bound, fault time and stimulus time
+      are [>= 0];
+    - the horizon, when given, is [> 0];
+    - every node a fault, stimulus, goal or [watched] names is a
+      component or connector of the architecture. *)
 
 val trial_seed : seed:int -> int -> int
 (** The splittable per-trial seed: a splitmix64-style mix of the

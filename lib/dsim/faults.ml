@@ -40,13 +40,3 @@ let apply network plan =
 let periodic_crashes ~node ~period ~downtime ~count =
   List.init count (fun i ->
       Crash_restart { node; at = period *. float_of_int (i + 1); downtime })
-
-let pp_fault ppf = function
-  | Crash { node; at } -> Format.fprintf ppf "crash %s @ %.2f" node at
-  | Restart { node; at } -> Format.fprintf ppf "restart %s @ %.2f" node at
-  | Crash_restart { node; at; downtime } ->
-      Format.fprintf ppf "crash %s @ %.2f for %.2f" node at downtime
-  | Partition { groups; from_; until } ->
-      Format.fprintf ppf "partition {%s} from %.2f until %.2f"
-        (String.concat " | " (List.map (String.concat ",") groups))
-        from_ until

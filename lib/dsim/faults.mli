@@ -25,5 +25,3 @@ val periodic_crashes :
   node:string -> period:float -> downtime:float -> count:int -> plan
 (** [count] crash/restart cycles: crash at [period], [2*period], ...,
     each lasting [downtime]. *)
-
-val pp_fault : Format.formatter -> fault -> unit

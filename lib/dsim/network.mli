@@ -69,10 +69,6 @@ val block : t -> src:string -> dst:string -> unit
 val unblock : t -> src:string -> dst:string -> unit
 (** Lift one {!block}; a no-op on an unblocked channel. *)
 
-val is_blocked : t -> src:string -> dst:string -> bool
-
-val is_up : t -> string -> bool
-
 val shutdown : t -> string -> unit
 (** Take a node down now (messages already in flight toward it are
     dropped at delivery time). *)

@@ -334,6 +334,4 @@ let string_opt = function String s -> Some s | _ -> None
 
 let int_opt = function Int i -> Some i | _ -> None
 
-let bool_opt = function Bool b -> Some b | _ -> None
-
 let list_opt = function List l -> Some l | _ -> None

@@ -96,6 +96,4 @@ val string_opt : t -> string option
 val int_opt : t -> int option
 (** [Int] directly; an integral [Float] is not accepted. *)
 
-val bool_opt : t -> bool option
-
 val list_opt : t -> t list option

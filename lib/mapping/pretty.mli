@@ -7,15 +7,6 @@ val pp : Format.formatter -> Types.t -> unit
 
 val to_string : Types.t -> string
 
-val pp_table :
-  ?event_type_label:(string -> string) ->
-  ?component_label:(string -> string) ->
-  Format.formatter ->
-  Types.t ->
-  unit
-(** ASCII cross table. Labels default to the raw ids; pass label
-    functions to print human names (as Table 1 does). *)
-
 val table_to_string :
   ?event_type_label:(string -> string) ->
   ?component_label:(string -> string) ->

@@ -38,14 +38,6 @@ let class_descendants t id =
       else None)
     t.Types.classes
 
-let event_descendants t id =
-  List.filter_map
-    (fun e ->
-      let eid = e.Types.event_id in
-      if (not (String.equal eid id)) && event_subsumes t ~super:id ~sub:eid then Some eid
-      else None)
-    t.Types.event_types
-
 let event_roots t =
   List.filter (fun e -> e.Types.event_super = None) t.Types.event_types
 

@@ -20,8 +20,6 @@ val class_descendants : Types.t -> string -> string list
 (** All classes subsumed by the given class, excluding itself, in
     definition order. *)
 
-val event_descendants : Types.t -> string -> string list
-
 val event_roots : Types.t -> Types.event_type list
 (** Event types with no supertype, in definition order. *)
 

@@ -48,8 +48,6 @@ let find_term t id = List.find_opt (fun tm -> String.equal tm.term_id id) t.term
 let event_type_exn t id =
   match find_event_type t id with Some e -> e | None -> raise Not_found
 
-let class_exn t id = match find_class t id with Some c -> c | None -> raise Not_found
-
 let size t =
   List.length t.classes + List.length t.individuals + List.length t.event_types
   + List.length t.terms

@@ -70,9 +70,6 @@ val find_term : t -> string -> term option
 val event_type_exn : t -> string -> event_type
 (** @raise Not_found when the id is not defined. *)
 
-val class_exn : t -> string -> domain_class
-(** @raise Not_found when the id is not defined. *)
-
 val size : t -> int
 (** Total number of definitions of all four kinds. *)
 

@@ -6,8 +6,6 @@ val pp_event : Ontology.Types.t -> Format.formatter -> Event.t -> unit
 
 val pp_scenario : Ontology.Types.t -> Format.formatter -> Scen.t -> unit
 
-val pp_set : Format.formatter -> Scen.set -> unit
-
 val scenario_to_string : Ontology.Types.t -> Scen.t -> string
 
 val set_to_string : Scen.set -> string

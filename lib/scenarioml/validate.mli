@@ -24,10 +24,6 @@ val pp_problem : Format.formatter -> problem -> unit
 
 val problem_to_string : problem -> string
 
-val check_scenario : Scen.set -> Scen.t -> problem list
-(** Problems local to one scenario (episode cycle detection is global and
-    reported by {!check} only). *)
-
 val check : Scen.set -> problem list
 (** All problems across the set, including episode cycles, in a
     deterministic order. *)

@@ -28,12 +28,6 @@ val event_of_element : Xmlight.Doc.element -> Event.t
 
 val scenario_to_element : Scen.t -> Xmlight.Doc.element
 
-val scenario_of_element : Xmlight.Doc.element -> Scen.t
-
-val set_to_element : Scen.set -> Xmlight.Doc.element
-
-val set_of_element : Xmlight.Doc.element -> Scen.set
-
 val set_to_string : Scen.set -> string
 
 val set_of_string : string -> Scen.set

@@ -17,8 +17,6 @@ val iri_of : string -> string
 
 val ontology_to_store : Ontology.Types.t -> Store.t
 
-val mapping_to_store : Mapping.Types.t -> Store.t
-
 val full_export : Ontology.Types.t -> Mapping.Types.t -> Store.t
 (** Ontology triples plus mapping triples in one store. *)
 

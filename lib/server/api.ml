@@ -72,10 +72,11 @@ exception Reply of Http.response
 let reply_error status ~category message =
   raise (Reply (error_response status ~category message))
 
-(* Mutating handlers call this first. 421 Misdirected Request is
-   deliberately NOT in {!Client.retryable_status}: retrying the same
-   replica can never succeed, so a plain client fails fast while one
-   opted into [~follow_primary] reconnects to the advertised address. *)
+(* Mutating handlers call this first. 421 Misdirected Request tells
+   any HTTP client that asking this replica again cannot succeed; the
+   error's "primary" names where to send the mutation instead, and
+   [Retry-After] is the daemon's hint for a client that would rather
+   wait out a promotion. *)
 let reject_read_only ctx =
   match ctx.role with
   | Primary -> ()
@@ -907,6 +908,9 @@ let simulate ctx (request : Http.request) params =
         Dsim.Campaign.make ~config ?horizon ~faults ?watched ~architecture ~charts
           ~stimuli ~goal ()
       in
+      Result.iter_error
+        (reply_error 400 ~category:"bad_request")
+        (Dsim.Campaign.validate campaign);
       let started = Unix.gettimeofday () in
       let report = Dsim.Campaign.report ~jobs ~seed ~trials campaign in
       let elapsed = Unix.gettimeofday () -. started in

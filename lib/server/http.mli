@@ -80,8 +80,6 @@ val response : ?headers:(string * string) list -> int -> string -> response
 (** [response status body]; the reason phrase comes from the status
     code. *)
 
-val reason_phrase : int -> string
-
 val next_response :
   ?head_only:bool ->
   parser_ ->

@@ -34,14 +34,11 @@ let lag t =
 let last_error t = Mutex.protect t.lock (fun () -> t.error)
 let sealed t = Mutex.protect t.lock (fun () -> t.sealed)
 
-(* One GET against the upstream. The handle owns the connection: it
-   reconnects after a torn one or after the upstream's [Connection:
-   close]. It makes one try per call, since the poll loop already
-   retries; anything the call raises becomes the poll's error. *)
-let fetch t target =
-  match Client.call t.upstream (fun c -> Client.get c target) with
-  | outcome -> outcome
-  | exception e -> Error (Printexc.to_string e)
+(* One GET against the upstream, one try: the poll loop is the retry.
+   The handle owns the connection and redials after a torn one, after
+   the upstream's [Connection: close], or after a failed connect, whose
+   error (an unresolvable host included) becomes the poll's. *)
+let fetch t target = Client.call t.upstream (fun c -> Client.get c target)
 
 (* the upstream's covered sequence, as its ship endpoints report it *)
 let covered_of (r : Client.response) ~default =
@@ -141,9 +138,7 @@ let start ?(poll_interval = 0.02) ~registry ~host ~port () =
       primary = Printf.sprintf "%s:%d" host port;
       registry;
       upstream =
-        Client.persistent
-          ~policy:{ Client.default_policy with max_attempts = 1 }
-          (fun () -> Client.connect ~host ~port ());
+        Client.persistent (fun () -> Client.connect ~host ~port ());
       poll_interval;
       lock = Mutex.create ();
       applied;

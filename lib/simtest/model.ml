@@ -135,7 +135,6 @@ let state_set state id arch =
 let state_del state id = List.remove_assoc id state
 
 let set t id arch = t.live <- state_set t.live id arch
-let del t id = t.live <- state_del t.live id
 
 (* ------------------------------------------------------------------ *)
 (* Digests                                                            *)

@@ -40,7 +40,6 @@ val session_id : int -> string
 
 val find : t -> string -> Adl.Structure.t option
 val set : t -> string -> Adl.Structure.t -> unit
-val del : t -> string -> unit
 
 val state_set : state -> string -> Adl.Structure.t -> state
 (** Pure insert-or-replace, keeping the id order — for computing a
@@ -64,7 +63,6 @@ val push_entry : t -> seq:int64 -> unit
 (** Record that the mutation staged at [seq] produced the current
     [live] state. *)
 
-val last_entry_state : t -> state
 val last_entry_seq : t -> int64
 
 val entry_state : t -> int64 -> state option

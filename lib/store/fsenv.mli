@@ -59,8 +59,6 @@ type fd += Unix_fd of Unix.file_descr
 exception Foreign_fd
 (** Raised when {!Real} is handed a descriptor it did not open. *)
 
-val unix_fd : fd -> Unix.file_descr
-
 module Real : S
 
 val real : t

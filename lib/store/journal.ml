@@ -1,10 +1,5 @@
 type fsync_policy = Always | Interval of float | Never
 
-let fsync_policy_to_string = function
-  | Always -> "always"
-  | Never -> "never"
-  | Interval s -> Printf.sprintf "interval:%g" s
-
 let fsync_policy_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "always" -> Ok Always

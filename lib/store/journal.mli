@@ -22,9 +22,6 @@
 
 type fsync_policy = Always | Interval of float | Never
 
-val fsync_policy_to_string : fsync_policy -> string
-(** ["always"], ["interval:<seconds>"] or ["never"]. *)
-
 val fsync_policy_of_string : string -> (fsync_policy, string) result
 (** Accepts ["always"], ["never"], ["interval"] (1 s) and
     ["interval:<seconds>"]. *)

@@ -1,4 +1,7 @@
 let header_size = 16
+
+(* decoding treats a declared length beyond this as corruption instead
+   of attempting the allocation *)
 let max_payload = 256 * 1024 * 1024
 
 let put_u32 buf v =

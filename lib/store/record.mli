@@ -21,10 +21,6 @@
 val header_size : int
 (** Bytes before the payload: 16. *)
 
-val max_payload : int
-(** Decoding treats a declared length beyond this (256 MiB) as
-    corruption instead of attempting the allocation. *)
-
 val encode : Buffer.t -> seq:int64 -> string -> unit
 (** Append one framed record to the buffer. *)
 

@@ -18,6 +18,3 @@
       "top" and the other a "bottom". *)
 
 val rules : Rule.t list
-
-val side_of : Adl.Structure.t -> Adl.Structure.point -> string option
-(** The ["side"] tag of the interface at a link endpoint. *)

@@ -4,9 +4,6 @@
 val known_styles : string list
 (** ["layered"; "layered-strict"; "c2"; "client-server"; "pipe-filter"]. *)
 
-val rules_for : string -> Rule.t list option
-(** Rule set for a style name; [None] for unknown styles. *)
-
 val check_declared : Adl.Structure.t -> Rule.violation list
 (** Check an architecture against the rule set named by its [style]
     field. Architectures with no declared or an unknown style yield no

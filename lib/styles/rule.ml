@@ -14,9 +14,3 @@ let pp_violation ppf v =
   Format.fprintf ppf "[%s] %s: %s" v.rule v.subject v.detail
 
 let check_all rules arch = List.concat_map (fun r -> r.check arch) rules
-
-let comm_edges arch =
-  let g = Adl.Graph.of_structure arch in
-  List.concat_map
-    (fun u -> List.map (fun v -> (u, v)) (Adl.Graph.successors g u))
-    (Adl.Graph.nodes g)

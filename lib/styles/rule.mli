@@ -26,8 +26,3 @@ val pp_violation : Format.formatter -> violation -> unit
 
 val check_all : t list -> Adl.Structure.t -> violation list
 (** Violations from every rule, rule order then discovery order. *)
-
-val comm_edges : Adl.Structure.t -> (string * string) list
-(** Directed communication edges between bricks, one per ordered pair,
-    derived from the link/interface directions (shared helper for rule
-    implementations). *)

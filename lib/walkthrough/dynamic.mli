@@ -70,6 +70,4 @@ val evaluate_scenario :
   Scenarioml.Scen.t ->
   result
 
-val pp_mismatch : Format.formatter -> behavioral_mismatch -> unit
-
 val pp_result : Format.formatter -> result -> unit

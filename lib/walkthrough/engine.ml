@@ -28,12 +28,6 @@ let config ?(policy = Adl.Graph.Routed) ?(simple_events = Skip_simple)
 
 let default_config = config ()
 
-let with_policy policy c = { c with policy }
-
-let with_simple_events simple_events c = { c with simple_events }
-
-let with_linearize linearize c = { c with linearize }
-
 let with_style_checks check_style c = { c with check_style }
 
 let with_internal_checks ?policy check_internal c =
@@ -44,8 +38,6 @@ let with_internal_checks ?policy check_internal c =
   }
 
 let with_constraints constraints c = { c with constraints }
-
-let with_placement_hook hook c = { c with placement_hook = Some hook }
 
 (* Components of one step; [None] means "no placement required" (simple
    event under [Skip_simple]). *)

@@ -67,13 +67,7 @@ val default_config : config
     style and internal-chain checks on. *)
 
 (** Functional updates, for deriving one configuration from another:
-    [default_config |> with_policy Direct |> with_constraints cs]. *)
-
-val with_policy : Adl.Graph.policy -> config -> config
-
-val with_simple_events : simple_event_policy -> config -> config
-
-val with_linearize : Scenarioml.Linearize.config -> config -> config
+    [default_config |> with_style_checks false |> with_constraints cs]. *)
 
 val with_style_checks : bool -> config -> config
 
@@ -82,9 +76,6 @@ val with_internal_checks : ?policy:Adl.Graph.policy -> bool -> config -> config
     check; [policy] also replaces the chain policy when given. *)
 
 val with_constraints : Styles.Constraint_lang.t list -> config -> config
-
-val with_placement_hook :
-  (Scenarioml.Event.t -> string list option) -> config -> config
 
 val evaluate_scenario :
   ?config:config ->

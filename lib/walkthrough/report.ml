@@ -59,8 +59,6 @@ let pp_set_result ppf (r : Engine.set_result) =
 
 let scenario_result_to_string r = Format.asprintf "%a" pp_scenario_result r
 
-let set_result_to_string r = Format.asprintf "%a" pp_set_result r
-
 let summary_line r =
   Printf.sprintf "%s: %s (%d trace%s)%s" r.Verdict.scenario_id
     (match r.Verdict.verdict with

@@ -9,8 +9,6 @@ val pp_set_result : Format.formatter -> Engine.set_result -> unit
 
 val scenario_result_to_string : Verdict.scenario_result -> string
 
-val set_result_to_string : Engine.set_result -> string
-
 val summary_line : Verdict.scenario_result -> string
 (** e.g. ["create-portfolio: CONSISTENT (1 trace)"]. *)
 
@@ -19,8 +17,6 @@ val summary_line : Verdict.scenario_result -> string
     JSON mirrors of the pretty-printers above, for tooling built on the
     CLI's [evaluate --json] (and the shared story with
     [Sosae.validation_to_json]). *)
-
-val json_of_inconsistency : Verdict.inconsistency -> Jsonlight.t
 
 val json_of_scenario_result : Verdict.scenario_result -> Jsonlight.t
 

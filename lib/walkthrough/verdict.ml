@@ -49,6 +49,4 @@ let pp_inconsistency ppf = function
       Format.fprintf ppf "negative scenario %S executes successfully (trace %d)" scenario
         trace_index
 
-let inconsistency_to_string i = Format.asprintf "%a" pp_inconsistency i
-
 let is_consistent r = match r.verdict with Consistent -> true | Inconsistent -> false

@@ -59,6 +59,4 @@ type scenario_result = {
 
 val pp_inconsistency : Format.formatter -> inconsistency -> unit
 
-val inconsistency_to_string : inconsistency -> string
-
 val is_consistent : scenario_result -> bool

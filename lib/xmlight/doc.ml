@@ -41,9 +41,6 @@ let attr e name =
   in
   find e.attrs
 
-let attr_exn e name =
-  match attr e name with Some v -> v | None -> raise Not_found
-
 let attr_default e name d = match attr e name with Some v -> v | None -> d
 
 let children_elements e =

@@ -38,10 +38,6 @@ val doc : element -> t
 val attr : element -> string -> string option
 (** [attr e name] is the value of attribute [name] on [e], if present. *)
 
-val attr_exn : element -> string -> string
-(** Like {!attr}.
-    @raise Not_found if the attribute is absent. *)
-
 val attr_default : element -> string -> string -> string
 (** [attr_default e name d] is the attribute value or [d]. *)
 

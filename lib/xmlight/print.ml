@@ -97,8 +97,3 @@ let to_string ?(indent = 2) d =
   add_element buf indent 0 d.Doc.root;
   Buffer.add_char buf '\n';
   Buffer.contents buf
-
-let to_file ?indent path d =
-  let oc = open_out_bin path in
-  output_string oc (to_string ?indent d);
-  close_out oc

@@ -14,6 +14,3 @@ val to_string : ?indent:int -> Doc.t -> string
 
 val element_to_string : ?indent:int -> Doc.element -> string
 (** Serialize a single element without the XML declaration. *)
-
-val to_file : ?indent:int -> string -> Doc.t -> unit
-(** Write a document to a file. *)

@@ -1,13 +1,12 @@
-(* The retrying half of Server.Client, pinned as a table of scripted
-   sessions: every entry point (with_retry, persistent + call,
-   replica_set read and mutate) against refused connects, torn
-   responses, retryable statuses, Retry-After, 421 redirects and a
-   raising [f]. No listener and no real sleeping: each connection is
-   one end of a socketpair whose other end was preloaded with canned
-   responses and then shut for writing, and every connect and every
-   sleep is recorded. Plus how one connection reads its responses, and
-   the end-to-end regression for a replica honouring the primary's
-   [Connection: close]. *)
+(* Server.Client's held connection, pinned as a table of scripted
+   sessions: [persistent] + [call] against refused connects, torn
+   responses, error statuses, [Connection: close] and a raising [f].
+   No listener: each connection is one end of a socketpair whose other
+   end was preloaded with canned responses and then shut for writing,
+   and every connect is counted. Plus how one connection reads its
+   responses, the error for an unresolvable host, and the end-to-end
+   regressions for a replica honouring the primary's
+   [Connection: close] and reporting an upstream it cannot resolve. *)
 
 module C = Server.Client
 
@@ -19,16 +18,15 @@ type conn = Refuse | Serve of string list
 
 type session = {
   mutable script : conn list;
-  mutable dialed : string list;  (* host of every connect, newest first *)
-  mutable slept : float list;  (* newest first *)
+  mutable connects : int;
   mutable peers : Unix.file_descr list;
 }
 
-let dial s (host, _port) =
-  s.dialed <- host :: s.dialed;
+let dial s () =
+  s.connects <- s.connects + 1;
   let next = match s.script with [] -> Refuse | c :: rest -> s.script <- rest; c in
   match next with
-  | Refuse -> raise (Unix.Unix_error (Unix.ECONNREFUSED, "connect", host))
+  | Refuse -> raise (Unix.Unix_error (Unix.ECONNREFUSED, "connect", ""))
   | Serve responses ->
       let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       s.peers <- b :: s.peers;
@@ -47,179 +45,51 @@ let response ?(headers = []) ?(body = "") status =
 let ok = response 200 ~body:"ok"
 let ok_close = response 200 ~headers:[ ("Connection", "close") ]
 let s503 = response 503
-let s503_ra = response 503 ~headers:[ ("Retry-After", "1") ]
-let s421_ra = response 421 ~headers:[ ("Retry-After", "1") ]
 let s421 = response 421
-
-(* a replica's read-only rejection advertising the primary at "p" *)
-let s421_to_p =
-  response 421
-    ~body:
-      {|{"error":{"category":"read_only","message":"read-only","primary":"p:9"}}|}
-
+let s421_ra = response 421 ~headers:[ ("Retry-After", "1") ]
 let torn = "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc"
 
-(* probe answers for the replica-set rows: "a" is a replica of "p",
-   "b" answers as the primary *)
-let as_replica =
-  response 200
-    ~body:
-      {|{"role":"replica","primary":"p:9","applied_seq":1,"covered_seq":1,"lag":0}|}
-
-let as_primary =
-  response 200 ~body:{|{"role":"primary","applied_seq":1,"covered_seq":1,"lag":0}|}
-
-let probes = [ Serve [ as_replica ]; Serve [ as_primary ] ]
-
 (* ---------------- the table --------------------------------------- *)
-
-(* no jitter, so every backoff is exact: 0.1 s then 0.2 s *)
-let policy =
-  {
-    C.max_attempts = 3;
-    base_delay = 0.1;
-    multiplier = 2.0;
-    max_delay = 10.0;
-    jitter = 0.0;
-  }
-
-type entry =
-  | With_retry of { follow : bool }
-  | Persistent of { follow : bool; calls : int }
-      (** [calls] calls on one handle *)
-  | Read  (** over the fleet [a; b] *)
-  | Mutate  (** over the fleet [a; b] *)
 
 type outcome = Status of int | Failed | Raised
 
 type row = {
   name : string;
-  entry : entry;
   raises : bool;  (** [f] raises [Exit] on its first run *)
   script : conn list;
-  outcomes : outcome list;  (** one per call *)
-  connects : string list;
-  sleeps : float list;
+  outcomes : outcome list;  (** one per call on one handle *)
+  connects : int;
 }
 
-let row ?(raises = false) name entry script ~outcomes ~connects ~sleeps =
-  { name; entry; raises; script; outcomes; connects; sleeps }
-
-let wr = With_retry { follow = false }
-let wr_follow = With_retry { follow = true }
-let pc = Persistent { follow = false; calls = 1 }
-let pc_follow = Persistent { follow = true; calls = 1 }
+let row ?(raises = false) name script ~outcomes ~connects =
+  { name; raises; script; outcomes; connects }
 
 let table =
   [
-    (* refused connect: every attempt burns, backoff between them *)
-    row "refused" wr [] ~outcomes:[ Failed ] ~connects:[ "a"; "a"; "a" ]
-      ~sleeps:[ 0.1; 0.2 ];
-    row "refused" pc [] ~outcomes:[ Failed ] ~connects:[ "a"; "a"; "a" ]
-      ~sleeps:[ 0.1; 0.2 ];
-    row "refused" Read probes ~outcomes:[ Failed ]
-      ~connects:[ "a"; "b"; "a"; "b"; "a"; "b"; "a"; "b"; "a"; "b"; "a"; "b" ]
-      ~sleeps:[ 0.1; 0.2 ];
-    row "refused" Mutate probes ~outcomes:[ Failed ]
-      ~connects:[ "a"; "b"; "b"; "a"; "b" ] ~sleeps:[ 0.1; 0.2 ];
-    (* torn response: reconnect (a read moves to the sibling at once) *)
-    row "torn" wr [ Serve [ torn ]; Serve [ ok ] ] ~outcomes:[ Status 200 ]
-      ~connects:[ "a"; "a" ] ~sleeps:[ 0.1 ];
-    row "torn" pc [ Serve [ torn ]; Serve [ ok ] ] ~outcomes:[ Status 200 ]
-      ~connects:[ "a"; "a" ] ~sleeps:[ 0.1 ];
-    row "torn" Read (probes @ [ Serve [ torn ]; Serve [ ok ] ])
-      ~outcomes:[ Status 200 ] ~connects:[ "a"; "b"; "a"; "b" ] ~sleeps:[];
-    row "torn" Mutate (probes @ [ Serve [ torn ]; Serve [ ok ] ])
-      ~outcomes:[ Status 200 ] ~connects:[ "a"; "b"; "b"; "a" ] ~sleeps:[ 0.1 ];
-    (* 503: a persistent handle retries on the connection it holds *)
-    row "503" wr [ Serve [ s503 ]; Serve [ ok ] ] ~outcomes:[ Status 200 ]
-      ~connects:[ "a"; "a" ] ~sleeps:[ 0.1 ];
-    row "503" pc [ Serve [ s503; ok ] ] ~outcomes:[ Status 200 ]
-      ~connects:[ "a" ] ~sleeps:[ 0.1 ];
-    row "503" Read (probes @ [ Serve [ s503 ]; Serve [ ok ] ])
-      ~outcomes:[ Status 200 ] ~connects:[ "a"; "b"; "a"; "b" ] ~sleeps:[];
-    row "503" Mutate (probes @ [ Serve [ s503 ]; Serve [ ok ] ])
-      ~outcomes:[ Status 200 ] ~connects:[ "a"; "b"; "b"; "a" ] ~sleeps:[ 0.1 ];
-    (* 503 + Retry-After: the server's word floors the backoff *)
-    row "503 + Retry-After" wr [ Serve [ s503_ra ]; Serve [ ok ] ]
-      ~outcomes:[ Status 200 ] ~connects:[ "a"; "a" ] ~sleeps:[ 1.0 ];
-    row "503 + Retry-After" pc [ Serve [ s503_ra; ok ] ]
-      ~outcomes:[ Status 200 ] ~connects:[ "a" ] ~sleeps:[ 1.0 ];
-    row "503 + Retry-After" Read (probes @ [ Serve [ s503_ra ]; Serve [ ok ] ])
-      ~outcomes:[ Status 200 ] ~connects:[ "a"; "b"; "a"; "b" ] ~sleeps:[];
-    row "503 + Retry-After" Mutate (probes @ [ Serve [ s503_ra ]; Serve [ ok ] ])
-      ~outcomes:[ Status 200 ] ~connects:[ "a"; "b"; "b"; "a" ] ~sleeps:[ 1.0 ];
-    (* 421 + Retry-After: transient, retried after at least that long *)
-    row "421 + Retry-After" wr [ Serve [ s421_ra ]; Serve [ ok ] ]
-      ~outcomes:[ Status 200 ] ~connects:[ "a"; "a" ] ~sleeps:[ 1.0 ];
-    row "421 + Retry-After" pc [ Serve [ s421_ra; ok ] ]
-      ~outcomes:[ Status 200 ] ~connects:[ "a" ] ~sleeps:[ 1.0 ];
-    (* one rule for every entry point: a read moves on to the sibling *)
-    row "421 + Retry-After" Read (probes @ [ Serve [ s421_ra ]; Serve [ ok ] ])
-      ~outcomes:[ Status 200 ] ~connects:[ "a"; "b"; "a"; "b" ] ~sleeps:[];
-    row "421 + Retry-After" Mutate (probes @ [ Serve [ s421_ra ]; Serve [ ok ] ])
-      ~outcomes:[ Status 200 ] ~connects:[ "a"; "b"; "b"; "a" ] ~sleeps:[ 1.0 ];
-    (* bare 421: structural, returned at once everywhere *)
-    row "bare 421" wr [ Serve [ s421 ] ] ~outcomes:[ Status 421 ]
-      ~connects:[ "a" ] ~sleeps:[];
-    row "bare 421" pc [ Serve [ s421 ] ] ~outcomes:[ Status 421 ]
-      ~connects:[ "a" ] ~sleeps:[];
-    row "bare 421" Read (probes @ [ Serve [ s421 ] ]) ~outcomes:[ Status 421 ]
-      ~connects:[ "a"; "b"; "a" ] ~sleeps:[];
-    row "bare 421" Mutate (probes @ [ Serve [ s421 ] ])
-      ~outcomes:[ Status 421 ] ~connects:[ "a"; "b"; "b" ] ~sleeps:[];
-    (* 421 naming a primary: followed (no backoff) only when asked *)
-    row "421 -> p, follow" wr_follow [ Serve [ s421_to_p ]; Serve [ ok ] ]
-      ~outcomes:[ Status 200 ] ~connects:[ "a"; "p" ] ~sleeps:[];
-    row "421 -> p, follow, sticky"
-      (Persistent { follow = true; calls = 2 })
-      [ Serve [ s421_to_p ]; Serve [ ok; ok ] ]
-      ~outcomes:[ Status 200; Status 200 ] ~connects:[ "a"; "p" ] ~sleeps:[];
-    row "421 -> p, no follow" wr [ Serve [ s421_to_p ] ]
-      ~outcomes:[ Status 421 ] ~connects:[ "a" ] ~sleeps:[];
-    row "421 -> p, no follow" pc [ Serve [ s421_to_p ] ]
-      ~outcomes:[ Status 421 ] ~connects:[ "a" ] ~sleeps:[];
-    row "421 -> p" Read (probes @ [ Serve [ s421_to_p ] ])
-      ~outcomes:[ Status 421 ] ~connects:[ "a"; "b"; "a" ] ~sleeps:[];
-    row "421 -> p" Mutate (probes @ [ Serve [ s421_to_p ]; Serve [ ok ] ])
-      ~outcomes:[ Status 200 ] ~connects:[ "a"; "b"; "b"; "p" ] ~sleeps:[];
-    (* ...and an unreachable primary fails like any refused connect *)
-    row "421 -> unreachable p" wr_follow [ Serve [ s421_to_p ] ]
-      ~outcomes:[ Failed ] ~connects:[ "a"; "p"; "p" ] ~sleeps:[ 0.2 ];
-    row "421 -> unreachable p" pc_follow [ Serve [ s421_to_p ] ]
-      ~outcomes:[ Failed ] ~connects:[ "a"; "p"; "p" ] ~sleeps:[ 0.2 ];
-    row "421 -> unreachable p" Mutate (probes @ [ Serve [ s421_to_p ] ])
-      ~outcomes:[ Failed ] ~connects:[ "a"; "b"; "b"; "p"; "p" ]
-      ~sleeps:[ 0.2 ];
-    (* Connection: close on a persistent handle: the next call
-       reconnects instead of failing into a retry *)
-    row "200 + Connection: close"
-      (Persistent { follow = false; calls = 2 })
-      [ Serve [ ok_close ]; Serve [ ok ] ]
-      ~outcomes:[ Status 200; Status 200 ] ~connects:[ "a"; "a" ] ~sleeps:[];
-    (* f raising: the exception escapes, nothing is retried, and the
-       connection is dropped — a persistent handle reconnects *)
-    row ~raises:true "f raises" wr [ Serve [ ok ] ] ~outcomes:[ Raised ]
-      ~connects:[ "a" ] ~sleeps:[];
-    row ~raises:true "f raises"
-      (Persistent { follow = false; calls = 2 })
-      [ Serve [ ok; ok ]; Serve [ ok ] ]
-      ~outcomes:[ Raised; Status 200 ] ~connects:[ "a"; "a" ] ~sleeps:[];
-    row ~raises:true "f raises" Read (probes @ [ Serve [ ok ] ])
-      ~outcomes:[ Raised ] ~connects:[ "a"; "b"; "a" ] ~sleeps:[];
-    row ~raises:true "f raises" Mutate (probes @ [ Serve [ ok ] ])
-      ~outcomes:[ Raised ] ~connects:[ "a"; "b"; "b" ] ~sleeps:[];
+    (* one try: a refused connect is an Error, with no second connect *)
+    row "refused" [] ~outcomes:[ Failed ] ~connects:1;
+    (* a torn response drops the connection; the next call redials *)
+    row "torn" [ Serve [ torn ]; Serve [ ok ] ] ~outcomes:[ Failed; Status 200 ]
+      ~connects:2;
+    (* any status is an answer: returned as-is, the connection kept *)
+    row "503" [ Serve [ s503; ok ] ] ~outcomes:[ Status 503; Status 200 ]
+      ~connects:1;
+    row "bare 421" [ Serve [ s421; ok ] ] ~outcomes:[ Status 421; Status 200 ]
+      ~connects:1;
+    row "421 + Retry-After" [ Serve [ s421_ra; ok ] ]
+      ~outcomes:[ Status 421; Status 200 ] ~connects:1;
+    (* Connection: close (a request cap, a drain): the next call
+       redials instead of writing into the closed socket *)
+    row "Connection: close" [ Serve [ ok_close ]; Serve [ ok ] ]
+      ~outcomes:[ Status 200; Status 200 ] ~connects:2;
+    (* f raising: the exception escapes and the connection is dropped;
+       the next call redials *)
+    row ~raises:true "f raises" [ Serve [ ok; ok ]; Serve [ ok ] ]
+      ~outcomes:[ Raised; Status 200 ] ~connects:2;
   ]
 
-let entry_name = function
-  | With_retry { follow } -> if follow then "with_retry ~follow" else "with_retry"
-  | Persistent { follow; _ } -> if follow then "call ~follow" else "call"
-  | Read -> "read"
-  | Mutate -> "mutate"
-
 let run_row r =
-  let s = { script = r.script; dialed = []; slept = []; peers = [] } in
-  let sleep d = s.slept <- d :: s.slept in
+  let s = { script = r.script; connects = 0; peers = [] } in
   let first = ref r.raises in
   let f c =
     if !first then begin
@@ -228,39 +98,21 @@ let run_row r =
     end
     else C.get c "/x"
   in
-  let observe op =
-    match op () with
+  let p = C.persistent (dial s) in
+  let observe () =
+    match C.call p f with
     | Ok resp -> Status resp.C.status
     | Error _ -> Failed
     | exception Exit -> Raised
   in
-  let connect () = dial s ("a", 1) in
-  let fleet () =
-    C.replica_set ~policy ~sleep ~connect_to:(dial s) [ ("a", 1); ("b", 2) ]
-  in
   let outcomes =
     Fun.protect
-      ~finally:(fun () -> List.iter Unix.close s.peers)
-      (fun () ->
-        match r.entry with
-        | With_retry { follow } ->
-            [
-              observe (fun () ->
-                  C.with_retry ~policy ~sleep ~follow_primary:follow
-                    ~connect_to:(dial s) ~connect f);
-            ]
-        | Persistent { follow; calls } ->
-            let p =
-              C.persistent ~policy ~sleep ~follow_primary:follow
-                ~connect_to:(dial s) connect
-            in
-            let outcomes = List.init calls (fun _ -> observe (fun () -> C.call p f)) in
-            C.persistent_close p;
-            outcomes
-        | Read -> [ observe (fun () -> C.read (fleet ()) f) ]
-        | Mutate -> [ observe (fun () -> C.mutate (fleet ()) f) ])
+      ~finally:(fun () ->
+        C.persistent_close p;
+        List.iter Unix.close s.peers)
+      (fun () -> List.map (fun _ -> observe ()) r.outcomes)
   in
-  (outcomes, List.rev s.dialed, List.rev s.slept)
+  (outcomes, s.connects)
 
 let outcome =
   Alcotest.testable
@@ -271,12 +123,10 @@ let outcome =
     ( = )
 
 let table_case r =
-  let name = Printf.sprintf "%s: %s" (entry_name r.entry) r.name in
-  Alcotest.test_case name `Quick (fun () ->
-      let outcomes, connects, sleeps = run_row r in
-      Alcotest.(check (list outcome)) "outcome" r.outcomes outcomes;
-      Alcotest.(check (list string)) "connects" r.connects connects;
-      Alcotest.(check (list (float 1e-9))) "sleeps" r.sleeps sleeps)
+  Alcotest.test_case ("call: " ^ r.name) `Quick (fun () ->
+      let outcomes, connects = run_row r in
+      Alcotest.(check (list outcome)) "outcomes" r.outcomes outcomes;
+      Alcotest.(check int) "connects" r.connects connects)
 
 (* ---------------- one connection's responses ---------------------- *)
 
@@ -285,10 +135,10 @@ let table_case r =
    stream mid-response or a framing error is an [Error] naming the
    cause. *)
 let test_response_reading () =
-  let s = { script = []; dialed = []; slept = []; peers = [] } in
+  let s = { script = []; connects = 0; peers = [] } in
   let on canned f =
     s.script <- [ Serve canned ];
-    let c = dial s ("a", 1) in
+    let c = dial s () in
     Fun.protect ~finally:(fun () -> C.close c) (fun () -> f c)
   in
   let check label expected outcome =
@@ -416,6 +266,50 @@ let test_replica_connection_close () =
                 (List.mem "pims-b"
                    (Server.Registry.ids (Server.Daemon.ctx daemon).Server.Api.registry)))))
 
+(* ---------------- an upstream that does not resolve -------------- *)
+
+let unresolvable = "no-such-host.invalid"
+
+(* [connect] fails naming the host, and [call] turns that into an
+   [Error] instead of letting it escape; a replica of that host then
+   reports the host in [last_error], and [/replication] renders it. *)
+let test_unresolvable_host () =
+  let p = C.persistent (fun () -> C.connect ~host:unresolvable ~port:8080 ()) in
+  (match C.call p (fun c -> C.get c "/health") with
+  | Ok r -> Alcotest.failf "an unresolvable host answered %d" r.C.status
+  | Error e -> Testutil.check_contains "call's error" e unresolvable);
+  with_daemon
+    {
+      Server.Daemon.default_config with
+      Server.Daemon.replica_of = Some (unresolvable, 8080);
+      replica_poll = 0.05;
+    }
+    (fun daemon ->
+      let replica =
+        match (Server.Daemon.ctx daemon).Server.Api.role with
+        | Server.Api.Replica r -> r
+        | Server.Api.Primary -> Alcotest.fail "booted as a primary"
+      in
+      (* a resolver that times out takes seconds per lookup *)
+      let deadline = Unix.gettimeofday () +. 30.0 in
+      let rec last_error () =
+        match Server.Replica.last_error replica with
+        | Some e -> e
+        | None when Unix.gettimeofday () > deadline ->
+            Alcotest.fail "the replica reported no poll error"
+        | None ->
+            Thread.delay 0.01;
+            last_error ()
+      in
+      Testutil.check_contains "last_error" (last_error ()) unresolvable;
+      let c = C.connect ~port:(Server.Daemon.port daemon) () in
+      Fun.protect
+        ~finally:(fun () -> C.close c)
+        (fun () ->
+          match C.get c "/replication" with
+          | Ok r -> Testutil.check_contains "/replication" r.C.body unresolvable
+          | Error e -> Alcotest.failf "GET /replication: %s" e))
+
 let suite =
   List.map table_case table
   @ [
@@ -423,4 +317,6 @@ let suite =
         test_replica_connection_close;
       Alcotest.test_case "request: one connection's responses" `Quick
         test_response_reading;
+      Alcotest.test_case "an unresolvable upstream is an error naming it" `Quick
+        test_unresolvable_host;
     ]

@@ -956,12 +956,12 @@ let test_e2e_head () =
           Alcotest.(check int) "still keep-alive" 200 r.Server.Client.status))
 
 (* A persistent client handle survives the server's request cap by
-   reconnecting transparently, and composes with_retry's backoff. *)
+   redialing after each announced close. *)
 let test_client_persistent () =
   let config = { Server.Daemon.default_config with port = 0; max_requests = 2 } in
   with_daemon ~config (fun t ->
       let p =
-        Server.Client.persistent ~sleep:(fun _ -> ()) (fun () ->
+        Server.Client.persistent (fun () ->
             Server.Client.connect ~port:(Server.Daemon.port t) ())
       in
       Fun.protect
@@ -1148,80 +1148,6 @@ let test_stop_idempotent () =
   Server.Daemon.stop t;
   Server.Daemon.stop t
 
-(* ---------------- Client retries ---------------------------------- *)
-
-let test_retry_schedule () =
-  let p = Server.Client.default_policy in
-  let s1 = Server.Client.backoff_schedule ~seed:7 p in
-  let s2 = Server.Client.backoff_schedule ~seed:7 p in
-  Alcotest.(check (list (float 1e-12))) "same seed, same schedule" s1 s2;
-  Alcotest.(check int) "one delay per retry" (p.Server.Client.max_attempts - 1)
-    (List.length s1);
-  List.iteri
-    (fun i d ->
-      let raw =
-        p.Server.Client.base_delay
-        *. (p.Server.Client.multiplier ** float_of_int i)
-      in
-      let cap = Float.min p.Server.Client.max_delay raw in
-      Alcotest.(check bool)
-        (Printf.sprintf "delay %d in jitter band" i)
-        true
-        (d <= cap && d >= cap *. (1.0 -. p.Server.Client.jitter)))
-    s1;
-  Alcotest.(check bool) "different seed, different jitter" true
-    (Server.Client.backoff_schedule ~seed:8 p <> s1);
-  Alcotest.(check bool) "408/429/503 retryable" true
-    (List.for_all Server.Client.retryable_status [ 408; 429; 503 ]);
-  Alcotest.(check bool) "200/404/500 not" false
-    (List.exists Server.Client.retryable_status [ 200; 404; 500 ])
-
-let test_retry_reconnect () =
-  (* connect refused every time: all attempts burn, the recorded
-     sleeps are exactly the seeded schedule *)
-  let policy =
-    { Server.Client.default_policy with Server.Client.max_attempts = 4 }
-  in
-  let slept = ref [] in
-  let sleep d = slept := d :: !slept in
-  (match
-     Server.Client.with_retry ~policy ~seed:3 ~sleep
-       ~connect:(fun () ->
-         raise (Unix.Unix_error (Unix.ECONNREFUSED, "connect", "")))
-       (fun _ -> Alcotest.fail "no connection to use")
-   with
-  | Ok _ -> Alcotest.fail "cannot succeed without a connection"
-  | Error _ -> ());
-  Alcotest.(check (list (float 1e-12))) "slept the schedule"
-    (Server.Client.backoff_schedule ~seed:3 policy)
-    (List.rev !slept);
-  with_daemon (fun t ->
-      let connect () = Server.Client.connect ~port:(Server.Daemon.port t) () in
-      (* a retryable status is retried on a fresh connection... *)
-      let attempts = ref 0 and slept = ref 0 in
-      let r =
-        Server.Client.with_retry ~seed:0 ~sleep:(fun _ -> incr slept) ~connect
-          (fun c ->
-            incr attempts;
-            if !attempts = 1 then
-              Ok { Server.Client.status = 503; headers = []; body = "" }
-            else Server.Client.get c "/health")
-      in
-      Alcotest.(check int) "503 then 200" 200 (ok r).Server.Client.status;
-      Alcotest.(check int) "two attempts" 2 !attempts;
-      Alcotest.(check int) "one backoff" 1 !slept;
-      (* ...but a non-retryable failure status returns immediately *)
-      let attempts = ref 0 and slept = ref 0 in
-      let r =
-        Server.Client.with_retry ~seed:0 ~sleep:(fun _ -> incr slept) ~connect
-          (fun _ ->
-            incr attempts;
-            Ok { Server.Client.status = 404; headers = []; body = "" })
-      in
-      Alcotest.(check int) "404 through" 404 (ok r).Server.Client.status;
-      Alcotest.(check int) "single attempt" 1 !attempts;
-      Alcotest.(check int) "no sleep" 0 !slept)
-
 (* ---------------- Durability ------------------------------------- *)
 
 let temp_dir () =
@@ -1348,8 +1274,8 @@ let session_ids body =
 (* The crash case the journal exists for: a loader hammers POST
    /sessions while the daemon is SIGKILLed under it — no drain, no
    checkpoint. Every create acknowledged with a 201 must exist after
-   a restart on the same data dir; the restarted daemon is reached
-   with [with_retry], which rides out the connect-refused window. *)
+   a restart on the same data dir; the restarted daemon is polled with
+   plain connects until it answers. *)
 let test_e2e_sigkill_mid_load () =
   with_temp_dir (fun dir ->
       let pid, ic, port =
@@ -1404,8 +1330,8 @@ let test_e2e_sigkill_mid_load () =
       ignore (Unix.waitpid [] pid);
       close_in ic;
       Alcotest.(check bool) "some creates were acknowledged" true (!acked <> []);
-      (* restart on the same port while a retrying client is already
-         knocking: with_retry absorbs the refused connections *)
+      (* restart on the same port while a client is already knocking:
+         refused connects are polled through until a deadline *)
       let restarted = ref None in
       let restarter =
         Thread.create
@@ -1420,17 +1346,23 @@ let test_e2e_sigkill_mid_load () =
                    ]))
           ()
       in
-      let result =
-        Server.Client.with_retry
-          ~policy:
-            {
-              Server.Client.default_policy with
-              Server.Client.max_attempts = 10;
-              base_delay = 0.1;
-            }
-          ~connect:(fun () -> Server.Client.connect ~port ())
-          (fun c -> Server.Client.get c "/sessions")
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      let rec poll () =
+        let outcome =
+          match Server.Client.connect ~port () with
+          | c ->
+              Fun.protect
+                ~finally:(fun () -> Server.Client.close c)
+                (fun () -> Server.Client.get c "/sessions")
+          | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+        in
+        match outcome with
+        | Error _ when Unix.gettimeofday () < deadline ->
+            Thread.delay 0.05;
+            poll ()
+        | outcome -> outcome
       in
+      let result = poll () in
       Thread.join restarter;
       Fun.protect
         ~finally:(fun () ->
@@ -1749,8 +1681,8 @@ let wait_replica ?(timeout = 10.0) replica ~seq =
 
 (* The tentpole, in-process: a replica applies the primary's shipped
    journal, serves reads bit-identical to the primary, rejects
-   mutations with a structured role error, and a replica-aware client
-   follows the advertised primary. *)
+   mutations with a structured role error naming the primary, where a
+   plain client's re-posted create lands. *)
 let test_e2e_replication () =
   with_replicated (fun primary replica ->
       let primary_addr =
@@ -1768,7 +1700,8 @@ let test_e2e_replication () =
                 (r.Server.Client.primary = None)
           | Error m -> Alcotest.fail m);
           wait_replica replica ~seq:1L;
-          with_client replica (fun rc ->
+          let advertised =
+            with_client replica (fun rc ->
               (match Server.Client.replication (ok (Server.Client.get rc "/replication")) with
               | Ok r ->
                   Alcotest.(check string) "replica role" "replica"
@@ -1799,9 +1732,12 @@ let test_e2e_replication () =
                 ok (Server.Client.post rc "/sessions" ~body:(create_body "nope"))
               in
               expect_error 421 "read_only" r;
-              Alcotest.(check (option string)) "client recognizes the redirect"
-                (Some primary_addr)
-                (Server.Client.read_only_primary r);
+              let advertised =
+                body_json r |> member_exn "error" |> member_exn "primary"
+                |> Jsonlight.string_opt
+              in
+              Alcotest.(check (option string)) "error.primary names the primary"
+                (Some primary_addr) advertised;
               Alcotest.(check bool) "retry-after present" true
                 (List.mem_assoc "retry-after" r.Server.Client.headers);
               expect_error 421 "read_only"
@@ -1830,17 +1766,22 @@ let test_e2e_replication () =
                 preview.Server.Client.status;
               Alcotest.(check (option int)) "preview expands the ops" (Some 1)
                 (body_json preview |> member_exn "would_apply"
-               |> Jsonlight.int_opt));
-          (* a follow_primary client turns the replica's 421 into a
-             reconnect to the advertised primary *)
+               |> Jsonlight.int_opt);
+              advertised)
+          in
+          (* a plain client re-posts the rejected create to the address
+             the 421's error.primary advertised *)
+          let host, port =
+            match Option.map (String.split_on_char ':') advertised with
+            | Some [ host; port ] -> (host, int_of_string port)
+            | _ -> Alcotest.fail "the 421 advertised no HOST:PORT"
+          in
+          let c = Server.Client.connect ~host ~port () in
           let r =
-            ok
-              (Server.Client.with_retry ~follow_primary:true
-                 ~connect:(fun () ->
-                   Server.Client.connect ~port:(Server.Daemon.port replica) ())
-                 (fun c ->
-                   Server.Client.post c "/sessions"
-                     ~body:(create_body "via-replica")))
+            Fun.protect
+              ~finally:(fun () -> Server.Client.close c)
+              (fun () ->
+                ok (Server.Client.post c "/sessions" ~body:(create_body "via-replica")))
           in
           Alcotest.(check int) "redirected create landed" 201
             r.Server.Client.status;
@@ -2290,109 +2231,6 @@ let prop_snapshot_bootstrap_equivalence =
       match !failures with
       | [] -> true
       | f :: _ -> QCheck2.Test.fail_report f)
-
-(* Satellite: a server-sent Retry-After is the floor under every
-   backoff sleep, and a 421 carrying one is a transient rejection
-   worth retrying (a promotion in flight) — unlike a bare 421, which
-   still fails fast. *)
-let test_retry_after_floor () =
-  with_daemon (fun t ->
-      let connect () = Server.Client.connect ~port:(Server.Daemon.port t) () in
-      (* 503 + Retry-After: 2 — the floor dominates the jittered
-         50 ms first backoff *)
-      let attempts = ref 0 in
-      let slept = ref [] in
-      let r =
-        Server.Client.with_retry ~seed:0
-          ~sleep:(fun d -> slept := d :: !slept)
-          ~connect
-          (fun c ->
-            incr attempts;
-            if !attempts = 1 then
-              Ok
-                {
-                  Server.Client.status = 503;
-                  headers = [ ("retry-after", "2") ];
-                  body = "";
-                }
-            else Server.Client.get c "/health")
-      in
-      Alcotest.(check int) "503 then 200" 200 (ok r).Server.Client.status;
-      Alcotest.(check (list (float 1e-12))) "slept the advertised floor"
-        [ 2.0 ] !slept;
-      (* a 421 with Retry-After is retried on the same target *)
-      let attempts = ref 0 in
-      let r =
-        Server.Client.with_retry ~seed:0 ~sleep:(fun _ -> ()) ~connect
-          (fun c ->
-            incr attempts;
-            if !attempts = 1 then
-              Ok
-                {
-                  Server.Client.status = 421;
-                  headers = [ ("retry-after", "1") ];
-                  body = "";
-                }
-            else Server.Client.get c "/health")
-      in
-      Alcotest.(check int) "transient 421 retried" 200
-        (ok r).Server.Client.status;
-      Alcotest.(check int) "two attempts" 2 !attempts;
-      (* without the header, 421 is structural: no retry *)
-      let attempts = ref 0 in
-      let r =
-        Server.Client.with_retry ~seed:0 ~sleep:(fun _ -> ()) ~connect
-          (fun _ ->
-            incr attempts;
-            Ok { Server.Client.status = 421; headers = []; body = "" })
-      in
-      Alcotest.(check int) "bare 421 through" 421 (ok r).Server.Client.status;
-      Alcotest.(check int) "single attempt" 1 !attempts)
-
-(* Client-side failover: reads spread over the fleet and fail over
-   when a hop dies; mutations land on the primary from anywhere. *)
-let test_replica_set () =
-  with_replicated (fun primary replica ->
-      with_client primary (fun pc ->
-          Alcotest.(check int) "created" 201
-            (ok (Server.Client.post pc "/sessions" ~body:(create_body "pims")))
-              .Server.Client.status);
-      wait_replica replica ~seq:1L;
-      let paddr = ("127.0.0.1", Server.Daemon.port primary) in
-      let raddr = ("127.0.0.1", Server.Daemon.port replica) in
-      let rs = Server.Client.replica_set ~sleep:(fun _ -> ()) [ raddr; paddr ] in
-      Server.Client.probe rs;
-      Alcotest.(check int) "both endpoints healthy" 2
-        (List.length (Server.Client.healthy_endpoints rs));
-      (* reads spread round-robin: every one succeeds *)
-      for i = 1 to 4 do
-        Alcotest.(check int)
-          (Printf.sprintf "read %d" i)
-          200
-          (ok (Server.Client.read rs (fun c -> Server.Client.get c "/sessions")))
-            .Server.Client.status
-      done;
-      (* a mutation routes to the primary even though the replica is
-         listed first *)
-      let r =
-        ok
-          (Server.Client.mutate rs (fun c ->
-               Server.Client.post c "/sessions" ~body:(create_body "routed")))
-      in
-      Alcotest.(check int) "mutation landed" 201 r.Server.Client.status;
-      with_client primary (fun pc ->
-          Alcotest.(check bool) "created on the primary" true
-            (List.mem "routed"
-               (session_ids (body_json (ok (Server.Client.get pc "/sessions"))))));
-      (* kill the replica: reads fail over to the surviving sibling *)
-      Server.Daemon.stop replica;
-      Alcotest.(check int) "read survives a dead hop" 200
-        (ok (Server.Client.read rs (fun c -> Server.Client.get c "/sessions")))
-          .Server.Client.status;
-      Server.Client.probe rs;
-      Alcotest.(check (list (pair string int))) "only the primary is healthy"
-        [ paddr ]
-        (Server.Client.healthy_endpoints rs))
 
 (* The tentpole end-to-end: a durable replica chains a leaf off
    itself, evaluates stay byte-identical down the chain, the root
@@ -3058,6 +2896,103 @@ let test_diff_reply_survives_delete () =
             (Jsonlight.int_opt (member_exn "applied" body));
           Alcotest.(check int) "links after the diff" 15 (links_of_stats body)))
 
+(* Every simulate body that names a bad value or an unknown node
+   answers 400 bad_request naming the field, where each used to run a
+   campaign and answer 200; the CLI refuses --loss 2 with exit 2. *)
+let test_e2e_simulate_bodies_checked () =
+  let behavior =
+    Statechart.Bundle.to_string
+      (Statechart.Bundle.make ~id:"price-feed" Casestudies.Campaigns.price_feed_charts)
+  in
+  let body overrides =
+    let defaults =
+      [
+        ("behavior", json_escape behavior);
+        ("stimuli", {|[{"component":"master-controller","trigger":"user-initiates"}]|});
+        ("goal", {|{"component":"remote-price-db","payload":"fetch-prices"}|});
+        ("trials", "5");
+        ("horizon", "10");
+      ]
+    in
+    let fields =
+      List.map
+        (fun (k, v) -> (k, Option.value (List.assoc_opt k overrides) ~default:v))
+        defaults
+      @ List.filter (fun (k, _) -> not (List.mem_assoc k defaults)) overrides
+    in
+    "{"
+    ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) fields)
+    ^ "}"
+  in
+  let crash ?(node = "remote-price-db") ?(at = "0") ?(downtime = "1") () =
+    ( "faults",
+      Printf.sprintf {|[{"kind":"crash","node":%S,"at":%s,"downtime":%s}]|} node at
+        downtime )
+  in
+  let table =
+    [
+      ("loss 2", [ ("loss", "2") ], {|"loss"|});
+      ("loss -1", [ ("loss", "-1") ], {|"loss"|});
+      ("latency -1", [ ("latency", "-1") ], {|"latency"|});
+      ("jitter -5", [ ("jitter", "-5") ], {|"jitter"|});
+      ("horizon -5", [ ("horizon", "-5") ], {|"horizon"|});
+      ("crash at -2", [ crash ~at:"-2" () ], {|"faults[0].at"|});
+      ("crash downtime -3", [ crash ~downtime:"-3" () ], {|"faults[0].downtime"|});
+      ("crash on no-such", [ crash ~node:"no-such" () ], {|"faults[0].node"|});
+      ( "partition naming ghost",
+        [
+          ( "faults",
+            {|[{"kind":"partition","groups":[["loader"],["ghost"]],"from":0,"width":1}]|}
+          );
+        ],
+        {|"faults[0].groups"|} );
+      ("watched ghost", [ ("watched", {|["ghost"]|}) ], {|"watched"|});
+      ( "stimulus at -4",
+        [
+          ( "stimuli",
+            {|[{"component":"master-controller","trigger":"user-initiates","at":-4}]|} );
+        ],
+        {|"stimuli[0].at"|} );
+      ( "stimulus on an unknown component",
+        [ ("stimuli", {|[{"component":"nope","trigger":"user-initiates"}]|}) ],
+        {|"stimuli[0].component"|} );
+      ( "goal on an unknown component",
+        [ ("goal", {|{"component":"nope","payload":"fetch-prices"}|}) ],
+        {|"goal.component"|} );
+    ]
+  in
+  with_daemon (fun t ->
+      with_client t (fun c ->
+          Alcotest.(check int) "created" 201
+            (ok (Server.Client.post c "/sessions" ~body:(create_body "sim")))
+              .Server.Client.status;
+          let simulate overrides =
+            ok (Server.Client.post c "/sessions/sim/simulate" ~body:(body overrides))
+          in
+          Alcotest.(check int) "the unedited body runs" 200
+            (simulate []).Server.Client.status;
+          List.iter
+            (fun (label, overrides, field) ->
+              let r = simulate overrides in
+              expect_error 400 "bad_request" r;
+              Testutil.check_contains label
+                (body_json r |> member_exn "error" |> member_exn "message"
+                |> Jsonlight.string_opt |> Option.get)
+                field)
+            table));
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process sosae
+      [| sosae; "simulate"; "pims"; "--loss"; "2" |]
+      Unix.stdin Unix.stdout err_w
+  in
+  Unix.close err_w;
+  let stderr = In_channel.input_all (Unix.in_channel_of_descr err_r) in
+  Unix.close err_r;
+  Alcotest.(check bool) "sosae simulate pims --loss 2 exits 2" true
+    (snd (Unix.waitpid [] pid) = Unix.WEXITED 2);
+  Testutil.check_contains "the CLI names the field" stderr {|sosae: "loss"|}
+
 let suite =
   [
     Alcotest.test_case "http: simple request" `Quick test_parse_simple;
@@ -3092,9 +3027,6 @@ let suite =
     Alcotest.test_case "e2e: robustness (413, 408, garbage)" `Quick test_e2e_robustness;
     Alcotest.test_case "e2e: unix-domain socket" `Quick test_e2e_unix_socket;
     Alcotest.test_case "daemon: stop is idempotent" `Quick test_stop_idempotent;
-    Alcotest.test_case "client: backoff schedule is seeded" `Quick
-      test_retry_schedule;
-    Alcotest.test_case "client: with_retry reconnects" `Quick test_retry_reconnect;
     Alcotest.test_case "e2e: durability across clean restart" `Quick
       test_e2e_persistence_restart;
     Alcotest.test_case "e2e: SIGKILL mid-load, acknowledged survives" `Quick
@@ -3123,10 +3055,6 @@ let suite =
       test_apply_shipped_reset;
     QCheck_alcotest.to_alcotest prop_replica_prefix_equivalence;
     QCheck_alcotest.to_alcotest prop_snapshot_bootstrap_equivalence;
-    Alcotest.test_case "client: Retry-After floors the backoff" `Quick
-      test_retry_after_floor;
-    Alcotest.test_case "client: replica set spreads reads, fails over" `Quick
-      test_replica_set;
     Alcotest.test_case "e2e: chained replication + hop promotion" `Quick
       test_e2e_chained_replication;
     Alcotest.test_case "e2e: SIGKILL primary, never-ahead + promotion" `Quick
@@ -3153,4 +3081,6 @@ let suite =
       test_e2e_deep_json_rejected;
     Alcotest.test_case "api: a diff's reply survives a racing DELETE" `Quick
       test_diff_reply_survives_delete;
+    Alcotest.test_case "e2e: simulate bodies are range- and name-checked" `Quick
+      test_e2e_simulate_bodies_checked;
   ]

@@ -457,121 +457,6 @@ let test_ship_gap_resets () =
     batch.Store.Ship.reset;
   Alcotest.(check string) "caught-up fetch is empty" "" batch.Store.Ship.data
 
-(* ------------------------------------------------------------------ *)
-(* Follow-primary against an unreachable primary                      *)
-(* ------------------------------------------------------------------ *)
-
-(* one end of a socketpair with a canned 421 already buffered: a
-   "replica" that rejects the mutation and advertises its primary,
-   with no listener involved *)
-let canned_421 ~primary =
-  let body =
-    Printf.sprintf
-      "{\"error\":{\"category\":\"read_only\",\"message\":\"replica is \
-       read-only\",\"primary\":%S}}"
-      primary
-  in
-  Printf.sprintf
-    "HTTP/1.1 421 Misdirected Request\r\n\
-     Content-Type: application/json\r\n\
-     Content-Length: %d\r\n\
-     \r\n\
-     %s"
-    (String.length body) body
-
-let replica_stub peers ~primary () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  peers := b :: !peers;
-  let canned = canned_421 ~primary in
-  ignore (Unix.write_substring b canned 0 (String.length canned));
-  Server.Client.of_fd a
-
-let test_follow_primary_unreachable () =
-  let peers = ref [] and sleeps = ref [] in
-  let connects = ref 0 and redirects = ref [] in
-  let connect () =
-    incr connects;
-    replica_stub peers ~primary:"10.0.0.9:4444" ()
-  in
-  let connect_to (host, port) =
-    redirects := (host, port) :: !redirects;
-    raise (Unix.Unix_error (Unix.ECONNREFUSED, "connect", host))
-  in
-  let policy =
-    {
-      Server.Client.max_attempts = 4;
-      base_delay = 0.05;
-      multiplier = 2.0;
-      max_delay = 0.08;
-      jitter = 0.0;
-    }
-  in
-  let result =
-    Server.Client.with_retry ~policy ~seed:7
-      ~sleep:(fun d -> sleeps := d :: !sleeps)
-      ~follow_primary:true ~connect_to ~connect (fun c ->
-        Server.Client.get c "/sessions")
-  in
-  List.iter Unix.close !peers;
-  (match result with
-  | Error _ -> ()
-  | Ok r ->
-      Alcotest.failf "expected an eventual error, got status %d"
-        r.Server.Client.status);
-  Alcotest.(check int) "exactly one connection to the replica" 1 !connects;
-  Alcotest.(check int) "every remaining attempt chased the primary" 3
-    (List.length !redirects);
-  List.iter
-    (fun target ->
-      Alcotest.(check (pair string int))
-        "advertised address parsed" ("10.0.0.9", 4444) target)
-    !redirects;
-  (* the redirect itself skips the backoff sleep; the refused connects
-     then follow the deterministic capped schedule *)
-  let schedule = Server.Client.backoff_schedule ~seed:7 policy in
-  Alcotest.(check (list (float 1e-9)))
-    "capped backoff between refused connects" (List.tl schedule)
-    (List.rev !sleeps)
-
-let test_follow_primary_never_loops () =
-  let peers = ref [] and sleeps = ref [] in
-  let conns = ref 0 in
-  (* the "primary" is itself a replica stub: every hop answers 421
-     advertising someone else, forever *)
-  let connect () =
-    incr conns;
-    replica_stub peers ~primary:"10.0.0.9:4444" ()
-  in
-  let connect_to _ =
-    incr conns;
-    replica_stub peers ~primary:"10.0.0.9:4444" ()
-  in
-  let policy =
-    {
-      Server.Client.max_attempts = 3;
-      base_delay = 0.05;
-      multiplier = 2.0;
-      max_delay = 0.08;
-      jitter = 0.0;
-    }
-  in
-  let result =
-    Server.Client.with_retry ~policy ~seed:0
-      ~sleep:(fun d -> sleeps := d :: !sleeps)
-      ~follow_primary:true ~connect_to ~connect (fun c ->
-        Server.Client.get c "/sessions")
-  in
-  List.iter Unix.close !peers;
-  (match result with
-  | Ok r ->
-      Alcotest.(check int) "the final 421 is returned as-is" 421
-        r.Server.Client.status
-  | Error e -> Alcotest.failf "expected the last 421 back, got error %s" e);
-  Alcotest.(check int) "attempts bounded by the policy" policy.max_attempts
-    !conns;
-  Alcotest.(check (list (float 1e-9)))
-    "redirects never burn a backoff sleep" [] !sleeps
-
 let suite =
   [
     ("seed matrix", `Slow, test_seed_matrix);
@@ -587,10 +472,6 @@ let suite =
     ("compaction gap ships a reset", `Quick, test_ship_gap_resets);
     ("reset install survives a crash at every effect", `Quick,
       test_reset_install_crash_at_every_effect);
-    ( "follow-primary: unreachable primary",
-      `Quick,
-      test_follow_primary_unreachable );
-    ("follow-primary: never loops", `Quick, test_follow_primary_never_loops);
     ("a refused diff is undone", `Quick, test_refused_diff_is_undone);
     ("a refused diff answers 500 and is undone", `Quick,
       test_refused_diff_answers_500);

@@ -707,10 +707,17 @@ let incr () =
 
 let scale_json : Jsonlight.t list ref = ref []
 
+(* Batches timed per jobs count by [scale] and [sim]: one batch read
+   anywhere from 0.6x to 1.3x for the same suite, run to run, on a
+   shared 2-vCPU guest, so each reports the median of five. *)
+let rounds = if smoke then 1 else 5
+
+let median samples = List.nth (List.sort compare samples) (List.length samples / 2)
+
+(* The rounds interleave the jobs counts. *)
 let scale_case ~label ~reps (set, architecture, mapping) =
   let project = { Core.Sosae.scenarios = set; architecture; mapping } in
   let time_ms jobs =
-    ignore (Core.Sosae.evaluate ~jobs project) (* warm-up, not timed *);
     Gc.compact ();
     let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do
@@ -718,14 +725,25 @@ let scale_case ~label ~reps (set, architecture, mapping) =
     done;
     (Unix.gettimeofday () -. t0) *. 1000.0 /. float_of_int reps
   in
+  let scenarios = List.length set.Scenarioml.Scen.scenarios in
+  let work =
+    scenarios
+    * (List.length architecture.Adl.Structure.components
+      + List.length architecture.Adl.Structure.connectors)
+  in
   let jobs_list = [ 1; 2; 4; 8 ] in
-  let timings = List.map (fun jobs -> (jobs, time_ms jobs)) jobs_list in
+  List.iter (fun jobs -> ignore (Core.Sosae.evaluate ~jobs project)) jobs_list (* warm-up *);
+  let batches = List.init rounds (fun _ -> List.map (fun jobs -> (jobs, time_ms jobs)) jobs_list) in
+  let timings =
+    List.map (fun jobs -> (jobs, median (List.map (List.assoc jobs) batches))) jobs_list
+  in
   let base = List.assoc 1 timings in
+  let path = if work >= Core.Sosae.fan_out_work then "pool" else "inline" in
   let rows =
     List.map
       (fun (jobs, ms) ->
         let speedup = base /. ms in
-        Printf.printf "%-26s | %4d | %9.2f | %7.2fx\n" label jobs ms speedup;
+        Printf.printf "%-26s | %6d | %4d | %9.2f | %7.2fx\n" label work jobs ms speedup;
         Jsonlight.Obj
           [
             ("jobs", Jsonlight.Int jobs);
@@ -738,36 +756,45 @@ let scale_case ~label ~reps (set, architecture, mapping) =
     Jsonlight.Obj
       [
         ("suite", Jsonlight.String label);
-        ("scenarios", Jsonlight.Int (List.length set.Scenarioml.Scen.scenarios));
+        ("scenarios", Jsonlight.Int scenarios);
+        ("work", Jsonlight.Int work);
+        ("path", Jsonlight.String path);
         ("reps", Jsonlight.Int reps);
+        ("rounds", Jsonlight.Int rounds);
         ("cores", Jsonlight.Int (Core.Sosae.default_jobs ()));
         ("runs", Jsonlight.List rows);
       ]
     :: !scale_json;
-  base /. List.assoc 4 timings
+  base /. List.assoc 2 timings
 
 let scale () =
   header "SCALE" "Suite evaluation wall-clock vs domain-pool size (--jobs)";
   Printf.printf
-    "Every scenario of a suite is an independent walkthrough; Sosae.evaluate ~jobs\n\
-     fans them out over an OCaml 5 domain pool (per-rep times; host reports %d\n\
-     recommended domain(s) — speedup > 1 needs more than one core).\n\n"
-    (Core.Sosae.default_jobs ());
-  Printf.printf "%-26s | %4s | %9s | %8s\n" "suite" "jobs" "ms/eval" "speedup";
-  Printf.printf "%s\n" (String.make 56 '-');
+    "Every scenario of a suite is an independent walkthrough. Sosae.evaluate ~jobs\n\
+     fans a suite out over an OCaml 5 domain pool when its work (scenarios x\n\
+     bricks) reaches Sosae.fan_out_work = %d, and walks it inline below that, at\n\
+     every jobs (per-rep times, median of interleaved batches; host reports %d\n\
+     recommended domain(s)).\n\n"
+    Core.Sosae.fan_out_work (Core.Sosae.default_jobs ());
+  Printf.printf "%-26s | %6s | %4s | %9s | %8s\n" "suite" "work" "jobs" "ms/eval" "speedup";
+  Printf.printf "%s\n" (String.make 65 '-');
   let chain components =
     let scenarios = components / 8 and span = 12 in
-    scale_case
-      ~label:(Printf.sprintf "chain-%04d (%d scen.)" components scenarios)
-      ~reps:(if smoke then 2 else max 3 (4096 / components))
-      (synthetic_suite ~components ~scenarios ~span)
+    let label = Printf.sprintf "chain-%04d (%d scen.)" components scenarios in
+    ( label,
+      scale_case ~label
+        ~reps:(if smoke then 2 else max 3 (16384 / components))
+        (synthetic_suite ~components ~scenarios ~span) )
   in
-  let _ = chain 64 in
-  let largest = if smoke then chain 128 else begin let _ = chain 256 in chain 1024 end in
+  (* chain-192 and chain-224 bracket the constant: 24 x 192 walks
+     inline, 28 x 224 fans out. The smoke run keeps chain-256 so that
+     CI still runs the pool. *)
+  let sizes = if smoke then [ 64; 256 ] else [ 64; 128; 192; 224; 256; 1024 ] in
+  let results = List.map chain sizes in
+  let smallest = List.hd results and largest = List.nth results (List.length results - 1) in
   print_endline "";
-  Printf.printf "largest chain speedup at jobs=4: %.2fx%s\n" largest
-    (if largest >= 2.0 then " (acceptance: >= 2x ok)"
-     else " (below 2x target — needs >= 4 cores)")
+  Printf.printf "jobs=2 speedup: %.2fx on %s, %.2fx on %s\n" (snd largest) (fst largest)
+    (snd smallest) (fst smallest)
 
 (* ------------------------------------------------------------------ *)
 (* SERVE: HTTP evaluation-server throughput                           *)
@@ -1433,10 +1460,13 @@ let sim_case ~label ~trials campaign =
        throughput, not pool setup. *)
     Dsim.Pool.with_pool ~jobs (fun pool ->
         ignore (Dsim.Campaign.run ~pool ~trials:(min trials 50) campaign);
-        Gc.compact ();
-        let t0 = Unix.gettimeofday () in
-        ignore (Dsim.Campaign.run ~pool ~trials campaign);
-        Unix.gettimeofday () -. t0)
+        let batch () =
+          Gc.compact ();
+          let t0 = Unix.gettimeofday () in
+          ignore (Dsim.Campaign.run ~pool ~trials campaign);
+          Unix.gettimeofday () -. t0
+        in
+        median (List.init rounds (fun _ -> batch ())))
   in
   let jobs_list = [ 1; 2; 4; 8 ] in
   let timings = List.map (fun jobs -> (jobs, time_s jobs)) jobs_list in
@@ -1474,15 +1504,14 @@ let sim_case ~label ~trials campaign =
         ("runs", Jsonlight.List rows);
       ]
     :: !sim_json;
-  base /. List.assoc 4 timings
+  base /. List.assoc 2 timings
 
 let sim () =
   header "SIM" "Monte-Carlo campaign trials/sec vs domain-pool size (--jobs)";
   Printf.printf
     "Each trial runs one sampled fault plan (crash window + downtime, seeded\n\
      loss/jitter) through the architecture simulator; trials are independent and\n\
-     fan out on a reusable Dsim.Pool (host reports %d recommended domain(s) —\n\
-     speedup > 1 needs more than one core).\n\n"
+     fan out on a reusable Dsim.Pool (host reports %d recommended domain(s)).\n\n"
     (Core.Sosae.default_jobs ());
   Printf.printf "%-26s | %4s | %9s | %8s\n" "campaign" "jobs" "trials/s" "speedup";
   Printf.printf "%s\n" (String.make 56 '-');
@@ -1491,14 +1520,13 @@ let sim () =
     sim_case ~label:"crash-availability" ~trials
       (Casestudies.Campaigns.crash_availability ~loss:0.05 ())
   in
-  let _pims =
+  let pims =
     sim_case ~label:"pims-price-feed" ~trials
       (Casestudies.Campaigns.pims_price_feed ~loss:0.05 ())
   in
   print_endline "";
-  Printf.printf "crash campaign speedup at jobs=4: %.2fx%s\n" crash
-    (if crash >= 1.5 then " (acceptance: >= 1.5x ok)"
-     else " (below 1.5x target — needs >= 4 cores)")
+  Printf.printf "jobs=2 speedup: %.2fx on crash-availability, %.2fx on pims-price-feed\n"
+    crash pims
 
 let pims_xml = lazy (Scenarioml.Xml_io.set_to_string Casestudies.Pims.scenario_set)
 

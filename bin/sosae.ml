@@ -110,9 +110,11 @@ let jobs_arg =
     value & opt int 0
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Evaluate scenarios on $(docv) parallel domains; $(b,0) (the default) picks \
-           the machine's recommended domain count, $(b,1) forces the sequential path. \
-           Verdicts and their order are identical for every $(docv).")
+          "Run on $(docv) parallel domains: a simulate's trials, and a suite's \
+           scenario walks once their work (scenarios times bricks) reaches the \
+           fan-out threshold. $(b,0) (the default) picks the machine's recommended \
+           domain count, $(b,1) forces the sequential path. Results and their order \
+           are identical for every $(docv).")
 
 let resolve_jobs jobs = if jobs <= 0 then Core.Sosae.default_jobs () else jobs
 
@@ -918,6 +920,17 @@ let serve_cmd =
       & info [ "unix" ] ~docv:"PATH"
           ~doc:"Also listen on a Unix-domain socket at $(docv).")
   in
+  let jobs =
+    Arg.(
+      value & opt int 0
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Domains an evaluate may walk its stale scenarios on, once their \
+             work (scenarios times bricks) reaches the fan-out threshold; \
+             smaller evaluates, and every $(b,simulate) campaign, run on the \
+             request's thread. $(b,0) (the default) picks the machine's \
+             recommended domain count, $(b,1) never spawns a domain.")
+  in
   let workers =
     Arg.(
       value & opt int 4
@@ -1025,7 +1038,7 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const run $ port $ host $ unix_path $ jobs_arg $ workers $ queue $ timeout
+      const run $ port $ host $ unix_path $ jobs $ workers $ queue $ timeout
       $ idle_timeout $ max_requests $ data_dir $ fsync $ group_window
       $ compact_threshold $ replica_of)
   in

@@ -56,6 +56,21 @@ let of_structure s =
       | Some i -> connector.(i) <- true
       | None -> ())
     s.Structure.connectors;
+  (* Each brick's interfaces by dense index, first occurrence winning
+     as in [Structure.find_interface]: resolving a link's ends through
+     that function scanned the element lists, O(V) per link. *)
+  let interfaces = Array.make n None in
+  let intern id ifaces =
+    match Symtab.find tab id with
+    | Some i when Option.is_none interfaces.(i) -> interfaces.(i) <- Some ifaces
+    | Some _ | None -> ()
+  in
+  List.iter (fun c -> intern c.Structure.comp_id c.Structure.comp_interfaces) s.Structure.components;
+  List.iter (fun c -> intern c.Structure.conn_id c.Structure.conn_interfaces) s.Structure.connectors;
+  let find_interface i (point : Structure.point) =
+    Option.bind interfaces.(i)
+      (List.find_opt (fun f -> String.equal f.Structure.iface_id point.Structure.interface))
+  in
   (* Gather directed edges in insertion order; the hashtable dedup
      keeps construction O(E) where appending to per-node lists with a
      linear membership scan was O(E^2) on dense architectures. *)
@@ -71,12 +86,10 @@ let of_structure s =
     (fun l ->
       let fa = l.Structure.link_from.Structure.anchor in
       let ta = l.Structure.link_to.Structure.anchor in
-      match
-        (Structure.find_interface s l.Structure.link_from, Structure.find_interface s l.Structure.link_to)
-      with
-      | Some fi, Some ti -> (
-          match (Symtab.find tab fa, Symtab.find tab ta) with
-          | Some fa, Some ta ->
+      match (Symtab.find tab fa, Symtab.find tab ta) with
+      | Some fa, Some ta -> (
+          match (find_interface fa l.Structure.link_from, find_interface ta l.Structure.link_to) with
+          | Some fi, Some ti ->
               if can_initiate fi.Structure.direction && can_accept ti.Structure.direction then
                 add_edge fa ta;
               if can_initiate ti.Structure.direction && can_accept fi.Structure.direction then

@@ -31,35 +31,50 @@ let validate ?require_responsibilities p =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Parallel suite evaluation on a domain pool                         *)
+(* Walking a batch of scenarios: inline, or fanned out on a pool      *)
 (* ------------------------------------------------------------------ *)
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* Scenario walkthroughs are independent of each other: a verdict is a
-   pure function of (scenario, set, architecture, mapping, config) —
-   the shared Reach oracle only memoizes, it never changes answers. So
-   the suite fans out over a {!Dsim.Pool} of domains: the pool hands
-   out scenario indices, each worker owns a private oracle (Reach
-   memoizes into unsynchronized hashtables, so oracles are never
-   shared across domains), and results land in a slot array indexed by
-   the scenario's suite position. Whichever domain computes a scenario,
-   slot [i] holds the exact verdict the sequential path would have
-   produced — output ordering and content are deterministic. *)
-let suite_results ~config ~jobs ~set ~architecture ~mapping scenarios =
-  let scenarios = Array.of_list scenarios in
+let fan_out_work = 6144
+
+(* The one place that decides whether a batch fans out. Scenario
+   walkthroughs are independent: a verdict is a pure function of
+   (scenario, set, architecture, mapping, config), and the oracle only
+   memoizes, it never changes answers. But spawning and joining a
+   pool's domains costs more than a small batch's walks (0.1–1.7 ms of
+   wall time, and ~0.7 ms of a server's CPU, on a 2-vCPU guest). Each
+   hop's BFS tree spans the architecture, so the batch's work is its
+   scenarios times the bricks; below [fan_out_work], or at
+   [jobs <= 1], the batch walks inline with [reach ()]. Above it the
+   pool hands out scenario indices, each worker walks with a private
+   oracle (Reach memoizes into unsynchronized hashtables, so oracles
+   are never shared across domains), and results land in a slot array
+   indexed by batch position. Either way slot [i] holds the verdict
+   the inline walk produces, in the same order. *)
+let walk_batch ~jobs ~architecture ~reach walk scenarios =
   let n = Array.length scenarios in
-  let jobs = max 1 (min jobs n) in
-  let results = Array.make n None in
-  Dsim.Pool.with_pool ~jobs (fun pool ->
-      Dsim.Pool.run pool ~tasks:n (fun () ->
-          let reach = Adl.Reach.of_structure architecture in
-          fun i ->
-            results.(i) <-
-              Some
-                (Walkthrough.Engine.evaluate_scenario ~config ~reach ~set ~architecture
-                   ~mapping scenarios.(i))));
-  Array.to_list (Array.map (function Some r -> r | None -> assert false) results)
+  let bricks =
+    List.length architecture.Adl.Structure.components
+    + List.length architecture.Adl.Structure.connectors
+  in
+  if jobs <= 1 || n * bricks < fan_out_work then Array.map (walk (reach ())) scenarios
+  else begin
+    let results = Array.make n None in
+    Dsim.Pool.with_pool ~jobs:(min jobs n) (fun pool ->
+        Dsim.Pool.run pool ~tasks:n (fun () ->
+            let reach = Adl.Reach.of_structure architecture in
+            fun i -> results.(i) <- Some (walk reach scenarios.(i))));
+    Array.map (function Some r -> r | None -> assert false) results
+  end
+
+let suite_results ~config ~jobs ~set ~architecture ~mapping scenarios =
+  Array.to_list
+    (walk_batch ~jobs ~architecture
+       ~reach:(fun () -> Adl.Reach.of_structure architecture)
+       (fun reach s ->
+         Walkthrough.Engine.evaluate_scenario ~config ~reach ~set ~architecture ~mapping s)
+       (Array.of_list scenarios))
 
 let evaluate_suite ?(config = Walkthrough.Engine.default_config) ?jobs p scenarios =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
@@ -171,9 +186,9 @@ module Session = struct
         Hashtbl.reset t.cache;
         t.checks <- None
 
-  (* [reach] is the oracle the walk queries — the session's own on the
-     sequential path, a worker-private one on the parallel path. The
-     query log (and thus the verdict) is the same either way. *)
+  (* [reach] is the oracle the walk queries — the session's own inline,
+     a worker-private one on a pool. The query log (and thus the
+     verdict) is the same either way. *)
   let walk_fresh t reach s =
     let record = Adl.Reach.recorder () in
     let result =
@@ -235,45 +250,31 @@ module Session = struct
         t.checks <- Some (t.revision, checks);
         checks
 
-  (* With [jobs > 1], cache lookups and replays stay on the calling
-     domain (they touch the session's mutable state), and only the
-     scenarios found stale fan out over the domain pool — each worker
-     walks with a private oracle, logs land back in the cache
-     afterwards. Identical results and cache contents to the
-     sequential path. *)
+  (* Cache lookups and replays run first, on the calling domain (they
+     touch the session's mutable state); only the scenarios found stale
+     go to [walk_batch], and their logs land back in the cache
+     afterwards, in suite order. *)
   let evaluate_many t jobs scenarios =
-    if jobs <= 1 then List.map (evaluate_one t) scenarios
-    else begin
-      let classified =
-        List.map (fun s -> (s, cached_verdict t s)) scenarios
-      in
-      let stale =
-        Array.of_list
-          (List.filter_map
-             (function s, `Stale -> Some s | _, `Hit _ -> None)
-             classified)
-      in
-      let n = Array.length stale in
-      let jobs = max 1 (min jobs n) in
-      let fresh = Array.make n None in
-      if n > 0 then
-        Dsim.Pool.with_pool ~jobs (fun pool ->
-            Dsim.Pool.run pool ~tasks:n (fun () ->
-                let reach = Adl.Reach.of_structure t.project.architecture in
-                fun i -> fresh.(i) <- Some (walk_fresh t reach stale.(i))));
-      let cursor = ref 0 in
-      List.map
-        (fun (s, verdict) ->
-          match verdict with
-          | `Hit r -> r
-          | `Stale ->
-              let walked =
-                match fresh.(!cursor) with Some w -> w | None -> assert false
-              in
-              incr cursor;
-              store_fresh t s walked)
-        classified
-    end
+    let classified = List.map (fun s -> (s, cached_verdict t s)) scenarios in
+    let stale =
+      Array.of_list
+        (List.filter_map (function s, `Stale -> Some s | _, `Hit _ -> None) classified)
+    in
+    let fresh =
+      walk_batch ~jobs ~architecture:t.project.architecture
+        ~reach:(fun () -> t.reach)
+        (walk_fresh t) stale
+    in
+    let cursor = ref 0 in
+    List.map
+      (fun (s, verdict) ->
+        match verdict with
+        | `Hit r -> r
+        | `Stale ->
+            let walked = fresh.(!cursor) in
+            incr cursor;
+            store_fresh t s walked)
+      classified
 
   let evaluate ?jobs t =
     let jobs = match jobs with Some j -> j | None -> default_jobs () in

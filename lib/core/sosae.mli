@@ -38,16 +38,26 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]: the worker count {!evaluate}
     and {!evaluate_suite} use when [~jobs] is not given. *)
 
+val fan_out_work : int
+(** The work from which a batch of scenario walks fans out over a
+    {!Dsim.Pool} of [jobs] domains. A batch's work is its scenarios
+    times the bricks (components plus connectors) of the architecture
+    they walk; a smaller batch, or any batch at [jobs <= 1], walks
+    inline on the calling domain, because spawning and joining the
+    pool would cost more than the walks. The value is where jobs=2
+    starts to pay in [bench/main.exe scale] on a 2-core host. *)
+
 val evaluate :
   ?config:Walkthrough.Engine.config -> ?jobs:int -> project -> Walkthrough.Engine.set_result
 (** Walk every scenario of the project through its architecture.
 
-    Scenarios are evaluated on a pool of [jobs] OCaml domains (default
-    {!default_jobs}; [jobs <= 1] runs the plain sequential path). Each
-    worker owns a private {!Adl.Reach} oracle, so no evaluation state
-    is shared across domains; since a scenario's verdict is a pure
-    function of the project and config, the result — content and
-    order — is identical to a sequential run for every [jobs]. *)
+    With [jobs] > 1 (default {!default_jobs}) and at least
+    {!fan_out_work} of work, scenarios are evaluated on a pool of
+    [jobs] OCaml domains; otherwise they walk inline. Each worker owns
+    a private {!Adl.Reach} oracle, so no evaluation state is shared
+    across domains; since a scenario's verdict is a pure function of
+    the project and config, the result — content and order — is the
+    same on either path. *)
 
 val evaluate_suite :
   ?config:Walkthrough.Engine.config ->
@@ -56,8 +66,9 @@ val evaluate_suite :
   Scenarioml.Scen.t list ->
   Walkthrough.Verdict.scenario_result list
 (** Evaluate just the given scenarios (a sub-suite) against the
-    project's architecture, in the given order, on the same domain
-    pool as {!evaluate}. No style or coverage checks. *)
+    project's architecture, in the given order, inline or on a domain
+    pool by the same rule as {!evaluate}. No style or coverage
+    checks. *)
 
 val evaluate_scenario :
   ?config:Walkthrough.Engine.config ->
@@ -118,13 +129,12 @@ module Session : sig
   val evaluate : ?jobs:int -> t -> Walkthrough.Engine.set_result
   (** Evaluate every scenario, serving unchanged verdicts from cache.
       Equal to {!val:evaluate} on the session's current project. The
-      [jobs] default is {!default_jobs} — the same default as
-      {!val:evaluate}. With [jobs > 1] the scenarios that do need a
-      fresh walk — cache misses and failed replays — run on a domain
-      pool, each worker with a private oracle; results, cache contents,
-      and stats match the sequential path exactly, so the default is
-      safe for every caller. [jobs <= 1] forces the plain sequential
-      path. *)
+      scenarios that need a fresh walk — cache misses and failed
+      replays — walk inline with the session's oracle, unless [jobs > 1]
+      (default {!default_jobs}, as for {!val:evaluate}) and their work
+      reaches {!fan_out_work}: then they run on a domain pool, each
+      worker with a private oracle. Results, cache contents, and stats
+      are the same on either path. *)
 
   val evaluate_scenario : t -> string -> Walkthrough.Verdict.scenario_result option
   (** One scenario by id, through the cache; [None] when unknown. *)

@@ -3,8 +3,11 @@
 
     The pool is created once ([jobs - 1] helper domains plus the
     caller), then handed any number of batches; helpers sleep between
-    batches, so amortizing domain spawn cost over repeated sweeps (a
-    simulation campaign, a benchmark's batches, a server's requests).
+    batches, so repeated sweeps (a benchmark's batches of campaigns)
+    pay the domain spawn cost once. {!with_pool} pays it on every
+    call, 0.1–1.7 ms of wall time on a shared 2-vCPU guest, so a
+    caller with one small batch does better to run it inline (see
+    [Core.Sosae.fan_out_work]).
 
     A batch is a half-open index range [0, tasks): an atomic counter
     hands out indices, so work distribution is dynamic but — as long as

@@ -93,11 +93,18 @@ let reject_read_only ctx =
                   primary at %s"
                  primary)))
 
+(* Every body the handlers read is an object: [member] finds nothing
+   in [null], a list or a string, so such a body would read as one
+   with every field left out. *)
+let require_object = function
+  | Jsonlight.Obj _ as json -> json
+  | _ -> reply_error 400 ~category:"bad_request" "request body must be a JSON object"
+
 let parse_body (request : Http.request) =
   if request.Http.body = "" then Jsonlight.Obj []
   else
     match Jsonlight.of_string request.Http.body with
-    | Ok json -> json
+    | Ok json -> require_object json
     | Error message ->
         reply_error 400 ~category:"bad_request"
           (Printf.sprintf "request body is not valid JSON: %s" message)
@@ -540,7 +547,7 @@ let evaluate_batch ctx (request : Http.request) params =
   let json = parse_body request in
   let suites =
     match Jsonlight.member "suites" json with
-    | Some (Jsonlight.List (_ :: _ as items)) -> items
+    | Some (Jsonlight.List (_ :: _ as items)) -> List.map require_object items
     | Some (Jsonlight.List []) ->
         reply_error 400 ~category:"bad_request" "\"suites\" must not be empty"
     | Some _ | None ->
@@ -830,12 +837,11 @@ let parse_stimuli json =
 (* POST /sessions/:id/simulate — a Monte-Carlo dependability campaign
    over the session's *current* architecture (so diff-then-simulate
    measures the edited system). The behavioral bundle, stimuli, goal,
-   and fault windows come from the request body; trials fan out on a
-   domain pool sized like evaluation ([Registry.jobs]). The body's
-   "jobs" may narrow the pool, never widen it: each helper is a domain,
-   and the runtime's limit on domains is process-wide. Responses are
-   deterministic for a given seed, whatever the pool size — timing is
-   reported separately in "elapsed_ms". *)
+   and fault windows come from the request body. The trials run on the
+   request's thread: at 2 domains a campaign's trials serialize on the
+   stop-the-world minor collections, and ran slower than on one (see
+   EXPERIMENTS.md, SIM). Responses are deterministic for a given seed;
+   timing is reported separately in "elapsed_ms". *)
 let simulate ctx (request : Http.request) params =
   let id = Router.param params "id" in
   let json = parse_body request in
@@ -890,12 +896,6 @@ let simulate ctx (request : Http.request) params =
       drop_probability = optional_number json "loss" ~default:0.0;
     }
   in
-  let jobs =
-    let limit = Registry.jobs ctx.registry in
-    match optional_int json "jobs" ~default:limit with
-    | j when j >= 1 -> min j limit
-    | _ -> reply_error 400 ~category:"bad_request" "\"jobs\" must be >= 1"
-  in
   (* the architecture is immutable: hold the session lock only to read
      it, so the trials block no stats read, evaluate or checkpoint *)
   match
@@ -912,7 +912,7 @@ let simulate ctx (request : Http.request) params =
         (reply_error 400 ~category:"bad_request")
         (Dsim.Campaign.validate campaign);
       let started = Unix.gettimeofday () in
-      let report = Dsim.Campaign.report ~jobs ~seed ~trials campaign in
+      let report = Dsim.Campaign.report ~seed ~trials campaign in
       let elapsed = Unix.gettimeofday () -. started in
       json_reply
         (Jsonlight.Obj

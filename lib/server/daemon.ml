@@ -66,9 +66,10 @@ let best_effort f = try f () with _ -> ()
    connection takes one when a read brings it bytes and gives it back
    once nothing is buffered, so a half-sent request, a running handler
    and a pipelined burst keep it, and a keep-alive connection waiting
-   for its next request holds none. That also bounds the
-   [Pool.with_pool] domain sets requests spawn to [workers]. Never
-   raises: its thread must live on to park (see [accept_loop]). *)
+   for its next request holds none. That also bounds the domain pools
+   in flight to [workers]: only an evaluate whose stale walks reach
+   [Core.Sosae.fan_out_work] spawns one. Never raises: its thread must
+   live on to park (see [accept_loop]). *)
 let serve_connection config api_ctx permits fd =
   let metrics = api_ctx.Api.metrics in
   let parser_ = Http.parser_ ~max_head:config.max_head ~max_body:config.max_body () in

@@ -34,8 +34,9 @@ type config = {
   port : int;  (** 0 picks an ephemeral port — see {!port} *)
   host : string;  (** bind address, default ["127.0.0.1"] *)
   unix_path : string option;  (** additional Unix-domain listener *)
-  jobs : int option;  (** domain-pool width per evaluation;
-                          [None] = {!Core.Sosae.default_jobs} *)
+  jobs : int option;
+      (** domain-pool width for an evaluate whose stale walks reach
+          {!Core.Sosae.fan_out_work}; [None] = {!Core.Sosae.default_jobs} *)
   workers : int;  (** requests in progress at once (at least 1) *)
   queue_capacity : int;  (** open connections admitted beyond [workers] *)
   read_timeout : float;  (** seconds, while a request is in flight *)

@@ -25,9 +25,11 @@
 type t
 
 val create : ?jobs:int -> ?persist:Persist.t -> unit -> t
-(** [jobs] is the domain-pool width handed to every
-    [Session.evaluate] the server runs (default
-    {!Core.Sosae.default_jobs}). [persist], when given, makes every
+(** [jobs] is handed to every [Session.evaluate] the server runs
+    (default {!Core.Sosae.default_jobs}): the domain-pool width for an
+    evaluate whose stale walks reach {!Core.Sosae.fan_out_work}. Smaller
+    evaluates, and every campaign, run on the request's thread.
+    [persist], when given, makes every
     mutation durable; the registry still starts empty — feed
     {!recover} the mutations {!Persist.open_} returned. *)
 

@@ -2993,6 +2993,65 @@ let test_e2e_simulate_bodies_checked () =
     (snd (Unix.waitpid [] pid) = Unix.WEXITED 2);
   Testutil.check_contains "the CLI names the field" stderr {|sosae: "loss"|}
 
+(* Every body a handler reads must be a JSON object. [null], a list or
+   a string has no fields, so before this check such a body read as
+   one with every field left out: evaluate answered the full suite,
+   and each non-object element of a batch did too. An empty body still
+   reads as [{}]. *)
+let test_api_bodies_must_be_objects () =
+  let ctx = Server.Api.make_ctx ~jobs:1 () in
+  let call meth path body =
+    snd
+      (Server.Api.handle ctx
+         {
+           Http.meth;
+           target = "/" ^ String.concat "/" path;
+           path;
+           query = [];
+           version = `Http_1_1;
+           headers = [];
+           body;
+         })
+  in
+  let status (r : Http.response) = r.Http.status in
+  Alcotest.(check int) "created" 201
+    (status (call Http.POST [ "sessions" ] (create_body "s")));
+  let evaluate = [ "sessions"; "s"; "evaluate" ] in
+  let table =
+    [
+      (Http.POST, evaluate, "null");
+      (Http.POST, evaluate, "[]");
+      (Http.POST, evaluate, {|"x"|});
+      (Http.POST, evaluate @ [ "batch" ], {|{"suites":[1,null,["x"]]}|});
+      (Http.POST, evaluate @ [ "batch" ], {|{"suites":[{},[]]}|});
+      (Http.POST, [ "sessions" ], "[]");
+      (Http.POST, [ "sessions"; "s"; "diff" ], "null");
+      (Http.POST, [ "sessions"; "s"; "diff"; "preview" ], "7");
+      (Http.POST, [ "sessions"; "s"; "simulate" ], "[]");
+    ]
+  in
+  List.iter
+    (fun (meth, path, body) ->
+      let label = Printf.sprintf "%s /%s %s" (Http.meth_to_string meth)
+          (String.concat "/" path) body in
+      let r = call meth path body in
+      Alcotest.(check int) label 400 (status r);
+      match Jsonlight.of_string r.Http.resp_body with
+      | Ok json ->
+          let field name = Option.bind (Jsonlight.member "error" json) (Jsonlight.member name) in
+          Alcotest.(check (option string)) (label ^ ": category") (Some "bad_request")
+            (Option.bind (field "category") Jsonlight.string_opt);
+          Alcotest.(check (option string)) (label ^ ": message")
+            (Some "request body must be a JSON object")
+            (Option.bind (field "message") Jsonlight.string_opt)
+      | Error m -> Alcotest.failf "%s: error body is not JSON (%s)" label m)
+    table;
+  List.iter
+    (fun (path, body) ->
+      Alcotest.(check int) (Printf.sprintf "/%s %S" (String.concat "/" path) body) 200
+        (status (call Http.POST path body)))
+    [ (evaluate, ""); (evaluate, "{}"); (evaluate @ [ "batch" ], {|{"suites":[{},{}]}|}) ]
+
 let suite =
   [
     Alcotest.test_case "http: simple request" `Quick test_parse_simple;
@@ -3083,4 +3142,6 @@ let suite =
       test_diff_reply_survives_delete;
     Alcotest.test_case "e2e: simulate bodies are range- and name-checked" `Quick
       test_e2e_simulate_bodies_checked;
+    Alcotest.test_case "api: a body that is not a JSON object answers 400" `Quick
+      test_api_bodies_must_be_objects;
   ]

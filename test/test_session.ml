@@ -226,16 +226,25 @@ let prop_session_equals_fresh =
              agrees ())
            edits)
 
+(* A random suite walks far below [Core.Sosae.fan_out_work], so at any
+   jobs it stays inline. Repeating its scenario specs until scenarios
+   times bricks reaches the threshold sends it to the domain pool. *)
+let widen (n, m, _) scenario_specs =
+  let per_copy = (n + m) * List.length scenario_specs in
+  let copies = (Core.Sosae.fan_out_work + per_copy - 1) / per_copy in
+  List.concat (List.init copies (fun _ -> scenario_specs))
+
 (* The domain-pool evaluation paths must be observationally equal to the
    sequential ones: same results in the same order, and — for sessions —
    the same cache statistics, since only stale walks fan out. *)
 let prop_parallel_equals_sequential =
   QCheck2.Test.make ~name:"evaluate on a domain pool = sequential evaluate" ~count:50
     QCheck2.Gen.(
-      tup3 gen_arch_spec
+      tup4 gen_arch_spec
         (list_size (int_range 1 4) (list_size (int_range 1 5) (int_range 0 (event_types - 1))))
-        (int_range 2 5))
-    (fun (spec, scenario_specs, jobs) ->
+        (int_range 2 5) bool)
+    (fun (spec, scenario_specs, jobs, wide) ->
+      let scenario_specs = if wide then widen spec scenario_specs else scenario_specs in
       let project = build_project spec scenario_specs in
       Core.Sosae.evaluate ~jobs project = Core.Sosae.evaluate ~jobs:1 project
       && Core.Sosae.evaluate_suite ~jobs project
@@ -247,10 +256,11 @@ let prop_session_parallel_equals_sequential =
   QCheck2.Test.make ~name:"session: parallel evaluate = sequential, stats included"
     ~count:40
     QCheck2.Gen.(
-      tup4 gen_arch_spec
+      tup5 gen_arch_spec
         (list_size (int_range 1 4) (list_size (int_range 1 5) (int_range 0 (event_types - 1))))
-        gen_arch_spec (int_range 2 5))
-    (fun (spec, scenario_specs, spec', jobs) ->
+        gen_arch_spec (int_range 2 5) bool)
+    (fun (spec, scenario_specs, spec', jobs, wide) ->
+      let scenario_specs = if wide then widen spec scenario_specs else scenario_specs in
       let run jobs =
         let project = build_project spec scenario_specs in
         let session = Session.create project in

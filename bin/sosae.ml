@@ -110,11 +110,10 @@ let jobs_arg =
     value & opt int 0
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Run on $(docv) parallel domains: a simulate's trials, and a suite's \
-           scenario walks once their work (scenarios times bricks) reaches the \
-           fan-out threshold. $(b,0) (the default) picks the machine's recommended \
-           domain count, $(b,1) forces the sequential path. Results and their order \
-           are identical for every $(docv).")
+          "Run a suite's scenario walks on $(docv) parallel domains once their work \
+           (scenarios times bricks) reaches the fan-out threshold. $(b,0) (the \
+           default) picks the machine's recommended domain count, $(b,1) forces the \
+           sequential path. Results and their order are identical for every $(docv).")
 
 let resolve_jobs jobs = if jobs <= 0 then Core.Sosae.default_jobs () else jobs
 
@@ -732,6 +731,16 @@ let simulate_cmd =
       value & opt float 0.0
       & info [ "loss" ] ~docv:"P" ~doc:"Uniform message-loss probability in [0, 1].")
   in
+  let jobs =
+    Arg.(
+      value & opt int 1
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Run the trials on $(docv) parallel domains. $(b,1) (the default) runs \
+             them on the calling domain: started from an idle 2-core host, a \
+             campaign ran slower on 2 domains than on 1. $(b,0) picks the machine's \
+             recommended domain count. The report is identical for every $(docv).")
+  in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:
@@ -739,7 +748,7 @@ let simulate_cmd =
           fault plans (crash windows, downtimes, message loss) swept over N trials, \
           aggregated into availability / reliability / latency statistics with a \
           Wilson 95% confidence interval.")
-    Term.(const Stdlib.exit $ (const run $ which $ trials $ seed $ loss $ jobs_arg $ json_arg))
+    Term.(const Stdlib.exit $ (const run $ which $ trials $ seed $ loss $ jobs $ json_arg))
 
 (* ------------------------------ save-demo ------------------------- *)
 

@@ -437,27 +437,29 @@ let parse_sub_suite json =
       reply_error 400 ~category:"bad_request"
         "\"scenarios\" must be a list of scenario ids"
 
-type eval_outcome =
-  | Full_suite of {
-      etag : string;
-      result : string;  (** the serialized set result, cache-spliced *)
-      re_evaluated : int;
-      served_from_cache : int;
-    }
-  | Sub_suite of {
-      results : Jsonlight.t list;
-      re_evaluated : int;
-      served_from_cache : int;
-    }
+(* The counters that close an evaluate body. *)
+let counters ~re_evaluated ~served_from_cache =
+  String.concat ""
+    [
+      {|,"re_evaluated":|};
+      string_of_int re_evaluated;
+      {|,"served_from_cache":|};
+      string_of_int served_from_cache;
+      "}";
+    ]
 
-(* One evaluate body against [session], whose lock the caller holds.
-   The full-suite path still runs [Session.evaluate] — warm it only
-   serves cached verdicts, and the per-call stats bracket it — but the
-   dominant warm cost, rendering the whole result tree to JSON, is paid
-   once per architecture revision: the serialized string is cached in
-   the registry against {!Core.Sosae.Session.revision} and spliced
-   verbatim into later responses. Same revision means same architecture
-   means bit-identical verdicts, so the splice is exact. *)
+(* One evaluate body against [session], whose lock the caller holds,
+   with the full suite's etag. The full-suite path still runs
+   [Session.evaluate] (warm, it only serves cached verdicts, and the
+   per-call stats bracket it), but its body is rendered once per
+   architecture revision: the registry keeps, against
+   {!Core.Sosae.Session.revision}, the body a warm call answers,
+   [{"result":…,"re_evaluated":0,"served_from_cache":n}] for a suite of
+   n scenarios. A call that served all n from cache answers those
+   bytes as they are; any other call, such as the first at a revision,
+   answers the same result with its own counters. Same revision means
+   same architecture means bit-identical verdicts, so the cached
+   result is exact. *)
 let evaluate_once ctx ~id ~jobs session json =
   match parse_sub_suite json with
   | None ->
@@ -467,16 +469,29 @@ let evaluate_once ctx ~id ~jobs session json =
         bracket_stats session (fun () ->
             Core.Sosae.Session.evaluate ~jobs session)
       in
-      let etag, body =
+      let suite = List.length result.Walkthrough.Engine.results in
+      let warm_counters = counters ~re_evaluated:0 ~served_from_cache:suite in
+      let etag, warm =
         match cached with
-        | Some (etag, body) -> (etag, body)
+        | Some cached -> cached
         | None ->
-            let body =
-              Jsonlight.to_string (Walkthrough.Report.json_of_set_result result)
-            in
-            (Registry.cache_response ctx.registry id ~session ~revision ~body, body)
+            let buf = Buffer.create 4096 in
+            Buffer.add_string buf {|{"result":|};
+            Jsonlight.to_buffer buf (Walkthrough.Report.json_of_set_result result);
+            Buffer.add_string buf warm_counters;
+            let warm = Buffer.contents buf in
+            (Registry.cache_response ctx.registry id ~session ~revision ~body:warm, warm)
       in
-      Full_suite { etag; result = body; re_evaluated; served_from_cache }
+      if re_evaluated = 0 && served_from_cache = suite then (Some etag, warm)
+      else begin
+        (* the warm body's result, closed by this call's counters *)
+        let own = counters ~re_evaluated ~served_from_cache in
+        let keep = String.length warm - String.length warm_counters in
+        let body = Bytes.create (keep + String.length own) in
+        Bytes.blit_string warm 0 body 0 keep;
+        Bytes.blit_string own 0 body keep (String.length own);
+        (Some etag, Bytes.unsafe_to_string body)
+      end
   | Some scenario_ids ->
       let results, re_evaluated, served_from_cache =
         bracket_stats session (fun () ->
@@ -489,33 +504,13 @@ let evaluate_once ctx ~id ~jobs session json =
                       (Printf.sprintf "no scenario %S in session %S" sid id))
               scenario_ids)
       in
-      Sub_suite { results; re_evaluated; served_from_cache }
-
-(* Exactly what the pre-cache handler answered:
-   [{"result":…,"re_evaluated":n,"served_from_cache":n}] (full suite)
-   or the same with ["results"] (sub-suite), built in one concatenation
-   around the cached result string. *)
-let outcome_body outcome =
-  let field, value, re_evaluated, served_from_cache =
-    match outcome with
-    | Full_suite { result; re_evaluated; served_from_cache; etag = _ } ->
-        ("{\"result\":", result, re_evaluated, served_from_cache)
-    | Sub_suite { results; re_evaluated; served_from_cache } ->
-        ( "{\"results\":",
-          Jsonlight.to_string (Jsonlight.List results),
-          re_evaluated,
-          served_from_cache )
-  in
-  String.concat ""
-    [
-      field;
-      value;
-      ",\"re_evaluated\":";
-      string_of_int re_evaluated;
-      ",\"served_from_cache\":";
-      string_of_int served_from_cache;
-      "}";
-    ]
+      ( None,
+        String.concat ""
+          [
+            {|{"results":|};
+            Jsonlight.to_string (Jsonlight.List results);
+            counters ~re_evaluated ~served_from_cache;
+          ] )
 
 let evaluate ctx (request : Http.request) params =
   let id = Router.param params "id" in
@@ -523,16 +518,10 @@ let evaluate ctx (request : Http.request) params =
   let jobs = Registry.jobs ctx.registry in
   with_session ctx id (fun session ->
       match evaluate_once ctx ~id ~jobs session json with
-      | Full_suite { etag; _ }
-        when Http.if_none_match_matches request ~etag ->
+      | Some etag, _ when Http.if_none_match_matches request ~etag ->
           Http.response ~headers:[ ("ETag", etag) ] 304 ""
-      | outcome ->
-          let headers =
-            match outcome with
-            | Full_suite { etag; _ } -> [ ("ETag", etag) ]
-            | Sub_suite _ -> []
-          in
-          json_string_reply ~headers (outcome_body outcome))
+      | Some etag, body -> json_string_reply ~headers:[ ("ETag", etag) ] body
+      | None, body -> json_string_reply body)
 
 (* POST /sessions/:id/evaluate/batch — many evaluate bodies through one
    request: the session lock is taken once, the responses concatenate
@@ -559,12 +548,11 @@ let evaluate_batch ctx (request : Http.request) params =
       "at most 1024 suites per batch request";
   let jobs = Registry.jobs ctx.registry in
   with_session ctx id (fun session ->
-      let outcomes =
-        List.map (fun body -> evaluate_once ctx ~id ~jobs session body) suites
+      let bodies =
+        List.map (fun body -> snd (evaluate_once ctx ~id ~jobs session body)) suites
       in
       json_string_reply
-        (String.concat ""
-           [ "{\"responses\":["; String.concat "," (List.map outcome_body outcomes); "]}" ]))
+        (String.concat "" [ {|{"responses":[|}; String.concat "," bodies; "]}" ]))
 
 (* Diff ops arrive as [{"op":"remove_link","id":...}] objects. The
    supported vocabulary is the removal/rename subset of {!Adl.Diff.op}

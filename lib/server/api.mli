@@ -41,9 +41,10 @@
       architecture revision; a request whose [If-None-Match] matches is
       answered [304 Not Modified] with no body (the session's verdict
       cache is still consulted, so stats count the call like any
-      other). The serialized result is cached per revision, so warm
-      responses splice a pre-rendered string instead of re-serializing
-      the result tree.
+      other). The whole warm body, counters [0] and the suite's size,
+      is cached per revision: a call that re-walks nothing answers it
+      as it is, and any other call answers the cached result with its
+      own counters.
     - [POST /sessions/:id/evaluate/batch] — [{"suites": [body, …]}]
       where each element is shaped like a one-shot evaluate body (at
       most 1024); answers [{"responses": [r, …]}] with each element

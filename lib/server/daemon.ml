@@ -49,9 +49,7 @@ let default_config =
 (* Connection handling                                                *)
 (* ------------------------------------------------------------------ *)
 
-let write_all fd s =
-  let n = String.length s in
-  let b = Bytes.unsafe_of_string s in
+let write_all fd b n =
   let rec go off =
     if off < n then begin
       let written = Unix.write fd b off (n - off) in
@@ -74,9 +72,27 @@ let serve_connection config api_ctx permits fd =
   let metrics = api_ctx.Api.metrics in
   let parser_ = Http.parser_ ~max_head:config.max_head ~max_body:config.max_body () in
   let chunk = Bytes.create 8192 in
-  (* one response buffer per connection: keep-alive steady state
-     serializes every response into the same grown-to-size buffer *)
-  let out = Buffer.create 8192 in
+  (* one output buffer per connection: each response's head and body
+     are copied into it and written from it in one write. It grows to
+     the largest response the connection has sent and stays that size,
+     so a keep-alive connection's steady state allocates no buffer per
+     response. *)
+  let out = ref (Bytes.create 8192) and out_len = ref 0 in
+  let add s =
+    let n = String.length s in
+    if !out_len + n > Bytes.length !out then begin
+      let grown = Bytes.create (max (2 * Bytes.length !out) (!out_len + n)) in
+      Bytes.blit !out 0 grown 0 !out_len;
+      out := grown
+    end;
+    Bytes.blit_string s 0 !out !out_len n;
+    out_len := !out_len + n
+  in
+  let send ?request_meth ~close response =
+    out_len := 0;
+    Http.serialize_with add ?request_meth ~close response;
+    write_all fd !out !out_len
+  in
   let served = ref 0 in
   let permit = ref false in
   let take_permit () =
@@ -109,9 +125,7 @@ let serve_connection config api_ctx permits fd =
       (not (Http.keep_alive request))
       || (config.max_requests > 0 && !served >= config.max_requests)
     in
-    Buffer.clear out;
-    Http.serialize_to out ~request_meth:request.Http.meth ~close response;
-    write_all fd (Buffer.contents out);
+    send ~request_meth:request.Http.meth ~close response;
     close
   in
   let rec loop () =
@@ -129,8 +143,7 @@ let serve_connection config api_ctx permits fd =
         if not (respond request response) then loop ()
     | `Error e ->
         (* the connection cannot be re-synced after a framing error *)
-        best_effort (fun () ->
-            write_all fd (Http.serialize ~close:true (Api.response_of_parse_error e)))
+        best_effort (fun () -> send ~close:true (Api.response_of_parse_error e))
     | `Need_more -> (
         let idle = Http.buffered parser_ = 0 in
         if idle then give_permit ();
@@ -147,10 +160,9 @@ let serve_connection config api_ctx permits fd =
             if Http.buffered parser_ > 0 then begin
               Metrics.reject_timeout metrics;
               best_effort (fun () ->
-                  write_all fd
-                    (Http.serialize ~close:true
-                       (Api.error_response 408 ~category:"timeout"
-                          "timed out reading the request")))
+                  send ~close:true
+                    (Api.error_response 408 ~category:"timeout"
+                       "timed out reading the request"))
             end)
   in
   Fun.protect
@@ -253,7 +265,8 @@ let accept_loop t listener =
           Metrics.reject_overload t.api_ctx.Api.metrics;
           best_effort (fun () ->
               Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0;
-              write_all fd (Http.serialize ~close:true Api.overloaded_response));
+              let s = Http.serialize ~close:true Api.overloaded_response in
+              write_all fd (Bytes.unsafe_of_string s) (String.length s));
           best_effort (fun () -> Unix.close fd)
         end;
         loop ()

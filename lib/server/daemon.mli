@@ -24,7 +24,8 @@
     connection (reaped silently). Request head and body sizes are
     bounded ({!Http.parser_} limits). [SIGPIPE] is ignored for the
     process (writes to dead peers fail with [EPIPE] instead). Each
-    connection serializes every response into one reused buffer.
+    connection copies every response, head and body, into one reused
+    byte buffer and writes it from there in one write.
 
     {!stop} drains gracefully: the listeners close (no new
     connections), and every admitted connection is still served until

@@ -407,20 +407,33 @@ let next_response ?(head_only = false) p =
       `Response { status; reason; resp_headers; resp_body }
   | (`Need_more | `Error _) as r -> r
 
-let serialize_to buf ?request_meth ~close r =
+(* Each piece of the response goes to [add] in wire order, none built
+   by concatenation: the two decimal numbers are the only strings made. *)
+let serialize_with add ?request_meth ~close r =
   let suppressed = body_suppressed r.status in
-  Buffer.add_string buf (Printf.sprintf "HTTP/1.1 %d %s\r\n" r.status r.reason);
+  add "HTTP/1.1 ";
+  add (string_of_int r.status);
+  add " ";
+  add r.reason;
+  add "\r\n";
   List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" k v))
+    (fun (k, v) ->
+      add k;
+      add ": ";
+      add v;
+      add "\r\n")
     r.resp_headers;
-  Buffer.add_string buf
-    (Printf.sprintf "Content-Length: %d\r\n"
-       (if suppressed then 0 else String.length r.resp_body));
-  if close then Buffer.add_string buf "Connection: close\r\n";
-  Buffer.add_string buf "\r\n";
-  (match request_meth with
+  add "Content-Length: ";
+  add (string_of_int (if suppressed then 0 else String.length r.resp_body));
+  add "\r\n";
+  if close then add "Connection: close\r\n";
+  add "\r\n";
+  match request_meth with
   | Some HEAD -> ()
-  | Some _ | None -> if not suppressed then Buffer.add_string buf r.resp_body)
+  | Some _ | None -> if not suppressed then add r.resp_body
+
+let serialize_to buf ?request_meth ~close r =
+  serialize_with (Buffer.add_string buf) ?request_meth ~close r
 
 let serialize ?request_meth ~close r =
   let buf = Buffer.create (String.length r.resp_body + 256) in

@@ -97,8 +97,13 @@ val serialize : ?request_meth:meth -> close:bool -> response -> string
     204/304/1xx statuses suppress the body {e and} declare
     [Content-Length: 0], whatever body the response value carries. *)
 
+val serialize_with :
+  (string -> unit) -> ?request_meth:meth -> close:bool -> response -> unit
+(** [serialize_with add] hands {!serialize}'s bytes to [add] in wire
+    order, piece by piece, the body as one piece: the daemon copies
+    them into its connection's output buffer. The status code's and
+    [Content-Length]'s digits are the only strings it makes. *)
+
 val serialize_to :
   Buffer.t -> ?request_meth:meth -> close:bool -> response -> unit
-(** {!serialize} into a caller-owned buffer — the daemon reuses one
-    per connection so steady-state responses allocate no fresh
-    buffer. *)
+(** {!serialize_with} into a caller-owned buffer. *)

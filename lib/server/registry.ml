@@ -1,5 +1,5 @@
-(* The serialized full-suite result of one revision of an entry's
-   session, and the etag minted for it. *)
+(* The bytes cached for one revision of an entry's session, and the
+   etag minted for them. *)
 type response = { revision : int; etag : string; body : string }
 
 (* One id's entry: the session incarnation registered under the id and
@@ -77,7 +77,7 @@ let with_session t id f =
       Ok (Core.Sosae.Session.exclusively session (fun () -> f session))
 
 (* ------------------------------------------------------------------ *)
-(* Serialized-response cache                                          *)
+(* Response cache                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* [lock] held. The cache answers for a (session, revision) pair only

@@ -128,19 +128,20 @@ val maintenance_compact : t -> bool
 val ids : t -> string list
 (** Sorted. *)
 
-(** {1 Serialized-response cache}
+(** {1 Response cache}
 
-    The warm evaluate path is dominated by serializing the full-suite
+    The warm evaluate path is dominated by rendering the full-suite
     result, not by evaluating it (verdicts are already cached in the
-    session). Each session's registry entry therefore holds one
-    serialized result body keyed on {!Core.Sosae.Session.revision} —
+    session). Each session's registry entry therefore holds one string
+    of the caller's bytes keyed on {!Core.Sosae.Session.revision} —
     valid exactly while no architecture edit lands — together with a
     strong entity tag the API surfaces as [ETag] / answers
-    [If-None-Match] with. A re-created session is a new entry, so it
-    starts with nothing cached; both accessors check (under the table
-    lock) that [session] is still physically the one registered for
-    [id], so an evaluate that outlives a delete/recreate can neither
-    poison the namesake's cache nor serve its bytes. Etags read
+    [If-None-Match] with. The registry never reads the bytes: {!Api}
+    keeps the whole warm response body there. A re-created session is
+    a new entry, so it starts with nothing cached; both accessors check
+    (under the table lock) that [session] is still physically the one
+    registered for [id], so an evaluate that outlives a delete/recreate
+    can neither poison the namesake's cache nor serve its bytes. Etags read
     ["r<revision>-<boot>-<n>"]: a random per-boot component plus a
     registry-global mint counter, so an etag handed out for one
     incarnation of a session — or by an earlier run of the daemon —
@@ -150,16 +151,16 @@ val cached_response :
   t -> string -> session:Core.Sosae.Session.t -> revision:int ->
   (string * string) option
 (** [cached_response t id ~session ~revision] is [Some (etag, body)]
-    when a serialized result for exactly that session revision is
-    cached and [session] is still the session registered for [id]. *)
+    when bytes for exactly that session revision are cached and
+    [session] is still the session registered for [id]. *)
 
 val cache_response :
   t -> string -> session:Core.Sosae.Session.t -> revision:int ->
   body:string -> string
-(** Store the serialized result for [revision] on [id]'s entry,
-    replacing what it held, and return a freshly minted etag. When
-    [session] is no longer the one registered for [id], nothing is
-    stored and the returned etag will never validate. *)
+(** Store [body] for [revision] on [id]'s entry, replacing what it
+    held, and return a freshly minted etag. When [session] is no longer
+    the one registered for [id], nothing is stored and the returned
+    etag will never validate. *)
 
 val with_session :
   t -> string -> (Core.Sosae.Session.t -> 'a) -> ('a, [ `Not_found ]) result

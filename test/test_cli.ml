@@ -194,6 +194,13 @@ let test_simulate_reproducible () =
   run [ "simulate"; "crash"; "--trials"; "20" ];
   Testutil.check_contains "text report" (last_output ()) "95% CI"
 
+(* A campaign runs on one domain unless `--jobs` asks for more. *)
+let test_simulate_default_jobs () =
+  run [ "simulate"; "crash"; "--trials"; "20" ];
+  Testutil.check_contains "default" (last_output ()) "on 1 jobs)";
+  run [ "simulate"; "crash"; "--trials"; "20"; "--jobs"; "2" ];
+  Testutil.check_contains "explicit --jobs" (last_output ()) "on 2 jobs)"
+
 let suite =
   [
     Alcotest.test_case "save-demo + validate" `Quick test_save_demo_and_validate;
@@ -209,4 +216,5 @@ let suite =
     Alcotest.test_case "prose and demo" `Quick test_prose;
     Alcotest.test_case "simulate is bit-for-bit reproducible" `Quick
       test_simulate_reproducible;
+    Alcotest.test_case "simulate defaults to one job" `Quick test_simulate_default_jobs;
   ]

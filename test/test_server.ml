@@ -2570,6 +2570,19 @@ let prop_response_cache_reference =
       QCheck2.Test.fail_reportf "not a full-suite body: %s" body;
     String.sub body (String.length prefix) (stop - String.length prefix)
   in
+  (* the call's two counters, which close every full-suite body *)
+  let counters body =
+    match Jsonlight.of_string body with
+    | Ok json -> (
+        let count name = Option.bind (Jsonlight.member name json) Jsonlight.int_opt in
+        match (count "re_evaluated", count "served_from_cache") with
+        | Some walked, Some served -> (walked, served)
+        | _ -> QCheck2.Test.fail_reportf "no counters in %s" body)
+    | Error m -> QCheck2.Test.fail_reportf "body is not JSON (%s): %s" m body
+  in
+  let suite_size =
+    lazy (List.length (Lazy.force base).Core.Sosae.scenarios.Scenarioml.Scen.scenarios)
+  in
   QCheck2.Test.make ~name:"response cache: ETag/304 and bodies match a fresh evaluation"
     ~count:100
     ~print:QCheck2.Print.(list (triple int int int))
@@ -2580,6 +2593,7 @@ let prop_response_cache_reference =
       let live = Hashtbl.create 2 (* id -> (incarnation, excisions, architecture) *)
       and last_etag = Hashtbl.create 2 (* id -> etag *)
       and issued = Hashtbl.create 16 (* etag -> (incarnation, excisions) *)
+      and answered = Hashtbl.create 16 (* states that answered a 200 or a 304 *)
       and incarnations = ref 0 in
       let call ?(headers = []) meth path body =
         snd
@@ -2628,8 +2642,20 @@ let prop_response_cache_reference =
         else begin
           expect "evaluate" 200 r;
           if result_bytes r.Http.resp_body <> expected_result architecture then
-            QCheck2.Test.fail_reportf "%s: result differs from a fresh evaluation" id
+            QCheck2.Test.fail_reportf "%s: result differs from a fresh evaluation" id;
+          (* a cached body answers only the calls whose counters it carries *)
+          let walked, served = counters r.Http.resp_body in
+          let size = Lazy.force suite_size in
+          if walked + served <> size then
+            QCheck2.Test.fail_reportf "%s: counters %d + %d, suite of %d" id walked served
+              size;
+          if Hashtbl.mem answered state && walked <> 0 then
+            QCheck2.Test.fail_reportf "%s: a repeat at one state re-walked %d" id walked;
+          if snd state = 0 && (not (Hashtbl.mem answered state)) && walked <> size then
+            QCheck2.Test.fail_reportf "%s: a new session's first call walked %d of %d" id
+              walked size
         end;
+        Hashtbl.replace answered state ();
         issue id state (etag_of r)
       in
       List.iter
@@ -2800,6 +2826,93 @@ let test_e2e_drain_waits_for_connections () =
   Server.Client.close c;
   Thread.join stopper;
   Alcotest.(check bool) "stop returned after the close" true (Atomic.get stopped)
+
+(* Seven requests written onto one keep-alive connection before any
+   is read: responses of very different sizes leave the connection's
+   output buffer one after the other, and each must frame exactly, with
+   nothing of a larger earlier response left over. The seventh hits
+   [max_requests], so it closes the connection. *)
+let test_e2e_pipelined_responses () =
+  let config = { Server.Daemon.default_config with Server.Daemon.max_requests = 7 } in
+  with_daemon ~config (fun t ->
+      with_client t (fun c ->
+          Alcotest.(check int) "created" 201
+            (ok (Server.Client.post c "/sessions" ~body:(create_body "pims")))
+              .Server.Client.status);
+      let request ?(headers = "") meth target body =
+        Printf.sprintf "%s %s HTTP/1.1\r\nHost: test\r\n%sContent-Length: %d\r\n\r\n%s"
+          meth target headers (String.length body) body
+      in
+      let evaluate = "/sessions/pims/evaluate" in
+      let sub_suite = {|{"scenarios":["create-portfolio","get-share-prices"]}|} in
+      let requests =
+        [
+          request "POST" evaluate "";
+          request "GET" "/health" "";
+          request "POST" evaluate "";
+          request ~headers:"If-None-Match: *\r\n" "POST" evaluate "";
+          request "HEAD" "/health" "";
+          request "POST" evaluate sub_suite;
+          request "POST" (evaluate ^ "/batch") (Printf.sprintf {|{"suites":[{},%s]}|} sub_suite);
+        ]
+      in
+      let fd = connect_raw t in
+      let wire =
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            let all = String.concat "" requests in
+            ignore (Unix.write_substring fd all 0 (String.length all));
+            read_to_eof fd)
+      in
+      let p = Http.parser_ ~max_body:(1 lsl 24) () in
+      Http.feed p wire;
+      let next ?head_only () =
+        match Http.next_response ?head_only p with
+        | `Response r -> r
+        | `Need_more -> Alcotest.fail "a response is cut short"
+        | `Error e -> Alcotest.failf "a response misframes: %s" (Http.parse_error_message e)
+      in
+      let check_response what (r : Http.response) status names body =
+        Alcotest.(check int) (what ^ ": status") status r.Http.status;
+        Alcotest.(check (list string)) (what ^ ": header names, in order") names
+          (List.map fst r.Http.resp_headers);
+        Alcotest.(check string) (what ^ ": body") body r.Http.resp_body
+      in
+      let json = [ "content-type"; "content-length" ] in
+      let tagged = [ "content-type"; "etag"; "content-length" ] in
+      let cold = next () in
+      let etag = List.assoc "etag" cold.Http.resp_headers in
+      let result =
+        let counters = {|,"re_evaluated":22,"served_from_cache":0}|} in
+        let body = cold.Http.resp_body in
+        let stop = String.length body - String.length counters in
+        Alcotest.(check string) "cold counters" counters
+          (String.sub body stop (String.length counters));
+        String.sub body 0 stop
+      in
+      let health = next () in
+      Testutil.check_contains "health body" health.Http.resp_body {|"status":"ok"|};
+      check_response "health" health 200 json health.Http.resp_body;
+      let warm_body = result ^ {|,"re_evaluated":0,"served_from_cache":22}|} in
+      check_response "warm" (next ()) 200 tagged warm_body;
+      let not_modified = next () in
+      check_response "304" not_modified 304 [ "etag"; "content-length" ] "";
+      Alcotest.(check string) "304 echoes the etag" etag
+        (List.assoc "etag" not_modified.Http.resp_headers);
+      let head = next ~head_only:true () in
+      check_response "HEAD" head 200 json "";
+      Alcotest.(check string) "HEAD declares the GET body's length"
+        (string_of_int (String.length health.Http.resp_body))
+        (List.assoc "content-length" head.Http.resp_headers);
+      let sub = next () in
+      Alcotest.(check bool) "sub-suite body" true
+        (String.starts_with ~prefix:{|{"results":[|} sub.Http.resp_body);
+      check_response "sub-suite" sub 200 json sub.Http.resp_body;
+      check_response "batch" (next ()) 200
+        (json @ [ "connection" ])
+        (Printf.sprintf {|{"responses":[%s,%s]}|} warm_body sub.Http.resp_body);
+      Alcotest.(check int) "nothing follows the last response" 0 (Http.buffered p))
 
 (* ---------------- Hostile and racing requests --------------------- *)
 
@@ -3134,6 +3247,8 @@ let suite =
       test_e2e_half_sent_request_holds_permit;
     Alcotest.test_case "e2e: stop waits for admitted connections" `Quick
       test_e2e_drain_waits_for_connections;
+    Alcotest.test_case "e2e: pipelined responses frame from one buffer" `Quick
+      test_e2e_pipelined_responses;
     Alcotest.test_case "jsonlight: nesting is bounded at 512" `Quick
       test_json_nesting_bounded;
     Alcotest.test_case "e2e: deeply nested JSON answers 400" `Quick

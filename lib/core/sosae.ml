@@ -119,6 +119,8 @@ module Session = struct
     e_revision : int;
     e_result : Walkthrough.Verdict.scenario_result;
     e_queries : Adl.Reach.query list;
+    mutable e_json : string option;
+        (** [e_result] as JSON, once {!verdict_json} has rendered it *)
   }
 
   type stats = {
@@ -149,6 +151,7 @@ module Session = struct
         (** style violations + coverage problems, keyed by the
             architecture revision they were computed against *)
     mutable stats : stats;
+    scratch : Buffer.t;  (** where {!verdict_json} renders, reused *)
     lock : Mutex.t;
         (** taken only through {!exclusively}: session operations stay
             unsynchronized on the single-owner fast path, and shared
@@ -164,6 +167,7 @@ module Session = struct
       cache = Hashtbl.create 16;
       checks = None;
       stats = zero_stats;
+      scratch = Buffer.create 1024;
       lock = Mutex.create ();
     }
 
@@ -200,7 +204,7 @@ module Session = struct
 
   let store_fresh t s (result, queries) =
     Hashtbl.replace t.cache s.Scenarioml.Scen.scenario_id
-      { e_revision = t.revision; e_result = result; e_queries = queries };
+      { e_revision = t.revision; e_result = result; e_queries = queries; e_json = None };
     t.stats <- { t.stats with evaluations = t.stats.evaluations + 1 };
     result
 
@@ -237,6 +241,26 @@ module Session = struct
 
   let evaluate_scenario t id =
     Option.map (evaluate_one t) (Scenarioml.Scen.find t.project.scenarios id)
+
+  let render t r =
+    Buffer.clear t.scratch;
+    Walkthrough.Report.scenario_result_to_buffer t.scratch r;
+    Buffer.contents t.scratch
+
+  (* A verdict's bytes live next to it in its cache entry. Replay and
+     the removal fast path revalidate an entry by copying it with a new
+     revision, so the bytes ride along with the verdict they render,
+     and only a fresh walk starts without them. *)
+  let verdict_json t (r : Walkthrough.Verdict.scenario_result) =
+    match Hashtbl.find_opt t.cache r.Walkthrough.Verdict.scenario_id with
+    | Some e when e.e_result == r -> (
+        match e.e_json with
+        | Some json -> json
+        | None ->
+            let json = render t r in
+            e.e_json <- Some json;
+            json)
+    | Some _ | None -> render t r
 
   let architecture_checks t =
     match t.checks with

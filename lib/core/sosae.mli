@@ -139,6 +139,14 @@ module Session : sig
   val evaluate_scenario : t -> string -> Walkthrough.Verdict.scenario_result option
   (** One scenario by id, through the cache; [None] when unknown. *)
 
+  val verdict_json : t -> Walkthrough.Verdict.scenario_result -> string
+  (** [Walkthrough.Report.scenario_result_to_json r]. When [r] is the
+      verdict the session holds for its scenario, as every verdict of
+      the latest {!evaluate} or {!evaluate_scenario} is, the bytes are
+      rendered once and kept with it: later calls answer the same
+      string, also after an edit that revalidates the verdict, so a
+      render after an edit renders only the scenarios it re-walked. *)
+
   val apply_diff : t -> Adl.Diff.op list -> unit
   (** Apply evolution operations to the session's architecture. Cached
       verdicts are kept and revalidated lazily (by query replay) at the

@@ -25,29 +25,58 @@ let esc_table =
       | c when Char.code c < 0x20 -> 'u'
       | _ -> '\000')
 
+(* Eight bytes at a time: a word holds a byte that needs an escape
+   exactly when some byte of it is below 0x20, or is '"' or '\\' (a
+   zero byte once the word is xor-ed with that byte in every lane).
+   The tests are exact about whether such a byte exists, though not
+   about which one it is; [clean_bytes] finds it. *)
+let[@inline] has_below_space w =
+  Int64.logand (Int64.logand (Int64.sub w 0x2020202020202020L) (Int64.lognot w))
+    0x8080808080808080L
+  <> 0L
+
+let[@inline] has_zero w =
+  Int64.logand (Int64.logand (Int64.sub w 0x0101010101010101L) (Int64.lognot w))
+    0x8080808080808080L
+  <> 0L
+
+let rec clean_bytes s i =
+  if i < String.length s && String.unsafe_get esc_table (Char.code (String.unsafe_get s i)) = '\000'
+  then clean_bytes s (i + 1)
+  else i
+
+(* the first index from [i] of a byte that needs an escape, or the
+   length of [s] *)
+let rec clean_until s i =
+  if i + 8 > String.length s then clean_bytes s i
+  else
+    let w = String.get_int64_ne s i in
+    if
+      has_below_space w
+      || has_zero (Int64.logxor w 0x2222222222222222L)
+      || has_zero (Int64.logxor w 0x5C5C5C5C5C5C5C5CL)
+    then clean_bytes s i
+    else clean_until s (i + 8)
+
+let rec escape_from buf s start =
+  let i = clean_until s start in
+  if i > start then Buffer.add_substring buf s start (i - start);
+  if i < String.length s then begin
+    let c = String.unsafe_get s i in
+    let esc = String.unsafe_get esc_table (Char.code c) in
+    if esc = 'u' then Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    else begin
+      Buffer.add_char buf '\\';
+      Buffer.add_char buf esc
+    end;
+    escape_from buf s (i + 1)
+  end
+
+let add_escaped buf s = escape_from buf s 0
+
 let escape_to buf s =
   Buffer.add_char buf '"';
-  let n = String.length s in
-  let start = ref 0 in
-  let i = ref 0 in
-  while !i < n do
-    let esc =
-      String.unsafe_get esc_table (Char.code (String.unsafe_get s !i))
-    in
-    if esc <> '\000' then begin
-      if !i > !start then Buffer.add_substring buf s !start (!i - !start);
-      if esc = 'u' then
-        Buffer.add_string buf
-          (Printf.sprintf "\\u%04x" (Char.code (String.unsafe_get s !i)))
-      else begin
-        Buffer.add_char buf '\\';
-        Buffer.add_char buf esc
-      end;
-      start := !i + 1
-    end;
-    incr i
-  done;
-  if n > !start then Buffer.add_substring buf s !start (n - !start);
+  add_escaped buf s;
   Buffer.add_char buf '"'
 
 let rec to_buffer buf = function
@@ -131,100 +160,193 @@ exception Parse_error of string
 
 let parse_error fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
 
-type cursor = { input : string; mutable pos : int }
+type cursor = {
+  input : string;
+  mutable pos : int;
+  mutable decoded : Buffer.t option;  (** see [decode_escaped] *)
+}
 
-let peek c = if c.pos < String.length c.input then Some c.input.[c.pos] else None
+let at_end c = c.pos >= String.length c.input
+
+(* The byte at the cursor, '\000' past the end: a NUL byte and the end
+   read the same, so a match tells them apart with [at_end] where it
+   must. Nothing is allocated per byte. *)
+let peek c = if at_end c then '\000' else String.unsafe_get c.input c.pos
 
 let advance c = c.pos <- c.pos + 1
 
 let skip_ws c =
   while
-    match peek c with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance c;
-        true
-    | Some _ | None -> false
+    match peek c with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
   do
-    ()
+    advance c
   done
 
 let expect c ch =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | Some x -> parse_error "expected %C at offset %d, found %C" ch c.pos x
-  | None -> parse_error "expected %C at offset %d, found end of input" ch c.pos
+  if at_end c then parse_error "expected %C at offset %d, found end of input" ch c.pos;
+  let x = peek c in
+  if x = ch then advance c else parse_error "expected %C at offset %d, found %C" ch c.pos x
+
+let rec matches s at word i =
+  i = String.length word
+  || (String.unsafe_get s (at + i) = String.unsafe_get word i && matches s at word (i + 1))
 
 let literal c word value =
-  let n = String.length word in
-  if c.pos + n <= String.length c.input && String.sub c.input c.pos n = word then begin
-    c.pos <- c.pos + n;
+  if c.pos + String.length word <= String.length c.input && matches c.input c.pos word 0
+  then begin
+    c.pos <- c.pos + String.length word;
     value
   end
   else parse_error "invalid literal at offset %d" c.pos
 
+let hex_digit = function
+  | '0' .. '9' as d -> Char.code d - Char.code '0'
+  | 'a' .. 'f' as d -> Char.code d - Char.code 'a' + 10
+  | 'A' .. 'F' as d -> Char.code d - Char.code 'A' + 10
+  | _ -> -1
+
+(* The UTF-16 code unit of the four hex digits at the cursor, just past
+   a [\u]: exactly four digits, so no sign, prefix or '_' gets in. *)
+let code_unit c =
+  if c.pos + 4 > String.length c.input then
+    parse_error "truncated \\u escape at offset %d" c.pos;
+  let code = ref 0 in
+  for i = c.pos to c.pos + 3 do
+    let d = hex_digit (String.unsafe_get c.input i) in
+    if d < 0 then parse_error "invalid \\u escape at offset %d" c.pos;
+    code := (!code lsl 4) lor d
+  done;
+  c.pos <- c.pos + 4;
+  !code
+
+let add_utf8 buf code =
+  let byte b = Buffer.add_char buf (Char.unsafe_chr b) in
+  if code < 0x80 then byte code
+  else if code < 0x800 then begin
+    byte (0xC0 lor (code lsr 6));
+    byte (0x80 lor (code land 0x3F))
+  end
+  else if code < 0x10000 then begin
+    byte (0xE0 lor (code lsr 12));
+    byte (0x80 lor ((code lsr 6) land 0x3F));
+    byte (0x80 lor (code land 0x3F))
+  end
+  else begin
+    byte (0xF0 lor (code lsr 18));
+    byte (0x80 lor ((code lsr 12) land 0x3F));
+    byte (0x80 lor ((code lsr 6) land 0x3F));
+    byte (0x80 lor (code land 0x3F))
+  end
+
+(* A [\u] escape, the cursor just past its 'u'. Code points above
+   U+FFFF arrive as a high and a low surrogate escape, which decode
+   together to one 4-byte UTF-8 sequence; a surrogate without its
+   other half has no UTF-8 encoding, so it is an error. *)
+let add_code_unit c buf =
+  let at = c.pos in
+  let lone () = parse_error "lone surrogate in \\u escape at offset %d" at in
+  let code = code_unit c in
+  if code >= 0xD800 && code <= 0xDBFF then begin
+    if
+      not
+        (c.pos + 2 <= String.length c.input
+        && String.unsafe_get c.input c.pos = '\\'
+        && String.unsafe_get c.input (c.pos + 1) = 'u')
+    then lone ();
+    c.pos <- c.pos + 2;
+    let low = code_unit c in
+    if low < 0xDC00 || low > 0xDFFF then lone ();
+    add_utf8 buf (0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00))
+  end
+  else if code >= 0xDC00 && code <= 0xDFFF then lone ()
+  else add_utf8 buf code
+
+(* The bytes from the cursor up to the next quote, backslash or end,
+   counted in a local: the cursor's field is written once. *)
+let skip_plain c =
+  let s = c.input and i = ref c.pos in
+  while
+    !i < String.length s
+    && match String.unsafe_get s !i with '"' | '\\' -> false | _ -> true
+  do
+    incr i
+  done;
+  c.pos <- !i
+
+let unescape c = function
+  | '"' -> '"'
+  | '\\' -> '\\'
+  | '/' -> '/'
+  | 'n' -> '\n'
+  | 'r' -> '\r'
+  | 't' -> '\t'
+  | 'b' -> '\b'
+  | 'f' -> '\012'
+  | x -> parse_error "invalid escape \\%C at offset %d" x c.pos
+
+(* The rest of a string that holds an escape, the cursor on the first
+   backslash and [start] at the string's first byte; the spans between
+   escapes are copied whole. No escape decodes to more bytes than it
+   takes, so the input left at the document's first such string bounds
+   every decoded string: one buffer of that size serves them all, and
+   never grows. Sizing a buffer per string would take a second pass
+   over it. *)
+let decode_escaped c start =
+  let s = c.input in
+  let buf =
+    match c.decoded with
+    | Some buf ->
+        Buffer.clear buf;
+        buf
+    | None ->
+        let buf = Buffer.create (String.length s - start) in
+        c.decoded <- Some buf;
+        buf
+  in
+  Buffer.add_substring buf s start (c.pos - start);
+  while peek c <> '"' do
+    if at_end c then parse_error "unterminated string at offset %d" c.pos;
+    advance c;
+    if at_end c then parse_error "unterminated escape at offset %d" c.pos;
+    (match peek c with
+    | 'u' ->
+        advance c;
+        add_code_unit c buf
+    | x ->
+        Buffer.add_char buf (unescape c x);
+        advance c);
+    let span = c.pos in
+    skip_plain c;
+    Buffer.add_substring buf s span (c.pos - span)
+  done;
+  advance c;
+  Buffer.contents buf
+
+(* Raw bytes, control characters included, are taken as they are. An
+   escape-free string is one [String.sub]. *)
 let parse_string c =
   expect c '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek c with
-    | None -> parse_error "unterminated string at offset %d" c.pos
-    | Some '"' -> advance c
-    | Some '\\' -> (
-        advance c;
-        match peek c with
-        | Some '"' -> advance c; Buffer.add_char buf '"'; loop ()
-        | Some '\\' -> advance c; Buffer.add_char buf '\\'; loop ()
-        | Some '/' -> advance c; Buffer.add_char buf '/'; loop ()
-        | Some 'n' -> advance c; Buffer.add_char buf '\n'; loop ()
-        | Some 'r' -> advance c; Buffer.add_char buf '\r'; loop ()
-        | Some 't' -> advance c; Buffer.add_char buf '\t'; loop ()
-        | Some 'b' -> advance c; Buffer.add_char buf '\b'; loop ()
-        | Some 'f' -> advance c; Buffer.add_char buf '\012'; loop ()
-        | Some 'u' ->
-            advance c;
-            if c.pos + 4 > String.length c.input then
-              parse_error "truncated \\u escape at offset %d" c.pos;
-            let code =
-              try int_of_string ("0x" ^ String.sub c.input c.pos 4)
-              with Failure _ -> parse_error "invalid \\u escape at offset %d" c.pos
-            in
-            c.pos <- c.pos + 4;
-            (* Escaped control characters are all we emit; anything else
-               is preserved as UTF-8. *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end;
-            loop ()
-        | Some x -> parse_error "invalid escape \\%C at offset %d" x c.pos
-        | None -> parse_error "unterminated escape at offset %d" c.pos)
-    | Some ch ->
-        advance c;
-        Buffer.add_char buf ch;
-        loop ()
-  in
-  loop ();
-  Buffer.contents buf
+  let start = c.pos in
+  skip_plain c;
+  if peek c = '"' then begin
+    advance c;
+    String.sub c.input start (c.pos - 1 - start)
+  end
+  else decode_escaped c start
 
 let parse_number c =
   let start = c.pos in
   let is_float = ref false in
-  let rec loop () =
+  while
     match peek c with
-    | Some ('0' .. '9' | '-' | '+') -> advance c; loop ()
-    | Some ('.' | 'e' | 'E') ->
+    | '0' .. '9' | '-' | '+' -> true
+    | '.' | 'e' | 'E' ->
         is_float := true;
-        advance c;
-        loop ()
-    | Some _ | None -> ()
-  in
-  loop ();
+        true
+    | _ -> false
+  do
+    advance c
+  done;
   let text = String.sub c.input start (c.pos - start) in
   if !is_float then
     match float_of_string_opt text with
@@ -255,71 +377,66 @@ let nest c depth =
 let rec parse_value c depth =
   skip_ws c;
   match peek c with
-  | Some 'n' -> literal c "null" Null
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some '"' -> String (parse_string c)
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some '[' ->
-      let depth = nest c depth in
+  | 'n' -> literal c "null" Null
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | '"' -> String (parse_string c)
+  | '-' | '0' .. '9' -> parse_number c
+  | '[' -> parse_array c (nest c depth)
+  | '{' -> parse_object c (nest c depth)
+  | _ when at_end c -> parse_error "unexpected end of input at offset %d" c.pos
+  | x -> parse_error "unexpected %C at offset %d" x c.pos
+
+and parse_array c depth =
+  advance c;
+  skip_ws c;
+  if peek c = ']' then begin
+    advance c;
+    List []
+  end
+  else List (items c depth [])
+
+and items c depth acc =
+  let v = parse_value c depth in
+  skip_ws c;
+  match peek c with
+  | ',' ->
       advance c;
-      skip_ws c;
-      if peek c = Some ']' then begin
-        advance c;
-        List []
-      end
-      else begin
-        let rec items acc =
-          let v = parse_value c depth in
-          skip_ws c;
-          match peek c with
-          | Some ',' ->
-              advance c;
-              items (v :: acc)
-          | Some ']' ->
-              advance c;
-              List.rev (v :: acc)
-          | Some x -> parse_error "expected ',' or ']' at offset %d, found %C" c.pos x
-          | None -> parse_error "unterminated array at offset %d" c.pos
-        in
-        List (items [])
-      end
-  | Some '{' ->
-      let depth = nest c depth in
+      items c depth (v :: acc)
+  | ']' ->
       advance c;
-      skip_ws c;
-      if peek c = Some '}' then begin
-        advance c;
-        Obj []
-      end
-      else begin
-        let field () =
-          skip_ws c;
-          let k = parse_string c in
-          skip_ws c;
-          expect c ':';
-          (k, parse_value c depth)
-        in
-        let rec fields acc =
-          let kv = field () in
-          skip_ws c;
-          match peek c with
-          | Some ',' ->
-              advance c;
-              fields (kv :: acc)
-          | Some '}' ->
-              advance c;
-              List.rev (kv :: acc)
-          | Some x -> parse_error "expected ',' or '}' at offset %d, found %C" c.pos x
-          | None -> parse_error "unterminated object at offset %d" c.pos
-        in
-        Obj (fields [])
-      end
-  | Some x -> parse_error "unexpected %C at offset %d" x c.pos
-  | None -> parse_error "unexpected end of input at offset %d" c.pos
+      List.rev (v :: acc)
+  | _ when at_end c -> parse_error "unterminated array at offset %d" c.pos
+  | x -> parse_error "expected ',' or ']' at offset %d, found %C" c.pos x
+
+and parse_object c depth =
+  advance c;
+  skip_ws c;
+  if peek c = '}' then begin
+    advance c;
+    Obj []
+  end
+  else Obj (fields c depth [])
+
+and fields c depth acc =
+  skip_ws c;
+  let k = parse_string c in
+  skip_ws c;
+  expect c ':';
+  let kv = (k, parse_value c depth) in
+  skip_ws c;
+  match peek c with
+  | ',' ->
+      advance c;
+      fields c depth (kv :: acc)
+  | '}' ->
+      advance c;
+      List.rev (kv :: acc)
+  | _ when at_end c -> parse_error "unterminated object at offset %d" c.pos
+  | x -> parse_error "expected ',' or '}' at offset %d, found %C" c.pos x
 
 let of_string s =
-  let c = { input = s; pos = 0 } in
+  let c = { input = s; pos = 0; decoded = None } in
   match parse_value c 0 with
   | v ->
       skip_ws c;

@@ -27,6 +27,11 @@ val to_buffer : Buffer.t -> t -> unit
 val strings : string list -> t
 (** [List] of [String]s. *)
 
+val add_escaped : Buffer.t -> string -> unit
+(** Append what [to_string (String s)] puts between its quotes: a
+    writer that keeps the quotes in its own literals (["\"key\":\""])
+    escapes only the value. *)
+
 (** {1 Reused-buffer writer}
 
     The journal's record encoder ({!Server.Persist}): one {!Writer.t}
@@ -80,7 +85,17 @@ val of_string : string -> (t, string) result
     [Float]. Arrays and objects nest at most 512 deep (RFC 8259 §9
     allows the bound): a deeper document is
     [Error "nesting deeper than 512 at offset N"], [N] being the offset
-    of the bracket past the bound. *)
+    of the bracket past the bound.
+
+    Strings decode to UTF-8. Bytes other than ['"'] and ['\\'] are
+    taken as they are, control characters included. A [\u] escape
+    takes exactly four hex digits, of either case, and decodes to the
+    UTF-8 bytes of its code point; a code point above U+FFFF is written
+    as a surrogate pair, a high escape ([\uD800]-[\uDBFF]) followed at
+    once by a low one ([\uDC00]-[\uDFFF]), which decodes to one 4-byte
+    sequence. A surrogate escape without its other half is
+    [Error "lone surrogate in \\u escape at offset N"], [N] being the
+    offset of its first hex digit, as in the other [\u] errors. *)
 
 val member : string -> t -> t option
 (** First field of that name when the value is an [Obj]; [None]

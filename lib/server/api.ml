@@ -448,6 +448,20 @@ let counters ~re_evaluated ~served_from_cache =
       "}";
     ]
 
+(* A verdict's bytes are rendered once and kept in the session, next
+   to the verdict; a render after an edit copies those of every
+   verdict the edit left standing. *)
+let add_verdict session buf r =
+  Buffer.add_string buf (Core.Sosae.Session.verdict_json session r)
+
+(* A buffer that holds [results]' bytes and [slack] more without
+   growing. *)
+let buffer_for session results ~slack =
+  Buffer.create
+    (List.fold_left
+       (fun n r -> n + 1 + String.length (Core.Sosae.Session.verdict_json session r))
+       slack results)
+
 (* One evaluate body against [session], whose lock the caller holds,
    with the full suite's etag. The full-suite path still runs
    [Session.evaluate] (warm, it only serves cached verdicts, and the
@@ -475,9 +489,10 @@ let evaluate_once ctx ~id ~jobs session json =
         match cached with
         | Some cached -> cached
         | None ->
-            let buf = Buffer.create 4096 in
+            let buf = buffer_for session result.Walkthrough.Engine.results ~slack:1024 in
             Buffer.add_string buf {|{"result":|};
-            Jsonlight.to_buffer buf (Walkthrough.Report.json_of_set_result result);
+            Walkthrough.Report.set_result_to_buffer ~scenario:(add_verdict session) buf
+              result;
             Buffer.add_string buf warm_counters;
             let warm = Buffer.contents buf in
             (Registry.cache_response ctx.registry id ~session ~revision ~body:warm, warm)
@@ -498,19 +513,22 @@ let evaluate_once ctx ~id ~jobs session json =
             List.map
               (fun sid ->
                 match Core.Sosae.Session.evaluate_scenario session sid with
-                | Some r -> Walkthrough.Report.json_of_scenario_result r
+                | Some r -> r
                 | None ->
                     reply_error 404 ~category:"not_found"
                       (Printf.sprintf "no scenario %S in session %S" sid id))
               scenario_ids)
       in
-      ( None,
-        String.concat ""
-          [
-            {|{"results":|};
-            Jsonlight.to_string (Jsonlight.List results);
-            counters ~re_evaluated ~served_from_cache;
-          ] )
+      let buf = buffer_for session results ~slack:64 in
+      Buffer.add_string buf {|{"results":[|};
+      List.iteri
+        (fun i r ->
+          if i > 0 then Buffer.add_char buf ',';
+          add_verdict session buf r)
+        results;
+      Buffer.add_char buf ']';
+      Buffer.add_string buf (counters ~re_evaluated ~served_from_cache);
+      (None, Buffer.contents buf)
 
 let evaluate ctx (request : Http.request) params =
   let id = Router.param params "id" in

@@ -165,9 +165,179 @@ let json_of_set_result (r : Engine.set_result) =
              r.Engine.coverage_problems) );
     ]
 
-let scenario_result_to_json r = Jsonlight.to_string (json_of_scenario_result r)
+(* ---- the same bytes, written straight into a buffer --------------- *)
 
-let set_result_to_json r = Jsonlight.to_string (json_of_set_result r)
+(* Keys are written pre-escaped, with the punctuation around them, the
+   quotes of a string value included; only values go through
+   Jsonlight's escaping, and no tree is built. The output is byte for
+   byte [Jsonlight.to_string] of the trees above, which the tests hold
+   it to. *)
+
+let esc = Jsonlight.add_escaped
+
+(* [string_of_int]'s digits for the non-negative indexes a verdict
+   holds, without its trip through C's printf, which costs more than
+   the rest of a step's fields together *)
+let rec add_int buf i =
+  if i < 0 then Buffer.add_string buf (string_of_int i)
+  else begin
+    if i >= 10 then add_int buf (i / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (i mod 10)))
+  end
+
+let add_bool buf b = Buffer.add_string buf (if b then "true" else "false")
+
+let rec add_rest buf add = function
+  | [] -> Buffer.add_char buf ']'
+  | x :: rest ->
+      Buffer.add_char buf ',';
+      add buf x;
+      add_rest buf add rest
+
+let add_list buf add = function
+  | [] -> Buffer.add_string buf "[]"
+  | x :: rest ->
+      Buffer.add_char buf '[';
+      add buf x;
+      add_rest buf add rest
+
+let rec add_rest_strings buf = function
+  | [] -> Buffer.add_string buf {|"]|}
+  | s :: rest ->
+      Buffer.add_string buf {|","|};
+      esc buf s;
+      add_rest_strings buf rest
+
+let add_strings buf = function
+  | [] -> Buffer.add_string buf "[]"
+  | s :: rest ->
+      Buffer.add_string buf {|["|};
+      esc buf s;
+      add_rest_strings buf rest
+
+(* a violation's fields and the closing brace, after whatever opened
+   its object *)
+let add_violation_fields buf v =
+  Buffer.add_string buf {|"rule":"|};
+  esc buf v.Styles.Rule.rule;
+  Buffer.add_string buf {|","subject":"|};
+  esc buf v.Styles.Rule.subject;
+  Buffer.add_string buf {|","detail":"|};
+  esc buf v.Styles.Rule.detail;
+  Buffer.add_string buf {|"}|}
+
+let add_inconsistency buf = function
+  | Verdict.Unmapped_event_type { step; event_type } ->
+      Buffer.add_string buf {|{"kind":"unmapped-event-type","step":|};
+      add_int buf step;
+      Buffer.add_string buf {|,"event_type":"|};
+      esc buf event_type;
+      Buffer.add_string buf {|"}|}
+  | Verdict.Unmapped_simple_event { step; event } ->
+      Buffer.add_string buf {|{"kind":"unmapped-simple-event","step":|};
+      add_int buf step;
+      Buffer.add_string buf {|,"event":"|};
+      esc buf event;
+      Buffer.add_string buf {|"}|}
+  | Verdict.Missing_link { step; from_components; to_components } ->
+      Buffer.add_string buf {|{"kind":"missing-link","step":|};
+      add_int buf step;
+      Buffer.add_string buf {|,"from_components":|};
+      add_strings buf from_components;
+      Buffer.add_string buf {|,"to_components":|};
+      add_strings buf to_components;
+      Buffer.add_char buf '}'
+  | Verdict.Constraint_violation v ->
+      Buffer.add_string buf {|{"kind":"constraint-violation",|};
+      add_violation_fields buf v
+  | Verdict.Negative_scenario_executes { scenario; trace_index } ->
+      Buffer.add_string buf {|{"kind":"negative-scenario-executes","scenario":"|};
+      esc buf scenario;
+      Buffer.add_string buf {|","trace_index":|};
+      add_int buf trace_index;
+      Buffer.add_char buf '}'
+
+let add_step buf s =
+  Buffer.add_string buf {|{"index":|};
+  add_int buf s.Verdict.index;
+  Buffer.add_string buf {|,"text":"|};
+  esc buf s.Verdict.text;
+  (match s.Verdict.event_type with
+  | Some t ->
+      Buffer.add_string buf {|","event_type":"|};
+      esc buf t;
+      Buffer.add_string buf {|","components":|}
+  | None -> Buffer.add_string buf {|","event_type":null,"components":|});
+  add_strings buf s.Verdict.components;
+  (match s.Verdict.hop with
+  | Some h ->
+      Buffer.add_string buf {|,"hop":{"from":"|};
+      esc buf h.Verdict.hop_from;
+      Buffer.add_string buf {|","to":"|};
+      esc buf h.Verdict.hop_to;
+      Buffer.add_string buf {|","via":|};
+      add_strings buf h.Verdict.via;
+      Buffer.add_string buf {|},"problems":|}
+  | None -> Buffer.add_string buf {|,"hop":null,"problems":|});
+  add_list buf add_inconsistency s.Verdict.step_problems;
+  Buffer.add_char buf '}'
+
+let add_trace buf t =
+  Buffer.add_string buf {|{"trace_index":|};
+  add_int buf t.Verdict.trace_index;
+  Buffer.add_string buf
+    (if t.Verdict.walked then {|,"walked":true,"steps":|} else {|,"walked":false,"steps":|});
+  add_list buf add_step t.Verdict.steps;
+  Buffer.add_char buf '}'
+
+let scenario_result_to_buffer buf r =
+  Buffer.add_string buf {|{"scenario_id":"|};
+  esc buf r.Verdict.scenario_id;
+  Buffer.add_string buf {|","scenario_name":"|};
+  esc buf r.Verdict.scenario_name;
+  Buffer.add_string buf {|","negative":|};
+  add_bool buf r.Verdict.negative;
+  Buffer.add_string buf
+    (match r.Verdict.verdict with
+    | Verdict.Consistent -> {|,"verdict":"consistent","truncated":|}
+    | Verdict.Inconsistent -> {|,"verdict":"inconsistent","truncated":|});
+  add_bool buf r.Verdict.truncated;
+  Buffer.add_string buf {|,"traces":|};
+  add_list buf add_trace r.Verdict.traces;
+  Buffer.add_string buf {|,"inconsistencies":|};
+  add_list buf add_inconsistency r.Verdict.inconsistencies;
+  Buffer.add_char buf '}'
+
+let add_violation buf v =
+  Buffer.add_char buf '{';
+  add_violation_fields buf v
+
+let add_coverage_problem buf p =
+  Buffer.add_char buf '"';
+  esc buf (Format.asprintf "%a" Mapping.Coverage.pp_problem p);
+  Buffer.add_char buf '"'
+
+let set_result_to_buffer ?(scenario = scenario_result_to_buffer) buf
+    (r : Engine.set_result) =
+  Buffer.add_string buf {|{"consistent":|};
+  add_bool buf r.Engine.consistent;
+  Buffer.add_string buf {|,"scenarios":|};
+  add_list buf scenario r.Engine.results;
+  Buffer.add_string buf {|,"style_violations":|};
+  add_list buf add_violation r.Engine.style_violations;
+  Buffer.add_string buf {|,"coverage_problems":|};
+  add_list buf add_coverage_problem r.Engine.coverage_problems;
+  Buffer.add_char buf '}'
+
+let scenario_result_to_json r =
+  let buf = Buffer.create 1024 in
+  scenario_result_to_buffer buf r;
+  Buffer.contents buf
+
+let set_result_to_json r =
+  let buf = Buffer.create 4096 in
+  set_result_to_buffer buf r;
+  Buffer.contents buf
 
 let trace_to_dot architecture t =
   let highlight =

@@ -2,6 +2,7 @@ let () =
   Alcotest.run "sosae"
     [
       ("xmlight", Test_xmlight.suite);
+      ("jsonlight", Test_jsonlight.suite);
       ("ontology", Test_ontology.suite);
       ("scenarioml", Test_scenarioml.suite);
       ("scenario-tools", Test_scenario_tools.suite);

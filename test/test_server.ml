@@ -1241,6 +1241,18 @@ let test_e2e_persistence_restart () =
 
 let sosae = "../bin/sosae.exe"
 
+type served = { pid : int; port : int; banner : in_channel; mutable reaped : bool }
+
+(* Signal a spawned daemon and reap it, once: after the reap its pid
+   may name another process. *)
+let reap ?(signal = Sys.sigkill) s =
+  if not s.reaped then begin
+    s.reaped <- true;
+    (try Unix.kill s.pid signal with Unix.Unix_error _ -> ());
+    (try ignore (Unix.waitpid [] s.pid) with Unix.Unix_error _ -> ());
+    close_in_noerr s.banner
+  end
+
 (* Spawn `sosae serve` and parse the bound port off its stdout
    banner ("sosae serve: listening on 127.0.0.1:PORT"). *)
 let spawn_serve args =
@@ -1248,19 +1260,33 @@ let spawn_serve args =
   let argv = Array.of_list (sosae :: "serve" :: args) in
   let pid = Unix.create_process sosae argv Unix.stdin out_w Unix.stderr in
   Unix.close out_w;
-  let ic = Unix.in_channel_of_descr out_r in
-  let line = try input_line ic with End_of_file -> "" in
+  let banner = Unix.in_channel_of_descr out_r in
+  let line = try input_line banner with End_of_file -> "" in
+  let s = { pid; port = 0; banner; reaped = false } in
+  let give_up message =
+    reap s;
+    Alcotest.fail message
+  in
   match String.rindex_opt line ':' with
   | Some i -> (
       let tail = String.sub line (i + 1) (String.length line - i - 1) in
       match int_of_string_opt (String.trim tail) with
-      | Some port -> (pid, ic, port)
-      | None ->
-          Unix.kill pid Sys.sigkill;
-          Alcotest.failf "no port in banner %S" line)
-  | None ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      Alcotest.failf "no banner from serve (%S)" line
+      | Some port -> { s with port }
+      | None -> give_up (Printf.sprintf "no port in banner %S" line))
+  | None -> give_up (Printf.sprintf "no banner from serve (%S)" line)
+
+(* [f] on a spawned `sosae serve`, reaped however [f] ends unless [f]
+   reaped it first: a check that fails midway must not leave a daemon
+   running. When [f] returns, the daemon gets [signal] (default
+   SIGKILL); when it raises, SIGKILL, which nothing can hold up. *)
+let with_serve ?signal args f =
+  let s = spawn_serve args in
+  Fun.protect
+    ~finally:(fun () -> reap s)
+    (fun () ->
+      let v = f s in
+      reap ?signal s;
+      v)
 
 let session_ids body =
   match Jsonlight.member "sessions" body with
@@ -1278,74 +1304,62 @@ let session_ids body =
    plain connects until it answers. *)
 let test_e2e_sigkill_mid_load () =
   with_temp_dir (fun dir ->
-      let pid, ic, port =
-        spawn_serve [ "--port"; "0"; "--data-dir"; dir; "--fsync"; "always" ]
-      in
-      (* load the PIMS and CRASH bundles and evaluate both: the
-         verdicts after the crash must be bit-identical to these *)
-      let pre_pims, pre_crash =
-        let c = Server.Client.connect ~port () in
-        Fun.protect
-          ~finally:(fun () -> Server.Client.close c)
-          (fun () ->
-            Alcotest.(check int) "pims created" 201
-              (ok (Server.Client.post c "/sessions" ~body:(create_body "pims")))
-                .Server.Client.status;
-            Alcotest.(check int) "crash created" 201
-              (ok
-                 (Server.Client.post c "/sessions"
-                    ~body:(create_body ~strings:crash_strings "crash")))
-                .Server.Client.status;
-            ( (ok (Server.Client.post c "/sessions/pims/evaluate" ~body:""))
-                .Server.Client.body,
-              (ok (Server.Client.post c "/sessions/crash/evaluate" ~body:""))
-                .Server.Client.body ))
-      in
-      let acked = ref [] in
-      let loader =
-        Thread.create
-          (fun () ->
-            let rec go i =
-              if i < 500 then
-                match
-                  let c = Server.Client.connect ~port () in
-                  Fun.protect
-                    ~finally:(fun () -> Server.Client.close c)
-                    (fun () ->
-                      Server.Client.post c "/sessions"
-                        ~body:(create_body (Printf.sprintf "s%03d" i)))
-                with
-                | Ok { Server.Client.status = 201; _ } ->
-                    acked := Printf.sprintf "s%03d" i :: !acked;
-                    go (i + 1)
-                | Ok _ | Error _ -> ()
-                | exception _ -> ()
+      let port, pre_pims, pre_crash, acked =
+        with_serve [ "--port"; "0"; "--data-dir"; dir; "--fsync"; "always" ]
+          (fun first ->
+            let port = first.port in
+            (* load the PIMS and CRASH bundles and evaluate both: the
+               verdicts after the crash must be bit-identical to these *)
+            let pre_pims, pre_crash =
+              let c = Server.Client.connect ~port () in
+              Fun.protect
+                ~finally:(fun () -> Server.Client.close c)
+                (fun () ->
+                  Alcotest.(check int) "pims created" 201
+                    (ok (Server.Client.post c "/sessions" ~body:(create_body "pims")))
+                      .Server.Client.status;
+                  Alcotest.(check int) "crash created" 201
+                    (ok
+                       (Server.Client.post c "/sessions"
+                          ~body:(create_body ~strings:crash_strings "crash")))
+                      .Server.Client.status;
+                  ( (ok (Server.Client.post c "/sessions/pims/evaluate" ~body:""))
+                      .Server.Client.body,
+                    (ok (Server.Client.post c "/sessions/crash/evaluate" ~body:""))
+                      .Server.Client.body ))
             in
-            go 0)
-          ()
+            let acked = ref [] in
+            let loader =
+              Thread.create
+                (fun () ->
+                  let rec go i =
+                    if i < 500 then
+                      match
+                        let c = Server.Client.connect ~port () in
+                        Fun.protect
+                          ~finally:(fun () -> Server.Client.close c)
+                          (fun () ->
+                            Server.Client.post c "/sessions"
+                              ~body:(create_body (Printf.sprintf "s%03d" i)))
+                      with
+                      | Ok { Server.Client.status = 201; _ } ->
+                          acked := Printf.sprintf "s%03d" i :: !acked;
+                          go (i + 1)
+                      | Ok _ | Error _ -> ()
+                      | exception _ -> ()
+                  in
+                  go 0)
+                ()
+            in
+            Thread.delay 0.4;
+            Unix.kill first.pid Sys.sigkill;
+            Thread.join loader;
+            reap first;
+            (port, pre_pims, pre_crash, !acked))
       in
-      Thread.delay 0.4;
-      Unix.kill pid Sys.sigkill;
-      Thread.join loader;
-      ignore (Unix.waitpid [] pid);
-      close_in ic;
-      Alcotest.(check bool) "some creates were acknowledged" true (!acked <> []);
+      Alcotest.(check bool) "some creates were acknowledged" true (acked <> []);
       (* restart on the same port while a client is already knocking:
          refused connects are polled through until a deadline *)
-      let restarted = ref None in
-      let restarter =
-        Thread.create
-          (fun () ->
-            Thread.delay 0.3;
-            restarted :=
-              Some
-                (spawn_serve
-                   [
-                     "--port"; string_of_int port; "--data-dir"; dir;
-                     "--fsync"; "always";
-                   ]))
-          ()
-      in
       let deadline = Unix.gettimeofday () +. 10.0 in
       let rec poll () =
         let outcome =
@@ -1362,18 +1376,14 @@ let test_e2e_sigkill_mid_load () =
             poll ()
         | outcome -> outcome
       in
-      let result = poll () in
-      Thread.join restarter;
-      Fun.protect
-        ~finally:(fun () ->
-          match !restarted with
-          | Some (pid2, ic2, _) ->
-              (try Unix.kill pid2 Sys.sigterm with Unix.Unix_error _ -> ());
-              ignore (Unix.waitpid [] pid2);
-              close_in ic2
-          | None -> ())
-        (fun () ->
-          let r = ok result in
+      let result = ref (Error "never polled") in
+      let knocker = Thread.create (fun () -> result := poll ()) () in
+      Thread.delay 0.3;
+      with_serve ~signal:Sys.sigterm
+        [ "--port"; string_of_int port; "--data-dir"; dir; "--fsync"; "always" ]
+        (fun _ ->
+          Thread.join knocker;
+          let r = ok !result in
           Alcotest.(check int) "sessions listed after crash" 200
             r.Server.Client.status;
           let recovered = session_ids (body_json r) in
@@ -1381,7 +1391,7 @@ let test_e2e_sigkill_mid_load () =
             (fun id ->
               Alcotest.(check bool) ("acknowledged " ^ id ^ " survived") true
                 (List.mem id recovered))
-            ("pims" :: "crash" :: !acked);
+            ("pims" :: "crash" :: acked);
           (* the recovered sessions evaluate to bit-identical verdicts
              (both runs are the session's first: cold cache each time) *)
           let evaluate id =
@@ -1561,61 +1571,55 @@ let test_e2e_interval_quiet_spell () =
    produce every acknowledged session. *)
 let test_e2e_sigkill_during_compaction () =
   with_temp_dir (fun dir ->
-      let pid, ic, port =
-        spawn_serve
+      let acked =
+        with_serve
           [
             "--port"; "0"; "--data-dir"; dir; "--fsync"; "always";
             "--compact-threshold"; "60000"; "--group-commit-window"; "1";
           ]
-      in
-      let acked = ref [] in
-      let loader =
-        Thread.create
-          (fun () ->
-            let rec go i =
-              if i < 300 then
-                match
-                  let c = Server.Client.connect ~port () in
-                  Fun.protect
-                    ~finally:(fun () -> Server.Client.close c)
-                    (fun () ->
-                      Server.Client.post c "/sessions"
-                        ~body:(create_body (Printf.sprintf "c%03d" i)))
-                with
-                | Ok { Server.Client.status = 201; _ } ->
-                    acked := Printf.sprintf "c%03d" i :: !acked;
-                    go (i + 1)
-                | Ok _ | Error _ -> ()
-                | exception _ -> ()
+          (fun first ->
+            let acked = ref [] in
+            let loader =
+              Thread.create
+                (fun () ->
+                  let rec go i =
+                    if i < 300 then
+                      match
+                        let c = Server.Client.connect ~port:first.port () in
+                        Fun.protect
+                          ~finally:(fun () -> Server.Client.close c)
+                          (fun () ->
+                            Server.Client.post c "/sessions"
+                              ~body:(create_body (Printf.sprintf "c%03d" i)))
+                      with
+                      | Ok { Server.Client.status = 201; _ } ->
+                          acked := Printf.sprintf "c%03d" i :: !acked;
+                          go (i + 1)
+                      | Ok _ | Error _ -> ()
+                      | exception _ -> ()
+                  in
+                  go 0)
+                ()
             in
-            go 0)
-          ()
+            Thread.delay 0.6;
+            Unix.kill first.pid Sys.sigkill;
+            Thread.join loader;
+            reap first;
+            !acked)
       in
-      Thread.delay 0.6;
-      Unix.kill pid Sys.sigkill;
-      Thread.join loader;
-      ignore (Unix.waitpid [] pid);
-      close_in ic;
-      Alcotest.(check bool) "some creates were acknowledged" true (!acked <> []);
+      Alcotest.(check bool) "some creates were acknowledged" true (acked <> []);
       (* each create journals ~38 KB against a 60 KB threshold: the
          maintenance thread must have compacted at least once *)
       Alcotest.(check bool) "background compaction produced a snapshot" true
         (Sys.file_exists (Filename.concat dir "snapshot.log")
         && file_size (Filename.concat dir "snapshot.log") > 0);
-      let pid2, ic2, port2 =
-        spawn_serve
-          [
-            "--port"; "0"; "--data-dir"; dir; "--fsync"; "always";
-            "--compact-threshold"; "60000";
-          ]
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.kill pid2 Sys.sigterm with Unix.Unix_error _ -> ());
-          ignore (Unix.waitpid [] pid2);
-          close_in ic2)
-        (fun () ->
-          let c = Server.Client.connect ~port:port2 () in
+      with_serve ~signal:Sys.sigterm
+        [
+          "--port"; "0"; "--data-dir"; dir; "--fsync"; "always";
+          "--compact-threshold"; "60000";
+        ]
+        (fun restarted ->
+          let c = Server.Client.connect ~port:restarted.port () in
           Fun.protect
             ~finally:(fun () -> Server.Client.close c)
             (fun () ->
@@ -1627,7 +1631,7 @@ let test_e2e_sigkill_during_compaction () =
                 (fun id ->
                   Alcotest.(check bool) ("acknowledged " ^ id ^ " survived") true
                     (List.mem id recovered))
-                !acked;
+                acked;
               let recovery =
                 body_json (ok (Server.Client.get c "/metrics"))
                 |> member_exn "journal" |> member_exn "recovery"
@@ -1635,7 +1639,7 @@ let test_e2e_sigkill_during_compaction () =
               Alcotest.(check bool) "recovery reported sessions" true
                 ((recovery |> member_exn "sessions" |> Jsonlight.int_opt
                  |> Option.get)
-                >= List.length !acked))))
+                >= List.length acked))))
 
 (* ---------------- Replication ------------------------------------- *)
 
@@ -2351,147 +2355,136 @@ let test_e2e_chained_replication () =
    losing any write it had applied. *)
 let test_e2e_replication_promote_crash () =
   with_temp_dir (fun dir ->
-      let pid, ic, port =
-        spawn_serve
-          [
-            "--port"; "0"; "--data-dir"; dir; "--fsync"; "always";
-            "--group-commit-window"; "1";
-          ]
-      in
-      let rpid, ric, rport =
-        spawn_serve
-          [ "--port"; "0"; "--replica-of"; "127.0.0.1:" ^ string_of_int port ]
-      in
-      let get_on p path =
-        let c = Server.Client.connect ~port:p () in
-        Fun.protect
-          ~finally:(fun () -> Server.Client.close c)
-          (fun () -> ok (Server.Client.get c path))
-      in
-      let post_on p path body =
-        let c = Server.Client.connect ~port:p () in
-        Fun.protect
-          ~finally:(fun () -> Server.Client.close c)
-          (fun () -> ok (Server.Client.post c path ~body))
-      in
-      (* phase 1: quiesced writes the replica fully applies *)
-      Alcotest.(check int) "p1 created" 201
-        (post_on port "/sessions" (create_body "p1")).Server.Client.status;
-      Alcotest.(check int) "p2 created" 201
-        (post_on port "/sessions" (create_body "p2")).Server.Client.status;
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      let rec wait_lag () =
-        let j = body_json (get_on rport "/replication") in
-        let applied =
-          j |> member_exn "applied_seq" |> Jsonlight.int_opt |> Option.get
-        in
-        let lag = j |> member_exn "lag" |> Jsonlight.int_opt |> Option.get in
-        if applied >= 2 && lag = 0 then ()
-        else if Unix.gettimeofday () > deadline then
-          Alcotest.fail "replica never caught up"
-        else begin
-          Thread.delay 0.02;
-          wait_lag ()
-        end
-      in
-      wait_lag ();
-      (* phase 2: hammer creates, SIGKILL the primary mid-group-commit *)
-      let acked = ref [] in
-      let loader =
-        Thread.create
-          (fun () ->
-            let rec go i =
-              if i < 500 then
+      with_serve
+        [
+          "--port"; "0"; "--data-dir"; dir; "--fsync"; "always";
+          "--group-commit-window"; "1";
+        ]
+        (fun primary ->
+          let port = primary.port in
+          with_serve ~signal:Sys.sigterm
+            [ "--port"; "0"; "--replica-of"; "127.0.0.1:" ^ string_of_int port ]
+            (fun replica ->
+              let rport = replica.port in
+              let get_on p path =
+                let c = Server.Client.connect ~port:p () in
+                Fun.protect
+                  ~finally:(fun () -> Server.Client.close c)
+                  (fun () -> ok (Server.Client.get c path))
+              in
+              let post_on p path body =
+                let c = Server.Client.connect ~port:p () in
+                Fun.protect
+                  ~finally:(fun () -> Server.Client.close c)
+                  (fun () -> ok (Server.Client.post c path ~body))
+              in
+              (* phase 1: quiesced writes the replica fully applies *)
+              Alcotest.(check int) "p1 created" 201
+                (post_on port "/sessions" (create_body "p1")).Server.Client.status;
+              Alcotest.(check int) "p2 created" 201
+                (post_on port "/sessions" (create_body "p2")).Server.Client.status;
+              let deadline = Unix.gettimeofday () +. 10.0 in
+              let rec wait_lag () =
+                let j = body_json (get_on rport "/replication") in
+                let applied =
+                  j |> member_exn "applied_seq" |> Jsonlight.int_opt |> Option.get
+                in
+                let lag = j |> member_exn "lag" |> Jsonlight.int_opt |> Option.get in
+                if applied >= 2 && lag = 0 then ()
+                else if Unix.gettimeofday () > deadline then
+                  Alcotest.fail "replica never caught up"
+                else begin
+                  Thread.delay 0.02;
+                  wait_lag ()
+                end
+              in
+              wait_lag ();
+              (* phase 2: hammer creates, SIGKILL the primary mid-group-commit *)
+              let acked = ref [] in
+              let loader =
+                Thread.create
+                  (fun () ->
+                    let rec go i =
+                      if i < 500 then
+                        match
+                          let c = Server.Client.connect ~port () in
+                          Fun.protect
+                            ~finally:(fun () -> Server.Client.close c)
+                            (fun () ->
+                              Server.Client.post c "/sessions"
+                                ~body:(create_body (Printf.sprintf "k%03d" i)))
+                        with
+                        | Ok { Server.Client.status = 201; _ } ->
+                            acked := Printf.sprintf "k%03d" i :: !acked;
+                            go (i + 1)
+                        | Ok _ | Error _ -> ()
+                        | exception _ -> ()
+                    in
+                    go 0)
+                  ()
+              in
+              Thread.delay 0.4;
+              Unix.kill primary.pid Sys.sigkill;
+              Thread.join loader;
+              reap primary;
+              Alcotest.(check bool) "some creates were acknowledged" true (!acked <> []);
+              (* give the apply loop a beat to drain what it already fetched;
+                 its state is frozen once the primary is gone *)
+              Thread.delay 0.3;
+              let replica_ids = session_ids (body_json (get_on rport "/sessions")) in
+              (* never ahead: everything the replica serves must be on a
+                 primary recovered from the same journal — i.e. durable *)
+              let durable_ids =
+                with_serve ~signal:Sys.sigterm
+                  [ "--port"; "0"; "--data-dir"; dir; "--fsync"; "always" ]
+                  (fun recovered -> session_ids (body_json (get_on recovered.port "/sessions")))
+              in
+              List.iter
+                (fun id ->
+                  Alcotest.(check bool) ("replica never ahead: " ^ id) true
+                    (List.mem id durable_ids))
+                replica_ids;
+              Alcotest.(check bool) "quiesced sessions replicated" true
+                (List.mem "p1" replica_ids && List.mem "p2" replica_ids);
+              (* phase 3: promote — the replica seals and accepts mutations,
+                 keeping every write it had applied *)
+              Unix.kill replica.pid Sys.sigusr1;
+              let deadline = Unix.gettimeofday () +. 10.0 in
+              let rec wait_promote () =
                 match
-                  let c = Server.Client.connect ~port () in
-                  Fun.protect
-                    ~finally:(fun () -> Server.Client.close c)
-                    (fun () ->
-                      Server.Client.post c "/sessions"
-                        ~body:(create_body (Printf.sprintf "k%03d" i)))
+                  body_json (get_on rport "/replication")
+                  |> member_exn "role" |> Jsonlight.string_opt
                 with
-                | Ok { Server.Client.status = 201; _ } ->
-                    acked := Printf.sprintf "k%03d" i :: !acked;
-                    go (i + 1)
-                | Ok _ | Error _ -> ()
-                | exception _ -> ()
-            in
-            go 0)
-          ()
-      in
-      Thread.delay 0.4;
-      Unix.kill pid Sys.sigkill;
-      Thread.join loader;
-      ignore (Unix.waitpid [] pid);
-      close_in ic;
-      Alcotest.(check bool) "some creates were acknowledged" true (!acked <> []);
-      (* give the apply loop a beat to drain what it already fetched;
-         its state is frozen once the primary is gone *)
-      Thread.delay 0.3;
-      let replica_ids = session_ids (body_json (get_on rport "/sessions")) in
-      (* never ahead: everything the replica serves must be on a
-         primary recovered from the same journal — i.e. durable *)
-      let pid2, ic2, port2 =
-        spawn_serve [ "--port"; "0"; "--data-dir"; dir; "--fsync"; "always" ]
-      in
-      let durable_ids =
-        Fun.protect
-          ~finally:(fun () ->
-            (try Unix.kill pid2 Sys.sigterm with Unix.Unix_error _ -> ());
-            ignore (Unix.waitpid [] pid2);
-            close_in ic2)
-          (fun () -> session_ids (body_json (get_on port2 "/sessions")))
-      in
-      List.iter
-        (fun id ->
-          Alcotest.(check bool) ("replica never ahead: " ^ id) true
-            (List.mem id durable_ids))
-        replica_ids;
-      Alcotest.(check bool) "quiesced sessions replicated" true
-        (List.mem "p1" replica_ids && List.mem "p2" replica_ids);
-      (* phase 3: promote — the replica seals and accepts mutations,
-         keeping every write it had applied *)
-      Unix.kill rpid Sys.sigusr1;
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      let rec wait_promote () =
-        match
-          body_json (get_on rport "/replication")
-          |> member_exn "role" |> Jsonlight.string_opt
-        with
-        | Some "primary" -> ()
-        | _ ->
-            if Unix.gettimeofday () > deadline then
-              Alcotest.fail "promotion never landed"
-            else begin
-              Thread.delay 0.05;
-              wait_promote ()
-            end
-      in
-      wait_promote ();
-      (* without a journal the promoted node's replication status is
-         its role alone, in /metrics as in GET /replication *)
-      Testutil.check_contains "promoted replica's /metrics replication"
-        (get_on rport "/metrics").Server.Client.body
-        {|"replication":{"role":"primary"}|};
-      Alcotest.(check int) "promoted replica accepts mutations" 201
-        (post_on rport "/sessions" (create_body "post-promote"))
-          .Server.Client.status;
-      let after = session_ids (body_json (get_on rport "/sessions")) in
-      List.iter
-        (fun id ->
-          Alcotest.(check bool) ("no write lost: " ^ id) true
-            (List.mem id after))
-        ("post-promote" :: replica_ids);
-      (try Unix.kill rpid Sys.sigterm with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] rpid);
-      close_in ric)
+                | Some "primary" -> ()
+                | _ ->
+                    if Unix.gettimeofday () > deadline then
+                      Alcotest.fail "promotion never landed"
+                    else begin
+                      Thread.delay 0.05;
+                      wait_promote ()
+                    end
+              in
+              wait_promote ();
+              (* without a journal the promoted node's replication status is
+                 its role alone, in /metrics as in GET /replication *)
+              Testutil.check_contains "promoted replica's /metrics replication"
+                (get_on rport "/metrics").Server.Client.body
+                {|"replication":{"role":"primary"}|};
+              Alcotest.(check int) "promoted replica accepts mutations" 201
+                (post_on rport "/sessions" (create_body "post-promote"))
+                  .Server.Client.status;
+              let after = session_ids (body_json (get_on rport "/sessions")) in
+              List.iter
+                (fun id ->
+                  Alcotest.(check bool) ("no write lost: " ^ id) true
+                    (List.mem id after))
+                ("post-promote" :: replica_ids))))
 
-(* A simulate body's "jobs" is clamped to the server's --jobs. Each
-   pool helper is a domain and the runtime caps the domains of a
-   process, so an unclamped 1000 failed to spawn, leaked the helpers it
-   had spawned, and left every later pool failing until a restart: the
-   next simulate, and a new session's first evaluate. *)
-let test_e2e_simulate_jobs_bounded () =
+(* A simulate body's "jobs" is ignored: every campaign runs on the
+   request's thread, so "jobs": 1000 reports what "jobs": 1 does, and
+   the daemon stays healthy afterwards: a new session is created and
+   its first evaluate answers. *)
+let test_e2e_simulate_ignores_jobs () =
   let config = { Server.Daemon.default_config with jobs = Some 2 } in
   with_daemon ~config (fun t ->
       with_client t (fun c ->
@@ -3236,8 +3229,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_response_framing;
     Alcotest.test_case "e2e: simulate holds no session lock while it runs" `Quick
       test_e2e_simulate_lock_scope;
-    Alcotest.test_case "e2e: simulate \"jobs\" is bounded by --jobs" `Quick
-      test_e2e_simulate_jobs_bounded;
+    Alcotest.test_case "e2e: simulate ignores a body's \"jobs\"" `Quick
+      test_e2e_simulate_ignores_jobs;
     QCheck_alcotest.to_alcotest prop_response_cache_reference;
     Alcotest.test_case "e2e: idle keep-alive clients hold no worker" `Quick
       test_e2e_idle_clients_hold_no_worker;

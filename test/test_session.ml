@@ -191,6 +191,17 @@ let build_project spec scenario_specs =
   let set = Scenarioml.Scen.make_set ~id:"rand-s" ~name:"Random" ontology scenarios in
   { Core.Sosae.scenarios = set; architecture; mapping }
 
+let apply_edit session edit =
+  let current = (Session.project session).Core.Sosae.architecture in
+  match edit with
+  | Retarget spec' -> Session.apply_diff session (Adl.Diff.diff current (build_arch spec'))
+  | Drop_link i -> (
+      match current.Adl.Structure.links with
+      | [] -> ()
+      | links ->
+          let l = List.nth links (i mod List.length links) in
+          Session.apply_diff session [ Adl.Diff.Remove_link l.Adl.Structure.link_id ])
+
 (* After arbitrary interleavings of whole-architecture retargets
    (applied as Adl.Diff edit scripts, exercising replay) and single
    link removals (exercising the eager fast path), the session's
@@ -212,17 +223,7 @@ let prop_session_equals_fresh =
       agrees ()
       && List.for_all
            (fun edit ->
-             let current = (Session.project session).Core.Sosae.architecture in
-             (match edit with
-             | Retarget spec' ->
-                 Session.apply_diff session (Adl.Diff.diff current (build_arch spec'))
-             | Drop_link i -> (
-                 match current.Adl.Structure.links with
-                 | [] -> ()
-                 | links ->
-                     let l = List.nth links (i mod List.length links) in
-                     Session.apply_diff session
-                       [ Adl.Diff.Remove_link l.Adl.Structure.link_id ]));
+             apply_edit session edit;
              agrees ())
            edits)
 
@@ -272,6 +273,148 @@ let prop_session_parallel_equals_sequential =
       in
       run jobs = run 1)
 
+(* ---------------- rendered verdicts -------------------------------- *)
+
+(* What POST /sessions builds when the body names no policy. *)
+let routed = Walkthrough.Engine.config ~policy:Adl.Graph.Routed ()
+
+(* A full suite as the server renders it: each verdict's bytes come
+   from the session. *)
+let session_bytes session result =
+  let buf = Buffer.create 4096 in
+  Walkthrough.Report.set_result_to_buffer
+    ~scenario:(fun buf r -> Buffer.add_string buf (Session.verdict_json session r))
+    buf result;
+  Buffer.contents buf
+
+(* The writer's bytes, and the session's, against the JSON tree's. *)
+let renders_as_reference session (result : Walkthrough.Engine.set_result) =
+  let tree = Jsonlight.to_string (Walkthrough.Report.json_of_set_result result) in
+  Walkthrough.Report.set_result_to_json result = tree
+  && session_bytes session result = tree
+  && List.for_all
+       (fun r ->
+         Walkthrough.Report.scenario_result_to_json r
+         = Jsonlight.to_string (Walkthrough.Report.json_of_scenario_result r))
+       result.Walkthrough.Engine.results
+
+(* Every kind of inconsistency, style violation and coverage problem,
+   with strings that need escaping, empty and one-element lists, and
+   negative and multi-digit indexes: the projects above produce only
+   some of them. *)
+let test_writer_covers_every_variant () =
+  let module V = Walkthrough.Verdict in
+  let violation = { Styles.Rule.rule = "c2.\"up\""; subject = "a\nb"; detail = "\001\t\\" } in
+  let hop = { V.hop_from = "x"; hop_to = "y\u{e9}"; via = [ "x"; "k\""; "y" ] } in
+  let step index event_type hop step_problems =
+    { V.index; text = "do \"it\"\r\n"; event_type; components = []; hop; step_problems }
+  in
+  let problems =
+    [
+      V.Unmapped_event_type { step = 12; event_type = "e\\1" };
+      V.Unmapped_simple_event { step = -3; event = "" };
+      V.Missing_link { step = 7; from_components = [ "a" ]; to_components = [] };
+      V.Constraint_violation violation;
+      V.Negative_scenario_executes { scenario = "n/eg"; trace_index = 40 };
+    ]
+  in
+  let scenario negative verdict traces inconsistencies =
+    {
+      V.scenario_id = "s\"1";
+      scenario_name = "\xff\x00";
+      negative;
+      traces;
+      truncated = negative;
+      verdict;
+      inconsistencies;
+    }
+  in
+  let result =
+    {
+      Walkthrough.Engine.results =
+        [
+          scenario false V.Inconsistent
+            [
+              { V.trace_index = 0; walked = false;
+                steps = [ step 1 (Some "t") None []; step 10 None (Some hop) problems ] };
+              { V.trace_index = 123; walked = true; steps = [] };
+            ]
+            problems;
+          scenario true V.Consistent [] [];
+        ];
+      style_violations = [ violation; { violation with rule = "" } ];
+      coverage_problems =
+        [
+          Mapping.Coverage.Unmapped_event_type "u\"";
+          Mapping.Coverage.Unknown_component { event_type = "e"; component = "c\n" };
+        ];
+      consistent = false;
+    }
+  in
+  let tree = Jsonlight.to_string (Walkthrough.Report.json_of_set_result result) in
+  Alcotest.(check string) "set" tree (Walkthrough.Report.set_result_to_json result);
+  List.iter
+    (fun r ->
+      Alcotest.(check string) "scenario"
+        (Jsonlight.to_string (Walkthrough.Report.json_of_scenario_result r))
+        (Walkthrough.Report.scenario_result_to_json r))
+    result.Walkthrough.Engine.results
+
+(* Fig. 4's excision, as the server's sessions walk it: the first render
+   after it renders the scenarios the excision re-walked and answers
+   every other verdict with the bytes rendered before the edit. *)
+let test_excision_renders_only_rewalked () =
+  let s = Session.create ~config:routed (pims_project ()) in
+  let render () =
+    let result = Session.evaluate s in
+    (result, List.map (Session.verdict_json s) result.Walkthrough.Engine.results)
+  in
+  let _, before = render () in
+  Session.apply_diff s (loader_da_ops (Session.project s).Core.Sosae.architecture);
+  let walked = (Session.stats s).Session.evaluations in
+  let result, after = render () in
+  let rewalked = (Session.stats s).Session.evaluations - walked in
+  Alcotest.(check int) "re-walked" 3 rewalked;
+  let fresh =
+    List.filter_map
+      (fun ((r : Walkthrough.Verdict.scenario_result), (b, a)) ->
+        if a == b then None else Some r.Walkthrough.Verdict.scenario_id)
+      (List.combine result.Walkthrough.Engine.results (List.combine before after))
+  in
+  Alcotest.(check int) "rendered afresh" 3 (List.length fresh);
+  Alcotest.(check bool) "get-share-prices among them" true
+    (List.mem "get-share-prices" fresh);
+  Alcotest.(check bool) "the bytes equal the tree's" true (renders_as_reference s result);
+  Alcotest.(check bool) "and are rendered once" true
+    (List.for_all2 ( == ) after (snd (render ())))
+
+(* The writer against the JSON tree, on the serve benchmark's three
+   projects and on random ones, after every random edit and again warm,
+   when every verdict's bytes come from the session. *)
+let prop_renders_as_reference =
+  QCheck2.Test.make ~name:"session: rendered verdicts = the JSON tree after random edits"
+    ~count:60
+    QCheck2.Gen.(
+      tup4 (int_bound 3) gen_arch_spec
+        (list_size (int_range 1 3) (list_size (int_range 1 5) (int_range 0 (event_types - 1))))
+        (list_size (int_range 1 4) gen_edit))
+    (fun (which, spec, scenario_specs, edits) ->
+      let served p = (Lazy.force p).Servebench.Fixtures.project in
+      let session =
+        match which with
+        | 0 -> Session.create ~config:routed (served Servebench.Fixtures.pims)
+        | 1 -> Session.create ~config:routed (served Servebench.Fixtures.crash)
+        | 2 -> Session.create ~config:routed (served Servebench.Fixtures.chain)
+        | _ -> Session.create (build_project spec scenario_specs)
+      in
+      let renders () = renders_as_reference session (Session.evaluate session) in
+      renders ()
+      && List.for_all
+           (fun edit ->
+             apply_edit session edit;
+             renders () && renders ())
+           edits)
+
 let suite =
   [
     Alcotest.test_case "pims: cache hits on repeat evaluation" `Quick test_cache_hits;
@@ -281,7 +424,12 @@ let suite =
       test_replay_revalidation;
     Alcotest.test_case "invalidate forces re-evaluation" `Quick test_invalidate;
     Alcotest.test_case "evaluate_scenario through the cache" `Quick test_evaluate_scenario;
+    Alcotest.test_case "pims: excision renders only the re-walked verdicts" `Quick
+      test_excision_renders_only_rewalked;
+    Alcotest.test_case "the verdict writer covers every variant" `Quick
+      test_writer_covers_every_variant;
     QCheck_alcotest.to_alcotest prop_session_equals_fresh;
     QCheck_alcotest.to_alcotest prop_parallel_equals_sequential;
     QCheck_alcotest.to_alcotest prop_session_parallel_equals_sequential;
+    QCheck_alcotest.to_alcotest prop_renders_as_reference;
   ]

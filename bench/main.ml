@@ -1528,15 +1528,21 @@ let sim () =
   Printf.printf "jobs=2 speedup: %.2fx on crash-availability, %.2fx on pims-price-feed\n"
     crash pims
 
-let pims_xml = lazy (Scenarioml.Xml_io.set_to_string Casestudies.Pims.scenario_set)
+(* the three documents a PIMS create carries *)
+let pims_xml =
+  lazy
+    Casestudies.Pims.
+      ( Scenarioml.Xml_io.set_to_string scenario_set,
+        Adl.Xml_io.to_string architecture,
+        Mapping.Xml_io.to_string mapping )
 
 let bench_tests =
   let open Bechamel in
   [
-    Test.make ~name:"xml-parse-pims-scenarios"
-      (Staged.stage (fun () -> Xmlight.Parse.parse_exn (Lazy.force pims_xml)));
-    Test.make ~name:"scenarioml-load-pims"
-      (Staged.stage (fun () -> Scenarioml.Xml_io.set_of_string (Lazy.force pims_xml)));
+    Test.make ~name:"project-of-strings-pims"
+      (Staged.stage (fun () ->
+           let scenarios, architecture, mapping = Lazy.force pims_xml in
+           Core.Sosae.project_of_strings ~scenarios ~architecture ~mapping));
     Test.make ~name:"validate-pims-scenarios"
       (Staged.stage (fun () -> Scenarioml.Validate.check Casestudies.Pims.scenario_set));
     Test.make ~name:"graph-build-pims"

@@ -2,29 +2,31 @@ exception Malformed of string
 
 let malformed fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
 
-let required e name =
-  match Xmlight.Doc.attr e name with
+module X = Xmlight.Parse
+
+let required d e name =
+  match X.attr d e name with
   | Some v -> v
-  | None -> malformed "<%s> is missing required attribute %S" e.Xmlight.Doc.tag name
+  | None -> malformed "<%s> is missing required attribute %S" (X.tag d e) name
 
 let direction_to_string = function
   | Structure.Provided -> "provided"
   | Structure.Required -> "required"
   | Structure.In_out -> "inout"
 
-let direction_of_string = function
-  | "provided" -> Structure.Provided
-  | "required" -> Structure.Required
-  | "inout" -> Structure.In_out
-  | other -> malformed "unknown interface direction %S" other
+let direction_of_element d e =
+  if X.attr_is d e "direction" "provided" then Structure.Provided
+  else if X.attr_is d e "direction" "required" then Structure.Required
+  else if X.attr_is d e "direction" "inout" then Structure.In_out
+  else malformed "unknown interface direction %S" (required d e "direction")
 
 let tags_to_elements tags =
   List.map
     (fun (name, value) -> Xmlight.Doc.elt ~attrs:[ ("name", name); ("value", value) ] "tag" [])
     tags
 
-let tags_of_element e =
-  List.map (fun t -> (required t "name", required t "value")) (Xmlight.Doc.find_children e "tag")
+let tags_of_element d e =
+  X.map_children d e [ "tag" ] (fun t -> (required d t "name", required d t "value"))
 
 let interface_to_element i =
   Xmlight.Doc.elt
@@ -37,20 +39,20 @@ let interface_to_element i =
     "interface"
     (tags_to_elements i.Structure.iface_tags)
 
-let interface_of_element e =
+let interface_of_element d e =
   {
-    Structure.iface_id = required e "id";
-    iface_name = required e "name";
-    direction = direction_of_string (required e "direction");
-    iface_tags = tags_of_element e;
+    Structure.iface_id = required d e "id";
+    iface_name = required d e "name";
+    direction = direction_of_element d e;
+    iface_tags = tags_of_element d e;
   }
 
 let description_to_elements d =
   if d = "" then [] else [ Xmlight.Doc.elt "description" [ Xmlight.Doc.text d ] ]
 
-let description_of_element e =
-  match Xmlight.Doc.find_child e "description" with
-  | Some d -> Xmlight.Doc.child_text d
+let description_of_element d e =
+  match X.find_child d e "description" with
+  | Some c -> X.child_text d c
   | None -> ""
 
 let rec component_to_element c =
@@ -106,56 +108,55 @@ and to_element t =
 
 let to_string t = Xmlight.Print.to_string (Xmlight.Doc.doc (to_element t))
 
-let rec component_of_element e =
+let rec component_of_element d e =
   let substructure =
-    match Xmlight.Doc.find_child e "subArchitecture" with
+    match X.find_child d e "subArchitecture" with
     | Some sub -> (
-        match Xmlight.Doc.find_child sub "archStructure" with
-        | Some arch -> Some (of_element arch)
+        match X.find_child d sub "archStructure" with
+        | Some arch -> Some (of_element d arch)
         | None -> malformed "<subArchitecture> without <archStructure>")
     | None -> None
   in
   {
-    Structure.comp_id = required e "id";
-    comp_name = required e "name";
-    comp_description = description_of_element e;
-    responsibilities =
-      List.map Xmlight.Doc.child_text (Xmlight.Doc.find_children e "responsibility");
-    comp_interfaces = List.map interface_of_element (Xmlight.Doc.find_children e "interface");
+    Structure.comp_id = required d e "id";
+    comp_name = required d e "name";
+    comp_description = description_of_element d e;
+    responsibilities = X.map_children d e [ "responsibility" ] (X.child_text d);
+    comp_interfaces = X.map_children d e [ "interface" ] (interface_of_element d);
     substructure;
-    comp_tags = tags_of_element e;
+    comp_tags = tags_of_element d e;
   }
 
-and connector_of_element e =
+and connector_of_element d e =
   {
-    Structure.conn_id = required e "id";
-    conn_name = required e "name";
-    conn_description = description_of_element e;
-    conn_interfaces = List.map interface_of_element (Xmlight.Doc.find_children e "interface");
-    conn_tags = tags_of_element e;
+    Structure.conn_id = required d e "id";
+    conn_name = required d e "name";
+    conn_description = description_of_element d e;
+    conn_interfaces = X.map_children d e [ "interface" ] (interface_of_element d);
+    conn_tags = tags_of_element d e;
   }
 
-and link_of_element e =
+and link_of_element d e =
   let point tag =
-    match Xmlight.Doc.find_child e tag with
-    | Some p -> { Structure.anchor = required p "anchor"; interface = required p "interface" }
-    | None -> malformed "<link id=%S> is missing <%s>" (required e "id") tag
+    match X.find_child d e tag with
+    | Some p -> { Structure.anchor = required d p "anchor"; interface = required d p "interface" }
+    | None -> malformed "<link id=%S> is missing <%s>" (required d e "id") tag
   in
-  { Structure.link_id = required e "id"; link_from = point "from"; link_to = point "to" }
+  { Structure.link_id = required d e "id"; link_from = point "from"; link_to = point "to" }
 
-and of_element e =
-  if not (String.equal e.Xmlight.Doc.tag "archStructure") then
-    malformed "expected <archStructure>, found <%s>" e.Xmlight.Doc.tag;
+and of_element d e =
+  if not (X.tag_is d e "archStructure") then
+    malformed "expected <archStructure>, found <%s>" (X.tag d e);
   {
-    Structure.arch_id = required e "id";
-    arch_name = required e "name";
-    style = Xmlight.Doc.attr e "style";
-    components = List.map component_of_element (Xmlight.Doc.find_children e "component");
-    connectors = List.map connector_of_element (Xmlight.Doc.find_children e "connector");
-    links = List.map link_of_element (Xmlight.Doc.find_children e "link");
+    Structure.arch_id = required d e "id";
+    arch_name = required d e "name";
+    style = X.attr d e "style";
+    components = X.map_children d e [ "component" ] (component_of_element d);
+    connectors = X.map_children d e [ "connector" ] (connector_of_element d);
+    links = X.map_children d e [ "link" ] (link_of_element d);
   }
 
 let of_string s =
-  match Xmlight.Parse.parse s with
-  | Ok doc -> of_element doc.Xmlight.Doc.root
-  | Error e -> malformed "XML error: %s" (Xmlight.Parse.error_to_string e)
+  match X.read s of_element with
+  | Ok t -> t
+  | Error e -> malformed "XML error: %s" (X.error_to_string e)

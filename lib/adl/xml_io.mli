@@ -26,8 +26,5 @@ val to_element : Structure.t -> Xmlight.Doc.element
 
 val to_string : Structure.t -> string
 
-val of_element : Xmlight.Doc.element -> Structure.t
-(** @raise Malformed on schema errors. *)
-
 val of_string : string -> Structure.t
 (** @raise Malformed on XML or schema errors. *)

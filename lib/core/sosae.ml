@@ -429,7 +429,7 @@ let read_file artifact file =
   | s -> Ok s
   | exception Sys_error message -> Error (Io_error { artifact; file; message })
 
-(* Parse the document twice on the failure path only: one cheap
+(* Lex the document twice on the failure path only: one cheap
    well-formedness pass distinguishes XML errors from schema errors. *)
 let parse_artifact artifact file text of_string malformed =
   match of_string text with
@@ -438,7 +438,7 @@ let parse_artifact artifact file text of_string malformed =
       match malformed exn with
       | None -> raise exn
       | Some message -> (
-          match Xmlight.Parse.parse text with
+          match Xmlight.Parse.read text (fun _ _ -> ()) with
           | Error err ->
               Error
                 (Xml_error

@@ -79,10 +79,23 @@ let escape_to buf s =
   add_escaped buf s;
   Buffer.add_char buf '"'
 
+(* The digits of [-i], for [i <= 0]: counting down from zero reaches
+   [min_int], whose negation does not fit in an int. *)
+let rec add_digits buf i =
+  if i <= -10 then add_digits buf (i / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (i mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
+
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f ->
       if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.12g" f)
       else Buffer.add_string buf "null"
@@ -140,7 +153,7 @@ module Writer = struct
 
   let char w c = Buffer.add_char w.buf c
 
-  let int w i = Buffer.add_string w.buf (string_of_int i)
+  let int w i = add_int w.buf i
 
   let string w s = escape_to w.buf s
 

@@ -27,6 +27,10 @@ val to_buffer : Buffer.t -> t -> unit
 val strings : string list -> t
 (** [List] of [String]s. *)
 
+val add_int : Buffer.t -> int -> unit
+(** Append the bytes of [string_of_int i], digit by digit rather than
+    through C's printf. *)
+
 val add_escaped : Buffer.t -> string -> unit
 (** Append what [to_string (String s)] puts between its quotes: a
     writer that keeps the quotes in its own literals (["\"key\":\""])

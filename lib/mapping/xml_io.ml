@@ -2,10 +2,12 @@ exception Malformed of string
 
 let malformed fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
 
-let required e name =
-  match Xmlight.Doc.attr e name with
+module X = Xmlight.Parse
+
+let required d e name =
+  match X.attr d e name with
   | Some v -> v
-  | None -> malformed "<%s> is missing required attribute %S" e.Xmlight.Doc.tag name
+  | None -> malformed "<%s> is missing required attribute %S" (X.tag d e) name
 
 let entry_to_element e =
   let targets =
@@ -32,27 +34,26 @@ let to_element t =
 
 let to_string t = Xmlight.Print.to_string (Xmlight.Doc.doc (to_element t))
 
-let entry_of_element e =
+let entry_of_element d e =
   {
-    Types.event_type = required e "eventType";
-    components = List.map (fun c -> required c "component") (Xmlight.Doc.find_children e "to");
+    Types.event_type = required d e "eventType";
+    components = X.map_children d e [ "to" ] (fun c -> required d c "component");
     rationale =
-      (match Xmlight.Doc.find_child e "rationale" with
-      | Some r -> Xmlight.Doc.child_text r
+      (match X.find_child d e "rationale" with
+      | Some r -> X.child_text d r
       | None -> "");
   }
 
-let of_element e =
-  if not (String.equal e.Xmlight.Doc.tag "mapping") then
-    malformed "expected <mapping>, found <%s>" e.Xmlight.Doc.tag;
+let of_element d e =
+  if not (X.tag_is d e "mapping") then malformed "expected <mapping>, found <%s>" (X.tag d e);
   {
-    Types.mapping_id = required e "id";
-    ontology_id = required e "ontology";
-    architecture_id = required e "architecture";
-    entries = List.map entry_of_element (Xmlight.Doc.find_children e "map");
+    Types.mapping_id = required d e "id";
+    ontology_id = required d e "ontology";
+    architecture_id = required d e "architecture";
+    entries = X.map_children d e [ "map" ] (entry_of_element d);
   }
 
 let of_string s =
-  match Xmlight.Parse.parse s with
-  | Ok doc -> of_element doc.Xmlight.Doc.root
-  | Error e -> malformed "XML error: %s" (Xmlight.Parse.error_to_string e)
+  match X.read s of_element with
+  | Ok t -> t
+  | Error e -> malformed "XML error: %s" (X.error_to_string e)

@@ -14,8 +14,5 @@ val to_element : Types.t -> Xmlight.Doc.element
 
 val to_string : Types.t -> string
 
-val of_element : Xmlight.Doc.element -> Types.t
-(** @raise Malformed on schema errors. *)
-
 val of_string : string -> Types.t
 (** @raise Malformed on XML or schema errors. *)

@@ -60,72 +60,72 @@ let to_element t =
 
 let to_string t = Xmlight.Print.to_string (Xmlight.Doc.doc (to_element t))
 
-let required e name =
-  match Xmlight.Doc.attr e name with
-  | Some v -> v
-  | None -> malformed "<%s> is missing required attribute %S" e.Xmlight.Doc.tag name
+module X = Xmlight.Parse
 
-let description_of e =
-  match Xmlight.Doc.find_child e "description" with
-  | Some d -> Xmlight.Doc.child_text d
+let required d e name =
+  match X.attr d e name with
+  | Some v -> v
+  | None -> malformed "<%s> is missing required attribute %S" (X.tag d e) name
+
+let description_of d e =
+  match X.find_child d e "description" with
+  | Some c -> X.child_text d c
   | None -> ""
 
-let class_of_element e =
+let class_of_element d e =
   {
-    Types.class_id = required e "id";
-    class_name = required e "name";
-    class_description = description_of e;
-    class_super = Xmlight.Doc.attr e "super";
+    Types.class_id = required d e "id";
+    class_name = required d e "name";
+    class_description = description_of d e;
+    class_super = X.attr d e "super";
   }
 
-let individual_of_element e =
+let individual_of_element d e =
   {
-    Types.ind_id = required e "id";
-    ind_name = required e "name";
-    ind_class = required e "type";
-    ind_description = description_of e;
+    Types.ind_id = required d e "id";
+    ind_name = required d e "name";
+    ind_class = required d e "type";
+    ind_description = description_of d e;
   }
 
-let event_of_element e =
+let event_of_element d e =
   let params =
-    List.map
-      (fun p -> { Types.param_name = required p "name"; param_class = required p "type" })
-      (Xmlight.Doc.find_children e "parameter")
+    X.map_children d e [ "parameter" ] (fun p ->
+        { Types.param_name = required d p "name"; param_class = required d p "type" })
   in
   let template =
-    match Xmlight.Doc.find_child e "template" with
-    | Some t -> Xmlight.Doc.child_text t
-    | None -> malformed "<eventType id=%S> is missing <template>" (required e "id")
+    match X.find_child d e "template" with
+    | Some t -> X.child_text d t
+    | None -> malformed "<eventType id=%S> is missing <template>" (required d e "id")
   in
   {
-    Types.event_id = required e "id";
-    event_name = required e "name";
+    Types.event_id = required d e "id";
+    event_name = required d e "name";
     template;
-    event_super = Xmlight.Doc.attr e "super";
+    event_super = X.attr d e "super";
     params;
-    actor = Xmlight.Doc.attr e "actor";
+    actor = X.attr d e "actor";
   }
 
-let term_of_element e =
+let term_of_element d e =
   {
-    Types.term_id = required e "id";
-    term_name = required e "name";
-    term_definition = Xmlight.Doc.child_text e;
+    Types.term_id = required d e "id";
+    term_name = required d e "name";
+    term_definition = X.child_text d e;
   }
 
-let of_element e =
-  if not (String.equal e.Xmlight.Doc.tag "ontology") then
-    malformed "expected <ontology>, found <%s>" e.Xmlight.Doc.tag;
+let of_element d e =
+  if not (X.tag_is d e "ontology") then malformed "expected <ontology>, found <%s>" (X.tag d e);
   {
-    Types.ontology_id = required e "id";
-    ontology_name = required e "name";
-    classes = List.map class_of_element (Xmlight.Doc.find_children e "instanceType");
-    individuals = List.map individual_of_element (Xmlight.Doc.find_children e "instance");
-    event_types = List.map event_of_element (Xmlight.Doc.find_children e "eventType");
-    terms = List.map term_of_element (Xmlight.Doc.find_children e "term");
+    Types.ontology_id = required d e "id";
+    ontology_name = required d e "name";
+    classes = X.map_children d e [ "instanceType" ] (class_of_element d);
+    individuals = X.map_children d e [ "instance" ] (individual_of_element d);
+    event_types = X.map_children d e [ "eventType" ] (event_of_element d);
+    terms = X.map_children d e [ "term" ] (term_of_element d);
   }
 
 let of_string s =
-  match Xmlight.Parse.parse s with
-  | Ok doc -> of_element doc.Xmlight.Doc.root
-  | Error e -> malformed "XML error: %s" (Xmlight.Parse.error_to_string e)
+  match X.read s of_element with
+  | Ok t -> t
+  | Error e -> malformed "XML error: %s" (X.error_to_string e)

@@ -11,8 +11,9 @@ val to_element : Types.t -> Xmlight.Doc.element
 
 val to_string : Types.t -> string
 
-val of_element : Xmlight.Doc.element -> Types.t
-(** @raise Malformed when required attributes or elements are missing. *)
+val of_element : Xmlight.Parse.doc -> Xmlight.Parse.element -> Types.t
+(** Read an [<ontology>] element in place.
+    @raise Malformed when required attributes or elements are missing. *)
 
 val of_string : string -> Types.t
 (** Parse a complete XML document whose root is [<ontology>].

@@ -2,10 +2,12 @@ exception Malformed of string
 
 let malformed fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
 
-let required e name =
-  match Xmlight.Doc.attr e name with
+module X = Xmlight.Parse
+
+let required d e name =
+  match X.attr d e name with
   | Some v -> v
-  | None -> malformed "<%s> is missing required attribute %S" e.Xmlight.Doc.tag name
+  | None -> malformed "<%s> is missing required attribute %S" (X.tag d e) name
 
 let arg_to_element a =
   let value_attrs =
@@ -52,65 +54,55 @@ let rec event_to_element e =
   | Event.Episode { id; scenario } ->
       Xmlight.Doc.element ~attrs:[ ("id", id); ("scenario", scenario) ] "episode" []
 
-let arg_of_element e =
-  let param = required e "param" in
-  match
-    (Xmlight.Doc.attr e "ref", Xmlight.Doc.attr e "value", Xmlight.Doc.attr e "new")
-  with
+let arg_of_element d e =
+  let param = required d e "param" in
+  match (X.attr d e "ref", X.attr d e "value", X.attr d e "new") with
   | Some id, None, None -> Event.individual ~param id
   | None, Some v, None -> Event.literal ~param v
-  | None, None, Some label -> Event.fresh ~param ~label ~cls:(required e "type")
+  | None, None, Some label -> Event.fresh ~param ~label ~cls:(required d e "type")
   | None, None, None -> malformed "<arg param=%S> has neither ref, value nor new" param
   | _, _, _ -> malformed "<arg param=%S> mixes ref/value/new" param
 
-let rec event_of_element e =
-  let id = required e "id" in
-  match e.Xmlight.Doc.tag with
-  | "event" -> Event.Simple { id; text = Xmlight.Doc.child_text e }
-  | "typedEvent" ->
-      Event.Typed
-        {
-          id;
-          event_type = required e "type";
-          args = List.map arg_of_element (Xmlight.Doc.find_children e "arg");
-        }
-  | "compound" ->
-      let pattern =
-        match Xmlight.Doc.attr_default e "order" "sequence" with
-        | "sequence" -> Event.Sequence
-        | "any" -> Event.Any_order
-        | other -> malformed "<compound id=%S>: unknown order %S" id other
-      in
-      Event.Compound { id; pattern; body = events_of e }
-  | "alternation" ->
-      let branches =
-        List.map (fun b -> events_of b) (Xmlight.Doc.find_children e "branch")
-      in
-      Event.Alternation { id; branches }
-  | "iteration" ->
-      let bound =
-        match required e "bound" with
-        | "zeroOrMore" -> Event.Zero_or_more
-        | "oneOrMore" -> Event.One_or_more
-        | n -> (
-            match int_of_string_opt n with
-            | Some k -> Event.Exactly k
-            | None -> malformed "<iteration id=%S>: bad bound %S" id n)
-      in
-      Event.Iteration { id; bound; body = events_of e }
-  | "optional" -> Event.Optional { id; body = events_of e }
-  | "episode" -> Event.Episode { id; scenario = required e "scenario" }
-  | tag -> malformed "unknown event element <%s>" tag
+let event_tags =
+  [ "event"; "typedEvent"; "compound"; "alternation"; "iteration"; "optional"; "episode" ]
 
-and events_of e =
-  List.filter_map
-    (fun c ->
-      match c.Xmlight.Doc.tag with
-      | "event" | "typedEvent" | "compound" | "alternation" | "iteration" | "optional"
-      | "episode" ->
-          Some (event_of_element c)
-      | _ -> None)
-    (Xmlight.Doc.children_elements e)
+let rec event_of_element d e =
+  let id = required d e "id" in
+  if X.tag_is d e "event" then Event.Simple { id; text = X.child_text d e }
+  else if X.tag_is d e "typedEvent" then
+    Event.Typed
+      {
+        id;
+        event_type = required d e "type";
+        args = X.map_children d e [ "arg" ] (arg_of_element d);
+      }
+  else if X.tag_is d e "compound" then
+    let pattern =
+      if X.attr_is d e "order" "any" then Event.Any_order
+      else if X.attr_is d e "order" "sequence" || Option.is_none (X.attr d e "order") then
+        Event.Sequence
+      else malformed "<compound id=%S>: unknown order %S" id (required d e "order")
+    in
+    Event.Compound { id; pattern; body = events_of d e }
+  else if X.tag_is d e "alternation" then
+    let branches = X.map_children d e [ "branch" ] (events_of d) in
+    Event.Alternation { id; branches }
+  else if X.tag_is d e "iteration" then
+    let bound =
+      if X.attr_is d e "bound" "zeroOrMore" then Event.Zero_or_more
+      else if X.attr_is d e "bound" "oneOrMore" then Event.One_or_more
+      else
+        let n = required d e "bound" in
+        match int_of_string_opt n with
+        | Some k -> Event.Exactly k
+        | None -> malformed "<iteration id=%S>: bad bound %S" id n
+    in
+    Event.Iteration { id; bound; body = events_of d e }
+  else if X.tag_is d e "optional" then Event.Optional { id; body = events_of d e }
+  else if X.tag_is d e "episode" then Event.Episode { id; scenario = required d e "scenario" }
+  else malformed "unknown event element <%s>" (X.tag d e)
+
+and events_of d e = X.map_children d e event_tags (event_of_element d)
 
 let scenario_to_element s =
   let kind = match s.Scen.kind with Scen.Positive -> "positive" | Scen.Negative -> "negative" in
@@ -130,29 +122,26 @@ let scenario_to_element s =
     "scenario"
     (description @ actors @ [ events ])
 
-let scenario_of_element e =
-  if not (String.equal e.Xmlight.Doc.tag "scenario") then
-    malformed "expected <scenario>, found <%s>" e.Xmlight.Doc.tag;
+let scenario_of_element d e =
+  if not (X.tag_is d e "scenario") then malformed "expected <scenario>, found <%s>" (X.tag d e);
   let kind =
-    match Xmlight.Doc.attr_default e "kind" "positive" with
-    | "positive" -> Scen.Positive
-    | "negative" -> Scen.Negative
-    | other -> malformed "unknown scenario kind %S" other
+    if X.attr_is d e "kind" "negative" then Scen.Negative
+    else if X.attr_is d e "kind" "positive" || Option.is_none (X.attr d e "kind") then
+      Scen.Positive
+    else malformed "unknown scenario kind %S" (required d e "kind")
   in
   let description =
-    match Xmlight.Doc.find_child e "description" with
-    | Some d -> Xmlight.Doc.child_text d
+    match X.find_child d e "description" with
+    | Some c -> X.child_text d c
     | None -> ""
   in
-  let actors =
-    List.map (fun a -> required a "ref") (Xmlight.Doc.find_children e "actor")
-  in
+  let actors = X.map_children d e [ "actor" ] (fun a -> required d a "ref") in
   let events =
-    match Xmlight.Doc.find_child e "events" with
-    | Some evs -> events_of evs
-    | None -> malformed "<scenario id=%S> is missing <events>" (required e "id")
+    match X.find_child d e "events" with
+    | Some evs -> events_of d evs
+    | None -> malformed "<scenario id=%S> is missing <events>" (required d e "id")
   in
-  Scen.scenario ~description ~kind ~actors ~id:(required e "id") ~name:(required e "name")
+  Scen.scenario ~description ~kind ~actors ~id:(required d e "id") ~name:(required d e "name")
     events
 
 let set_to_element set =
@@ -162,23 +151,23 @@ let set_to_element set =
     (Xmlight.Doc.Element (Ontology.Xml_io.to_element set.Scen.ontology)
     :: List.map (fun s -> Xmlight.Doc.Element (scenario_to_element s)) set.Scen.scenarios)
 
-let set_of_element e =
-  if not (String.equal e.Xmlight.Doc.tag "scenarioSet") then
-    malformed "expected <scenarioSet>, found <%s>" e.Xmlight.Doc.tag;
+let set_of_element d e =
+  if not (X.tag_is d e "scenarioSet") then
+    malformed "expected <scenarioSet>, found <%s>" (X.tag d e);
   let ontology =
-    match Xmlight.Doc.find_child e "ontology" with
+    match X.find_child d e "ontology" with
     | Some o -> (
-        match Ontology.Xml_io.of_element o with
+        match Ontology.Xml_io.of_element d o with
         | o -> o
         | exception Ontology.Xml_io.Malformed m -> malformed "in <ontology>: %s" m)
     | None -> malformed "<scenarioSet> is missing <ontology>"
   in
-  Scen.make_set ~id:(required e "id") ~name:(required e "name") ontology
-    (List.map scenario_of_element (Xmlight.Doc.find_children e "scenario"))
+  Scen.make_set ~id:(required d e "id") ~name:(required d e "name") ontology
+    (X.map_children d e [ "scenario" ] (scenario_of_element d))
 
 let set_to_string set = Xmlight.Print.to_string (Xmlight.Doc.doc (set_to_element set))
 
 let set_of_string s =
-  match Xmlight.Parse.parse s with
-  | Ok doc -> set_of_element doc.Xmlight.Doc.root
-  | Error e -> malformed "XML error: %s" (Xmlight.Parse.error_to_string e)
+  match X.read s set_of_element with
+  | Ok set -> set
+  | Error e -> malformed "XML error: %s" (X.error_to_string e)

@@ -23,9 +23,6 @@ exception Malformed of string
 
 val event_to_element : Event.t -> Xmlight.Doc.element
 
-val event_of_element : Xmlight.Doc.element -> Event.t
-(** @raise Malformed on schema errors. *)
-
 val scenario_to_element : Scen.t -> Xmlight.Doc.element
 
 val set_to_string : Scen.set -> string

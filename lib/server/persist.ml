@@ -160,7 +160,9 @@ let decode_raw_create payload =
       let* alen = int_field "architecture" header in
       let* mlen = int_field "mapping" header in
       let body = nl + 1 in
-      if String.length payload - body <> slen + alen + mlen then
+      (* each length against the bytes it leaves: a sum could wrap *)
+      let left = String.length payload - body in
+      if slen > left || alen > left - slen || mlen <> left - slen - alen then
         Error "raw create: length mismatch"
       else
         Ok
@@ -280,10 +282,20 @@ let snapshot t = Store.Ship.snapshot t.shipper
 
 let ship_stats t = Store.Ship.stats t.shipper
 
-let ingest t data = Mutex.protect t.lock (fun () -> Store.Wal.ingest t.wal data)
+let ingest_frames t data records =
+  Mutex.protect t.lock (fun () -> Store.Wal.ingest t.wal data records)
 
-let install_snapshot t data =
-  Mutex.protect t.lock (fun () -> Store.Wal.install_snapshot t.wal data)
+let install_frames t data records =
+  Mutex.protect t.lock (fun () -> Store.Wal.install_snapshot t.wal data records)
+
+let frames what data =
+  match Store.Ship.decode data with
+  | Ok records -> records
+  | Error e -> invalid_arg (what ^ ": " ^ e)
+
+let ingest t data = ingest_frames t data (frames "Persist.ingest" data)
+
+let install_snapshot t data = install_frames t data (frames "Persist.install_snapshot" data)
 
 let stats t = Store.Wal.stats t.wal
 

@@ -129,12 +129,24 @@ val ship_stats : t -> Store.Ship.stats
 val ingest : t -> string -> unit
 (** Replica side: append a shipped batch's raw frames to the local
     journal, keeping upstream sequence numbers — see
-    {!Store.Wal.ingest}. Durable per the fsync policy on return. *)
+    {!Store.Wal.ingest}. Durable per the fsync policy on return.
+    Decodes the batch with {!Store.Ship.decode} and raises
+    [Invalid_argument] when it is torn or corrupt; a caller that has
+    decoded it already passes the frames to {!ingest_frames}. *)
+
+val ingest_frames : t -> string -> (int64 * string) list -> unit
+(** {!ingest} of a batch together with its frames, as
+    {!Store.Ship.decode} returned them for it. *)
 
 val install_snapshot : t -> string -> int64
 (** Replica side: install a shipped reset batch as the local snapshot,
     empty the journal, and re-base sequence numbering past the
-    returned covered sequence — see {!Store.Wal.install_snapshot}. *)
+    returned covered sequence — see {!Store.Wal.install_snapshot}.
+    Decodes the batch like {!ingest}. *)
+
+val install_frames : t -> string -> (int64 * string) list -> int64
+(** {!install_snapshot} of a batch together with its frames, as
+    {!Store.Ship.decode} returned them for it. *)
 
 val stats : t -> Store.Wal.counters
 (** Lifetime journal counters (appends, bytes, fsyncs, compactions). *)

@@ -326,10 +326,12 @@ let checkpoint t =
    registry persists, the frames go into the local journal
    byte-for-byte (a reset batch becomes the local snapshot), so a
    durable replica is itself shippable-from and a promotion yields an
-   immediately durable primary. Apply-then-journal, the same order as
-   the primary's mutation path: background compaction relies on "every
-   journaled mutation at the captured sequence is already applied"
-   when it snapshots the live state, and a crash between the two just
+   immediately durable primary. The batch is decoded once, here: the
+   journal step receives the frames with the bytes. Apply-then-journal,
+   the same order as the primary's mutation path: background
+   compaction relies on "every journaled mutation at the captured
+   sequence is already applied" when it snapshots the live state, and
+   a crash between the two just
    re-fetches the batch from the upstream (whose re-ship of an
    already-journaled record {!Store.Journal.ingest} skips, and whose
    re-applied mutations the skip semantics absorb). Holds [mu] for the
@@ -358,8 +360,8 @@ let apply_shipped t ~reset data =
     let stats = apply_mutations t mutations in
     (match t.persist with
     | Some p ->
-        if reset then ignore (Persist.install_snapshot p data)
-        else Persist.ingest p data
+        if reset then ignore (Persist.install_frames p data records)
+        else Persist.ingest_frames p data records
     | None -> ());
     stats
   in

@@ -50,25 +50,25 @@ let to_element t =
 
 let to_string t = Xmlight.Print.to_string (Xmlight.Doc.doc (to_element t))
 
-let of_element e =
-  if not (String.equal e.Xmlight.Doc.tag "archBehavior") then
-    raise (Malformed (Printf.sprintf "expected <archBehavior>, found <%s>" e.Xmlight.Doc.tag));
+let of_element d e =
+  if not (Xmlight.Parse.tag_is d e "archBehavior") then
+    raise
+      (Malformed
+         (Printf.sprintf "expected <archBehavior>, found <%s>" (Xmlight.Parse.tag d e)));
   let bundle_id =
-    match Xmlight.Doc.attr e "id" with
+    match Xmlight.Parse.attr d e "id" with
     | Some id -> id
     | None -> raise (Malformed "<archBehavior> is missing id")
   in
   let charts =
-    List.map
-      (fun c ->
-        match Xml_io.of_element c with
+    Xmlight.Parse.map_children d e [ "statechart" ] (fun c ->
+        match Xml_io.of_element d c with
         | chart -> chart
         | exception Xml_io.Malformed m -> raise (Malformed m))
-      (Xmlight.Doc.find_children e "statechart")
   in
   { bundle_id; charts }
 
 let of_string s =
-  match Xmlight.Parse.parse s with
-  | Ok doc -> of_element doc.Xmlight.Doc.root
+  match Xmlight.Parse.read s of_element with
+  | Ok t -> t
   | Error e -> raise (Malformed (Xmlight.Parse.error_to_string e))

@@ -29,8 +29,5 @@ val to_element : t -> Xmlight.Doc.element
 
 val to_string : t -> string
 
-val of_element : Xmlight.Doc.element -> t
-(** @raise Malformed on schema errors. *)
-
 val of_string : string -> t
 (** @raise Malformed on XML or schema errors. *)

@@ -2,10 +2,12 @@ exception Malformed of string
 
 let malformed fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
 
-let required e name =
-  match Xmlight.Doc.attr e name with
+module X = Xmlight.Parse
+
+let required d e name =
+  match X.attr d e name with
   | Some v -> v
-  | None -> malformed "<%s> is missing required attribute %S" e.Xmlight.Doc.tag name
+  | None -> malformed "<%s> is missing required attribute %S" (X.tag d e) name
 
 let rec state_to_element s =
   let attrs =
@@ -46,38 +48,37 @@ let to_element t =
 
 let to_string t = Xmlight.Print.to_string (Xmlight.Doc.doc (to_element t))
 
-let rec state_of_element e =
+let rec state_of_element d e =
   {
-    Types.state_id = required e "id";
-    state_name = Xmlight.Doc.attr_default e "name" (required e "id");
-    substates = List.map state_of_element (Xmlight.Doc.find_children e "state");
-    initial = Xmlight.Doc.attr e "initial";
-    entry_outputs = List.map Xmlight.Doc.child_text (Xmlight.Doc.find_children e "onEntry");
-    history = Xmlight.Doc.attr_default e "history" "false" = "true";
+    Types.state_id = required d e "id";
+    state_name = X.attr_default d e "name" (required d e "id");
+    substates = X.map_children d e [ "state" ] (state_of_element d);
+    initial = X.attr d e "initial";
+    entry_outputs = X.map_children d e [ "onEntry" ] (X.child_text d);
+    history = X.attr_is d e "history" "true";
   }
 
-let transition_of_element e =
+let transition_of_element d e =
   {
-    Types.tr_id = required e "id";
-    source = required e "from";
-    target = required e "to";
-    trigger = required e "trigger";
-    guard = Xmlight.Doc.attr e "guard";
-    outputs = List.map Xmlight.Doc.child_text (Xmlight.Doc.find_children e "output");
+    Types.tr_id = required d e "id";
+    source = required d e "from";
+    target = required d e "to";
+    trigger = required d e "trigger";
+    guard = X.attr d e "guard";
+    outputs = X.map_children d e [ "output" ] (X.child_text d);
   }
 
-let of_element e =
-  if not (String.equal e.Xmlight.Doc.tag "statechart") then
-    malformed "expected <statechart>, found <%s>" e.Xmlight.Doc.tag;
+let of_element d e =
+  if not (X.tag_is d e "statechart") then malformed "expected <statechart>, found <%s>" (X.tag d e);
   {
-    Types.chart_id = required e "id";
-    component = required e "component";
-    states = List.map state_of_element (Xmlight.Doc.find_children e "state");
-    chart_initial = required e "initial";
-    transitions = List.map transition_of_element (Xmlight.Doc.find_children e "transition");
+    Types.chart_id = required d e "id";
+    component = required d e "component";
+    states = X.map_children d e [ "state" ] (state_of_element d);
+    chart_initial = required d e "initial";
+    transitions = X.map_children d e [ "transition" ] (transition_of_element d);
   }
 
 let of_string s =
-  match Xmlight.Parse.parse s with
-  | Ok doc -> of_element doc.Xmlight.Doc.root
-  | Error e -> malformed "XML error: %s" (Xmlight.Parse.error_to_string e)
+  match X.read s of_element with
+  | Ok t -> t
+  | Error e -> malformed "XML error: %s" (X.error_to_string e)

@@ -15,8 +15,9 @@ val to_element : Types.t -> Xmlight.Doc.element
 
 val to_string : Types.t -> string
 
-val of_element : Xmlight.Doc.element -> Types.t
-(** @raise Malformed on schema errors. *)
+val of_element : Xmlight.Parse.doc -> Xmlight.Parse.element -> Types.t
+(** Read a [<statechart>] element in place.
+    @raise Malformed on schema errors. *)
 
 val of_string : string -> Types.t
 (** @raise Malformed on XML or schema errors. *)

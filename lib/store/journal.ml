@@ -367,10 +367,7 @@ let append t payload =
    gap would wedge every local tail cursor with no snapshot covering
    the hole. Durability is a local append's: the interval fsync, or
    the group-commit barrier under [Always]. *)
-let ingest t data =
-  let records, valid_end, tail = Record.decode_all data in
-  if valid_end <> String.length data || tail <> Record.Clean then
-    invalid_arg "Journal.ingest: batch is not a clean run of frames";
+let ingest t data records =
   let last =
     locked t (fun () ->
         (* find the byte offset of the first record not yet held *)

@@ -104,9 +104,13 @@ val await : t -> int64 -> unit
 val group_stats : t -> Group.stats
 (** The barrier's batching counters (all zero off [Always]). *)
 
-val ingest : t -> string -> unit
-(** Append a batch of already-framed records shipped from an upstream
-    journal verbatim, keeping their upstream-assigned sequence numbers
+val ingest : t -> string -> (int64 * string) list -> unit
+(** [ingest t data records] appends a batch of already-framed records
+    shipped from an upstream journal verbatim, keeping their
+    upstream-assigned sequence numbers. [records] are [data]'s frames as
+    {!Record.decode_all} returns them, and must cover all of [data]
+    with a [Clean] tail ({!Ship.decode}'s check): the caller has
+    decoded the batch already, so it is not decoded again here
     ({!Record.encode} is deterministic, so the raw bytes equal a local
     re-encoding and the file stays a journal this process can itself
     ship downstream with {!Tail}). Records at sequence numbers the

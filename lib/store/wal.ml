@@ -72,7 +72,7 @@ let open_ ?fsync ?group ?(env = Fsenv.real) dir =
 let append t payload = Journal.append t.journal payload
 let stage t payload = Journal.stage t.journal payload
 let await t seq = Journal.await t.journal seq
-let ingest t data = Journal.ingest t.journal data
+let ingest t data records = Journal.ingest t.journal data records
 
 let journal_bytes t = Journal.file_bytes t.journal
 
@@ -116,12 +116,11 @@ let compact_background t ~state =
    ingested batch continues contiguously and a local recovery or
    downstream tail sees exactly what this store would have produced by
    compacting at that point. *)
-let install_snapshot t data =
-  let records, valid_end, tail = Record.decode_all data in
+let install_snapshot t data records =
   let covers =
-    match (records, tail) with
-    | (covers, _) :: _, Record.Clean when valid_end = String.length data -> covers
-    | _ -> invalid_arg "Wal.install_snapshot: not a clean run of frames"
+    match records with
+    | (covers, _) :: _ -> covers
+    | [] -> invalid_arg "Wal.install_snapshot: no meta record"
   in
   rotate t (fun _ -> data);
   Journal.bump_seq t.journal covers;

@@ -175,15 +175,7 @@ let json_of_set_result (r : Engine.set_result) =
 
 let esc = Jsonlight.add_escaped
 
-(* [string_of_int]'s digits for the non-negative indexes a verdict
-   holds, without its trip through C's printf, which costs more than
-   the rest of a step's fields together *)
-let rec add_int buf i =
-  if i < 0 then Buffer.add_string buf (string_of_int i)
-  else begin
-    if i >= 10 then add_int buf (i / 10);
-    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (i mod 10)))
-  end
+let add_int = Jsonlight.add_int
 
 let add_bool buf b = Buffer.add_string buf (if b then "true" else "false")
 

@@ -270,6 +270,24 @@ let prop_matches_reference =
       QCheck2.assume (not (u_fix_changes input));
       same_outcome input)
 
+let added i =
+  let buf = Buffer.create 24 in
+  Jsonlight.add_int buf i;
+  Buffer.contents buf
+
+let test_add_int () =
+  List.iter
+    (fun i -> Alcotest.(check string) (string_of_int i) (string_of_int i) (added i))
+    [ 0; 1; -1; 9; -9; 10; -10; min_int; max_int ];
+  Alcotest.(check string) "an Int in a document" {|[-42,0,4611686018427387903]|}
+    (Jsonlight.to_string
+       (Jsonlight.List [ Jsonlight.Int (-42); Jsonlight.Int 0; Jsonlight.Int max_int ]))
+
+let prop_add_int =
+  QCheck2.Test.make ~name:"add_int writes string_of_int's bytes" ~count:2000 ~print:string_of_int
+    QCheck2.Gen.(oneof [ int; small_signed_int; oneofl [ min_int; max_int; min_int + 1 ] ])
+    (fun i -> added i = string_of_int i)
+
 let suite =
   [
     Alcotest.test_case "\\u takes exactly four hex digits" `Quick test_u_four_hex_digits;
@@ -282,4 +300,6 @@ let suite =
       test_escape_every_byte;
     QCheck_alcotest.to_alcotest prop_escape_as_reference;
     QCheck_alcotest.to_alcotest prop_matches_reference;
+    Alcotest.test_case "add_int writes string_of_int's bytes" `Quick test_add_int;
+    QCheck_alcotest.to_alcotest prop_add_int;
   ]

@@ -3,6 +3,7 @@ let () =
     [
       ("xmlight", Test_xmlight.suite);
       ("jsonlight", Test_jsonlight.suite);
+      ("readers", Test_readers.suite);
       ("ontology", Test_ontology.suite);
       ("scenarioml", Test_scenarioml.suite);
       ("scenario-tools", Test_scenario_tools.suite);

@@ -602,6 +602,23 @@ let test_e2e_health_and_errors () =
                (Server.Client.post c "/sessions"
                   ~body:
                     {|{"id":"x","scenarios":"<scenarioSet name=\"&#xD800;\"/>","architecture":"","mapping":""}|}));
+          (* so is an element nested past 512 *)
+          let deep =
+            String.concat "" (List.init 513 (fun _ -> "<a>"))
+            ^ String.concat "" (List.init 513 (fun _ -> "</a>"))
+          in
+          let r =
+            ok
+              (Server.Client.post c "/sessions"
+                 ~body:
+                   (Printf.sprintf {|{"id":"x","scenarios":"%s","architecture":"","mapping":""}|}
+                      deep))
+          in
+          expect_error 400 "xml_error" r;
+          Testutil.check_contains "names the limit"
+            (body_json r |> member_exn "error" |> member_exn "message" |> Jsonlight.string_opt
+           |> Option.get)
+            "1:1537: element nesting deeper than 512";
           let r = ok (Server.Client.post c "/sessions" ~body:(create_body "dup")) in
           Alcotest.(check int) "created" 201 r.Server.Client.status;
           expect_error 409 "conflict"
@@ -1496,6 +1513,26 @@ let test_persist_json_create_undecodable () =
              | _ -> Alcotest.fail "only creates were journaled")
            recovery.Server.Persist.mutations))
 
+(* A raw create's lengths are checked one by one against the bytes
+   after the header: three lengths whose sum wraps to the body's size
+   are an undecodable record, not an exception out of recovery. *)
+let test_persist_create_lengths_overflow () =
+  let payload =
+    "sosae-create-v1\n"
+    ^ {|{"id":"x","policy":"routed","scenarios":4611686018427387903,|}
+    ^ {|"architecture":4611686018427387903,"mapping":7}|}
+    ^ "\nabcde"
+  in
+  Alcotest.(check bool) "decode refuses it" true (Result.is_error (Server.Persist.decode payload));
+  with_temp_dir (fun dir ->
+      let wal, _ = Store.Wal.open_ ~fsync:Store.Journal.Never dir in
+      ignore (Store.Wal.append wal payload);
+      Store.Wal.close wal;
+      let persist, recovery = Server.Persist.open_ ~fsync:Store.Journal.Never dir in
+      Server.Persist.close persist;
+      Alcotest.(check int) "counted undecodable" 1 recovery.Server.Persist.undecodable;
+      Alcotest.(check int) "nothing replayed" 0 (List.length recovery.Server.Persist.mutations))
+
 (* /metrics reads journal and replication state from their owners
    when it is scraped, so nothing has to push it there: after two
    creates on a --data-dir daemon the journal and group-commit
@@ -1897,6 +1934,51 @@ let test_replica_apply_read_interleave () =
       in
       Alcotest.(check (list string)) "replica converged to primary"
         (ids primary) (ids replica))
+
+(* A shipped batch is decoded once, before anything happens: a torn or
+   corrupt one is refused whole, with no session applied and no byte
+   journaled, on a reset batch and on a tail alike. *)
+let test_apply_shipped_refuses_bad_batch () =
+  with_temp_dir (fun dir ->
+      let batch =
+        let scenarios, architecture, mapping = Lazy.force artifact_strings in
+        let buf = Buffer.create 65536 in
+        Store.Record.encode buf ~seq:1L
+          (Server.Persist.encode
+             (Server.Persist.Create
+                { id = "a"; policy = Adl.Graph.Routed; scenarios; architecture; mapping }));
+        Store.Record.encode buf ~seq:2L
+          (Server.Persist.encode (Server.Persist.Remove { id = "a" }));
+        Buffer.contents buf
+      in
+      let torn = String.sub batch 0 (String.length batch - 3) in
+      let corrupt =
+        let b = Bytes.of_string batch in
+        Bytes.set b 40 (Char.chr (Char.code (Bytes.get b 40) lxor 1));
+        Bytes.to_string b
+      in
+      let persist, _ = Server.Persist.open_ ~fsync:Store.Journal.Never dir in
+      let replica = Server.Registry.create ~persist () in
+      List.iter
+        (fun (what, reset, data) ->
+          (match Server.Registry.apply_shipped replica ~reset data with
+          | Ok _ -> Alcotest.failf "%s batch applied" what
+          | Error _ -> ());
+          Alcotest.(check (list string))
+            (what ^ ": nothing applied") [] (Server.Registry.ids replica);
+          Alcotest.(check int64)
+            (what ^ ": nothing journaled") 1L (Server.Persist.next_seq persist);
+          Alcotest.(check int)
+            (what ^ ": no append") 0 (Server.Persist.stats persist).Store.Wal.appends)
+        [ ("torn", false, torn); ("corrupt", false, corrupt); ("torn reset", true, torn);
+          ("corrupt reset", true, corrupt) ];
+      (match Server.Registry.apply_shipped replica ~reset:false batch with
+      | Ok (stats, last) ->
+          Alcotest.(check int) "the whole batch applies" 2 stats.Server.Registry.applied;
+          Alcotest.(check int64) "up to its last record" 2L last
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check int64) "and is journaled" 3L (Server.Persist.next_seq persist);
+      Server.Persist.close persist)
 
 let test_apply_shipped_reset () =
   with_temp_dir (fun dir ->
@@ -3200,6 +3282,8 @@ let suite =
       `Quick test_registry_group_concurrent_recovery;
     Alcotest.test_case "persist: a JSON create is undecodable" `Quick
       test_persist_json_create_undecodable;
+    Alcotest.test_case "persist: create lengths that overflow are undecodable" `Quick
+      test_persist_create_lengths_overflow;
     Alcotest.test_case "metrics: journal and replication read live" `Quick
       test_metrics_read_live;
     Alcotest.test_case "e2e: a quiet interval journal is fsynced" `Quick
@@ -3218,6 +3302,8 @@ let suite =
       test_replica_journal_failure_reported;
     Alcotest.test_case "registry: reset batch replaces the state" `Quick
       test_apply_shipped_reset;
+    Alcotest.test_case "apply_shipped: a torn or corrupt batch changes nothing" `Quick
+      test_apply_shipped_refuses_bad_batch;
     QCheck_alcotest.to_alcotest prop_replica_prefix_equivalence;
     QCheck_alcotest.to_alcotest prop_snapshot_bootstrap_equivalence;
     Alcotest.test_case "e2e: chained replication + hop promotion" `Quick

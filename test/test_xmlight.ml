@@ -10,6 +10,14 @@ let parse_err s =
   | Ok _ -> Alcotest.failf "expected a parse error on %S" s
   | Error e -> e
 
+(* [f] applied in place to the lexed document's root *)
+let read_ok s f =
+  match Xmlight.Parse.read s f with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "parse error: %s" (Xmlight.Parse.error_to_string e)
+
+let root_text s = read_ok s Xmlight.Parse.child_text
+
 let test_minimal () =
   let doc = parse_ok "<root/>" in
   Alcotest.(check string) "tag" "root" doc.Xmlight.Doc.root.Xmlight.Doc.tag;
@@ -20,41 +28,69 @@ let test_declaration () =
   Alcotest.(check int) "decl attrs" 2 (List.length doc.Xmlight.Doc.decl)
 
 let test_attributes () =
-  let doc = parse_ok "<a x=\"1\" y='two' z=\"a&amp;b\"/>" in
-  let root = doc.Xmlight.Doc.root in
-  Alcotest.(check (option string)) "x" (Some "1") (Xmlight.Doc.attr root "x");
-  Alcotest.(check (option string)) "y" (Some "two") (Xmlight.Doc.attr root "y");
-  Alcotest.(check (option string)) "z" (Some "a&b") (Xmlight.Doc.attr root "z");
-  Alcotest.(check (option string)) "missing" None (Xmlight.Doc.attr root "w");
-  Alcotest.(check string) "default" "d" (Xmlight.Doc.attr_default root "w" "d")
+  let input = "<a x=\"1\" y='two' z=\"a&amp;b\" xy=\"3\"/>" in
+  Alcotest.(check (list (pair string string)))
+    "tree"
+    [ ("x", "1"); ("y", "two"); ("z", "a&b"); ("xy", "3") ]
+    (List.map
+       (fun a -> (a.Xmlight.Doc.attr_name, a.Xmlight.Doc.attr_value))
+       (parse_ok input).Xmlight.Doc.root.Xmlight.Doc.attrs);
+  read_ok input (fun d root ->
+      let module P = Xmlight.Parse in
+      Alcotest.(check (option string)) "x" (Some "1") (P.attr d root "x");
+      Alcotest.(check (option string)) "y" (Some "two") (P.attr d root "y");
+      Alcotest.(check (option string)) "z" (Some "a&b") (P.attr d root "z");
+      Alcotest.(check (option string)) "xy" (Some "3") (P.attr d root "xy");
+      Alcotest.(check (option string)) "missing" None (P.attr d root "w");
+      Alcotest.(check (option string)) "a prefix of a name" None (P.attr d root "x-");
+      Alcotest.(check string) "default" "d" (P.attr_default d root "w" "d");
+      Alcotest.(check bool) "decoded value" true (P.attr_is d root "z" "a&b");
+      Alcotest.(check bool) "other value" false (P.attr_is d root "x" "2");
+      Alcotest.(check bool) "absent" false (P.attr_is d root "w" ""))
 
 let test_text_and_entities () =
-  let doc = parse_ok "<a>x &lt;&gt; &amp; &quot;&apos; y</a>" in
-  Alcotest.(check string) "text" "x <> & \"' y" (Xmlight.Doc.child_text doc.Xmlight.Doc.root)
+  Alcotest.(check string) "text" "x <> & \"' y"
+    (root_text "<a>x &lt;&gt; &amp; &quot;&apos; y</a>");
+  Alcotest.(check string) "trimmed after decoding" "a" (root_text "<a>&#32;a&#9;</a>");
+  Alcotest.(check string) "pieces concatenated" "x  y & z"
+    (root_text "<a> x <!-- c --> y &amp; <![CDATA[z]]><b>not</b> </a>")
 
 let test_numeric_entities () =
-  let doc = parse_ok "<a>&#65;&#x42;</a>" in
-  Alcotest.(check string) "decoded" "AB" (Xmlight.Doc.child_text doc.Xmlight.Doc.root)
+  Alcotest.(check string) "decoded" "AB" (root_text "<a>&#65;&#x42;</a>")
+
+let rec elements e =
+  List.fold_left
+    (fun acc n ->
+      match n with
+      | Xmlight.Doc.Element c -> acc + elements c
+      | Xmlight.Doc.Text _ | Xmlight.Doc.Comment _ | Xmlight.Doc.Pi _ -> acc)
+    1 e.Xmlight.Doc.children
 
 let test_nested_structure () =
-  let doc = parse_ok "<a><b><c/></b><b/><d>t</d></a>" in
-  let root = doc.Xmlight.Doc.root in
-  Alcotest.(check int) "bs" 2 (List.length (Xmlight.Doc.find_children root "b"));
-  Alcotest.(check bool) "c under first b" true
-    (match Xmlight.Doc.find_child root "b" with
-    | Some b -> Xmlight.Doc.find_child b "c" <> None
-    | None -> false);
-  Alcotest.(check int) "node count" 5 (Xmlight.Doc.node_count root)
+  let input = "<a><b><c/></b><b/><d>t</d></a>" in
+  Alcotest.(check int) "node count" 5 (elements (parse_ok input).Xmlight.Doc.root);
+  read_ok input (fun d root ->
+      let module P = Xmlight.Parse in
+      Alcotest.(check int) "bs" 2 (List.length (P.map_children d root [ "b" ] Fun.id));
+      Alcotest.(check (list string)) "b and d" [ "b"; "b"; "d" ]
+        (P.map_children d root [ "d"; "b" ] (P.tag d));
+      Alcotest.(check bool) "c under first b" true
+        (match P.find_child d root "b" with
+        | Some b -> P.find_child d b "c" <> None
+        | None -> false);
+      Alcotest.(check bool) "no c under a" true (P.find_child d root "c" = None))
 
 let test_comments_and_pi () =
-  let doc = parse_ok "<!-- before --><a><!-- in --><?target data?><b/></a><!-- after -->" in
-  let root = doc.Xmlight.Doc.root in
-  Alcotest.(check int) "element children" 1 (List.length (Xmlight.Doc.children_elements root))
+  let input = "<!-- before --><a><!-- in --><?target data?><b/></a><!-- after -->" in
+  Alcotest.(check bool) "content" true
+    ((parse_ok input).Xmlight.Doc.root.Xmlight.Doc.children
+    = [ Xmlight.Doc.Comment " in "; Xmlight.Doc.Pi ("target", "data"); Xmlight.Doc.elt "b" [] ]);
+  Alcotest.(check int) "element children" 1
+    (read_ok input (fun d root -> List.length (Xmlight.Parse.map_children d root [ "b" ] Fun.id)))
 
 let test_cdata () =
-  let doc = parse_ok "<a><![CDATA[<raw> & stuff]]></a>" in
   Alcotest.(check string) "cdata text" "<raw> & stuff"
-    (Xmlight.Doc.child_text doc.Xmlight.Doc.root)
+    (root_text "<a><![CDATA[<raw> & stuff]]></a>")
 
 let test_doctype_skipped () =
   let doc = parse_ok "<!DOCTYPE a [ <!ELEMENT a EMPTY> ]><a/>" in
@@ -85,7 +121,7 @@ let test_surrogate_references () =
     [ "&#xD800;"; "&#xDFFF;"; "&#55296;"; "&#x110000;"; "&#99999999999999999999999;" ];
   Alcotest.(check string) "the scalar values beside them decode"
     "\xed\x9f\xbf\xee\x80\x80\xf4\x8f\xbf\xbf"
-    (Xmlight.Doc.child_text (parse_ok "<a>&#xD7FF;&#xE000;&#x10FFFF;</a>").Xmlight.Doc.root)
+    (root_text "<a>&#xD7FF;&#xE000;&#x10FFFF;</a>")
 
 let test_error_position () =
   let e = parse_err "<a>\n  <b>\n</a>" in
@@ -112,22 +148,25 @@ let test_print_parse_roundtrip () =
   let reparsed = parse_ok printed in
   Alcotest.(check bool) "equal" true (Xmlight.Doc.equal_element e reparsed.Xmlight.Doc.root)
 
-let test_query_path () =
-  let doc = parse_ok "<a><b><c i=\"1\"/><c i=\"2\"/></b><b><c i=\"3\"/></b></a>" in
-  let root = doc.Xmlight.Doc.root in
-  Alcotest.(check int) "path b c" 3 (List.length (Xmlight.Query.path root [ "b"; "c" ]));
-  Alcotest.(check int) "filtered" 1
-    (List.length (Xmlight.Query.with_attr "i" "2" (Xmlight.Query.path root [ "b"; "c" ])));
-  Alcotest.(check bool) "by_id" true
-    (Xmlight.Query.by_id root ~id_attr:"i" "3" <> None);
-  Alcotest.(check bool) "by_id missing" true
-    (Xmlight.Query.by_id root ~id_attr:"i" "9" = None);
-  Alcotest.(check bool) "first" true (Xmlight.Query.first root [ "b" ] <> None)
+let nested depth =
+  String.concat "" (List.init depth (fun _ -> "<a>"))
+  ^ String.concat "" (List.init depth (fun _ -> "</a>"))
 
-let test_descendants () =
-  let doc = parse_ok "<a><b><a/></b><a><a/></a></a>" in
-  Alcotest.(check int) "descendant a" 3
-    (List.length (Xmlight.Doc.descendants doc.Xmlight.Doc.root "a"))
+let test_depth_limit () =
+  Alcotest.(check int) "512 deep parses" 512 (elements (parse_ok (nested 512)).Xmlight.Doc.root);
+  let e = parse_err (nested 513) in
+  Alcotest.(check string) "the 513th start tag" "1:1537: element nesting deeper than 512"
+    (Xmlight.Parse.error_to_string e);
+  let e = parse_err ("<r>\n" ^ String.concat "\n" (List.init 600 (fun _ -> "  <a>"))) in
+  Alcotest.(check string) "at that element's line:column" "513:3: element nesting deeper than 512"
+    (Xmlight.Parse.error_to_string e);
+  (* 500k nested elements, 3.5 MB: refused at the 513th, not at the end *)
+  let deep = nested 500_000 in
+  let t0 = Unix.gettimeofday () in
+  let e = parse_err deep in
+  Alcotest.(check string) "hostile depth" "1:1537: element nesting deeper than 512"
+    (Xmlight.Parse.error_to_string e);
+  Alcotest.(check bool) "at once" true (Unix.gettimeofday () -. t0 < 0.05)
 
 (* --- property: print . parse = id on random documents --- *)
 
@@ -267,6 +306,68 @@ let prop_lexer_matches_reference_artifacts =
     (fun (name, edits) ->
       same_outcome (List.fold_left apply_edit (List.assoc name (Lazy.force artifacts)) edits))
 
+(* --- property: the in-place queries read what the reference tree holds --- *)
+
+(* [e] read in place gives what the frozen parser's tree [t] holds, by
+   the definitions of the DOM accessors the readers used: an attribute
+   is the first of its name, the text is the trimmed concatenation of
+   the text children, and the element children come in order. *)
+let rec reads_as d e (t : Xmlight.Doc.element) =
+  let module P = Xmlight.Parse in
+  let children =
+    List.filter_map (function Xmlight.Doc.Element c -> Some c | _ -> None) t.Xmlight.Doc.children
+  in
+  let text =
+    String.trim
+      (String.concat ""
+         (List.filter_map (function Xmlight.Doc.Text s -> Some s | _ -> None) t.Xmlight.Doc.children))
+  in
+  let first name =
+    Option.map
+      (fun a -> a.Xmlight.Doc.attr_value)
+      (List.find_opt (fun a -> a.Xmlight.Doc.attr_name = name) t.Xmlight.Doc.attrs)
+  in
+  let tags = List.sort_uniq compare (List.map (fun c -> c.Xmlight.Doc.tag) children) in
+  let kids = P.map_children d e tags Fun.id in
+  P.tag_is d e t.Xmlight.Doc.tag
+  && P.tag d e = t.Xmlight.Doc.tag
+  && List.for_all
+       (fun a ->
+         let name = a.Xmlight.Doc.attr_name in
+         P.attr d e name = first name && P.attr_is d e name (Option.get (first name)))
+       t.Xmlight.Doc.attrs
+  && P.attr d e "absent" = first "absent"
+  && P.child_text d e = text
+  && List.length kids = List.length children
+  && List.for_all2 (reads_as d) kids children
+  && List.for_all
+       (fun tag ->
+         match (P.find_child d e tag, List.find_opt (fun c -> c.Xmlight.Doc.tag = tag) children) with
+         | Some k, Some c -> reads_as d k c
+         | None, None -> true
+         | Some _, None | None, Some _ -> false)
+       tags
+
+let prop_queries_read_the_tree =
+  QCheck2.Test.make ~name:"in-place queries read what the reference tree holds" ~count:500
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun e -> Xmlight.Print.to_string (Xmlight.Doc.doc e)) gen_element;
+          map
+            (fun (name, edits) ->
+              List.fold_left apply_edit (List.assoc name (Lazy.force artifacts)) edits)
+            (pair (oneofl (List.map fst (Lazy.force artifacts))) (list_size (int_range 0 3) gen_edit));
+        ])
+    (fun input ->
+      match Xml_reference.parse input with
+      | Error _ -> true
+      | Ok tree -> (
+          match Xmlight.Parse.read input (fun d root -> reads_as d root tree.Xmlight.Doc.root) with
+          | Ok same -> same
+          | Error _ -> false))
+
 let suite =
   [
     Alcotest.test_case "minimal document" `Quick test_minimal;
@@ -283,9 +384,9 @@ let suite =
     Alcotest.test_case "error positions" `Quick test_error_position;
     Alcotest.test_case "escaping" `Quick test_print_escapes;
     Alcotest.test_case "print/parse round trip" `Quick test_print_parse_roundtrip;
-    Alcotest.test_case "query paths and filters" `Quick test_query_path;
-    Alcotest.test_case "descendants" `Quick test_descendants;
+    Alcotest.test_case "nesting is bounded at 512" `Quick test_depth_limit;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_lexer_matches_reference_soup;
     QCheck_alcotest.to_alcotest prop_lexer_matches_reference_artifacts;
+    QCheck_alcotest.to_alcotest prop_queries_read_the_tree;
   ]

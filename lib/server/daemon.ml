@@ -328,14 +328,16 @@ let start ?(config = default_config) () =
           Metrics.sessions = List.length (Registry.ids api_ctx.Api.registry);
           entries = recovery.Persist.entries;
           skipped = stats.Registry.skipped + recovery.Persist.undecodable;
+          superseded = stats.Registry.superseded;
           truncated_bytes = recovery.Persist.truncated_bytes;
           corrupt_tail = recovery.Persist.corrupt_tail;
         };
       Log.info (fun m ->
-          m "recovered %d session(s) from %s (%d record(s), %d skipped%s)"
+          m "recovered %d session(s) from %s (%d record(s), %d skipped, %d superseded%s)"
             (List.length (Registry.ids api_ctx.Api.registry))
             (Persist.dir p) recovery.Persist.entries
             (stats.Registry.skipped + recovery.Persist.undecodable)
+            stats.Registry.superseded
             (if recovery.Persist.truncated_bytes > 0 then
                Printf.sprintf ", %d torn tail byte(s) discarded"
                  recovery.Persist.truncated_bytes

@@ -9,6 +9,7 @@ type recovery = {
   sessions : int;
   entries : int;
   skipped : int;
+  superseded : int;
   truncated_bytes : int;
   corrupt_tail : bool;
 }
@@ -75,6 +76,7 @@ let recovery_json t =
               ("sessions", Jsonlight.Int r.sessions);
               ("entries", Jsonlight.Int r.entries);
               ("skipped", Jsonlight.Int r.skipped);
+              ("superseded", Jsonlight.Int r.superseded);
               ("truncated_bytes", Jsonlight.Int r.truncated_bytes);
               ("corrupt_tail", Jsonlight.Bool r.corrupt_tail);
             ])

@@ -34,6 +34,8 @@ type recovery = {
   sessions : int;  (** sessions alive after boot-time replay *)
   entries : int;  (** snapshot + journal records replayed *)
   skipped : int;  (** records that no longer applied and were dropped *)
+  superseded : int;
+      (** records a later remove of the same id cancelled, unapplied *)
   truncated_bytes : int;  (** torn/corrupt journal tail discarded *)
   corrupt_tail : bool;  (** the tail failed its checksum (vs a clean cut) *)
 }

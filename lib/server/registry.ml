@@ -235,7 +235,7 @@ let apply_diff t id ~ops =
 (* Boot-time recovery and the replica apply loop                      *)
 (* ------------------------------------------------------------------ *)
 
-type recovery_stats = { applied : int; skipped : int }
+type recovery_stats = { applied : int; skipped : int; superseded : int }
 
 (* Replay without journaling: the records being applied are the
    journal. A record that no longer applies is skipped, not fatal —
@@ -261,13 +261,46 @@ let apply_mutation t = function
       | exception Adl.Xml_io.Malformed _ -> Error `Undecodable)
   | Persist.Remove { id } -> delete t id
 
+let mutation_id = function
+  | Persist.Create { id; _ }
+  | Persist.Diff { id; _ }
+  | Persist.Set_architecture { id; _ }
+  | Persist.Remove { id } ->
+      id
+
+(* Only what the list leaves standing is applied. Every mutation
+   changes its own id's entry and nothing else, and an id's last
+   [Remove] leaves it absent whatever came before; so no earlier
+   mutation of that id is applied (no parse, no session built, no
+   diff), and the end state is the one a record-by-record replay
+   reaches. Such a mutation counts as superseded, and so does the
+   closing [Remove] when it then finds nothing. *)
 let apply_mutations t mutations =
-  List.fold_left
-    (fun stats mutation ->
-      match apply_mutation t mutation with
-      | Ok _ -> { stats with applied = stats.applied + 1 }
-      | Error _ -> { stats with skipped = stats.skipped + 1 })
-    { applied = 0; skipped = 0 } mutations
+  let last_remove = Hashtbl.create 16 in
+  List.iteri
+    (fun i -> function
+      | Persist.Remove { id } -> Hashtbl.replace last_remove id i
+      | Persist.Create _ | Persist.Diff _ | Persist.Set_architecture _ -> ())
+    mutations;
+  let cancelled = Hashtbl.create 16 in
+  let step (i, stats) mutation =
+    let id = mutation_id mutation in
+    let stats =
+      match Hashtbl.find_opt last_remove id with
+      | Some r when i < r ->
+          Hashtbl.replace cancelled id ();
+          { stats with superseded = stats.superseded + 1 }
+      | last -> (
+          match apply_mutation t mutation with
+          | Ok _ -> { stats with applied = stats.applied + 1 }
+          | Error _ when last = Some i && Hashtbl.mem cancelled id ->
+              { stats with superseded = stats.superseded + 1 }
+          | Error _ -> { stats with skipped = stats.skipped + 1 })
+    in
+    (i + 1, stats)
+  in
+  snd
+    (List.fold_left step (0, { applied = 0; skipped = 0; superseded = 0 }) mutations)
 
 let recover t mutations =
   Mutex.protect t.mu (fun () -> apply_mutations t mutations)

@@ -78,11 +78,25 @@ val apply_diff :
     verdicts revalidate by replay, and the response cached for the
     diff's revision no longer matches. *)
 
-type recovery_stats = { applied : int; skipped : int }
+type recovery_stats = {
+  applied : int;  (** tried and applied *)
+  skipped : int;  (** tried and refused: no longer applies *)
+  superseded : int;
+      (** not applied because a later [Remove] of the same id in the
+          same list cancels it, plus each such closing [Remove] that
+          then finds nothing to delete *)
+}
+(** For a list of [n] mutations, [applied + skipped + superseded = n]. *)
 
 val recover : t -> Persist.mutation list -> recovery_stats
 (** Replay recovered mutations into the registry without re-journaling
-    them. Records that no longer apply — the benign case is a mutation
+    them. Only what the list leaves standing is applied: each id's last
+    [Remove] cancels every earlier mutation of that id, which is then
+    neither parsed nor applied and counts as [superseded]. This is
+    exact — every mutation changes only its own id's entry, and that
+    remove leaves the id absent whatever came before — so the end state
+    is the one a record-by-record replay reaches. Records that are
+    tried but no longer apply — the benign case is a mutation
     journaled in the compaction overlap window, whose effect the
     snapshot already contains — are counted in [skipped] and dropped.
     Takes the same locks as {!apply_shipped}, so it needs no
@@ -95,7 +109,11 @@ val apply_shipped :
     registry is serving reads (the batch is applied under the mutation
     lock through the same inserts, deletes and edits as the primary's
     mutations, so a re-created session starts with no cached
-    response). Returns the apply statistics plus the highest record
+    response). Like {!recover}, it applies only what the batch leaves
+    standing, so a concurrent read never sees a session that the same
+    batch creates and removes; every frame is still journaled. Every
+    CRC is checked and every payload decoded before anything is
+    applied. Returns the apply statistics plus the highest record
     sequence in the batch ([0L] for an empty one). When the registry
     persists, the batch is journaled locally first, byte-for-byte and
     under the same mutation lock, so a durable replica is itself
@@ -105,8 +123,9 @@ val apply_shipped :
     local snapshot, re-bases the journal, and deletes every session
     (with its cached response) before applying; no compaction runs
     between the deletes and the install. [Error] means the batch failed CRC
-    validation or carried an undecodable payload — a transport bug,
-    nothing was applied. A journal failure raises after the batch was
+    validation or carried an undecodable payload — a transport bug or
+    a frame corrupted on the upstream's disk; nothing was applied or
+    journaled. A journal failure raises after the batch was
     applied in memory (the local journal then lags it). *)
 
 val checkpoint : t -> unit

@@ -521,7 +521,9 @@ module Tail = struct
             | n -> go (pos + n)
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
         in
-        Bytes.sub_string b 0 (go 0))
+        let got = go 0 in
+        (* [b] is fresh and goes nowhere else: a full read needs no copy *)
+        if got = len then Bytes.unsafe_to_string b else Bytes.sub_string b 0 got)
 
   let read ?(max_bytes = 1 lsl 20) t c =
     locked t (fun () ->
@@ -542,18 +544,21 @@ module Tail = struct
             if covered > c.c_last then Gap else Records ""
           else begin
             let remaining = t.file_bytes - c.c_off in
+            (* boundaries and sequence numbers come from the frame
+               headers; the replica checks every CRC before it applies
+               or journals a byte *)
             let rec load window =
               let region = read_at t.env t.path ~off:c.c_off ~len:window in
-              let records, _, _ = Record.decode_all region in
-              if records = [] && window < remaining && String.length region >= 4
+              let frames = Record.frames region in
+              if frames = [] && window < remaining && String.length region >= 4
               then
                 (* the window split the first record; size it exactly *)
                 let need = 8 + Int32.to_int (String.get_int32_be region 0) in
                 if need > window && need <= remaining then load need
-                else (region, records)
-              else (region, records)
+                else (region, frames)
+              else (region, frames)
             in
-            let region, records = load (min remaining (max max_bytes 65536)) in
+            let region, frames = load (min remaining (max max_bytes 65536)) in
             let pos = ref 0 in  (* region-relative scan position *)
             let take_start = ref (-1) in
             let take_end = ref (-1) in
@@ -561,8 +566,7 @@ module Tail = struct
             let gap = ref false in
             (try
                List.iter
-                 (fun (seq, payload) ->
-                   let size = Record.header_size + String.length payload in
+                 (fun (seq, size) ->
                    if seq <= !last then
                      if !take_start >= 0 then raise Exit
                      else pos := !pos + size  (* consumed pre-rotation *)
@@ -581,12 +585,15 @@ module Tail = struct
                      take_end := !pos;
                      last := seq
                    end)
-                 records
+                 frames
              with Exit -> ());
             if !take_end >= 0 then begin
               c.c_off <- c.c_off + !take_end;
               c.c_last <- !last;
-              Records (String.sub region !take_start (!take_end - !take_start))
+              let len = !take_end - !take_start in
+              Records
+                (if len = String.length region then region
+                 else String.sub region !take_start len)
             end
             else if !gap then Gap
             else begin
@@ -599,7 +606,7 @@ module Tail = struct
               else if covered > c.c_last then
                 (* first unread record is beyond [covered]: impossible
                    unless the numbers in between vanished *)
-                if records = [] then Gap else Records ""
+                if frames = [] then Gap else Records ""
               else Records ""
             end
           end

@@ -174,8 +174,11 @@ val covered_seq : t -> int64
 (** Streaming reader over the journal file for log shipping. A cursor
     remembers a byte offset, the journal epoch it is valid for, and
     the highest sequence number already returned; {!Tail.read} returns
-    the raw framed bytes (CRC intact — a replica re-checks them) of
-    the next run of records up to {!covered_seq}. Rotation replaces
+    the raw framed bytes of the next run of records up to
+    {!covered_seq}. It finds their boundaries and sequence numbers from
+    the frame headers alone ({!Record.frames}) and checks no CRC: the
+    bytes go out as they sit in the file, CRC intact, and a replica
+    checks every one before it applies or journals anything. Rotation replaces
     the file; the cursor detects this via the epoch
     and rescans from the top, filtering by sequence number, so a
     reader survives any number of compactions. *)

@@ -36,23 +36,36 @@ let encode buf ~seq payload =
 
 type tail = Clean | Torn of int | Corrupt of int
 
-let decode_all ?(pos = 0) s =
+(* The length field of a whole, plausible frame at [off], or why a
+   walk over the frames stops there. *)
+let frame_at s off =
   let n = String.length s in
+  if off = n then Error Clean
+  else if n - off < header_size then Error (Torn off)
+  else
+    let length = get_u32 s off in
+    if length < 8 || length - 8 > max_payload then Error (Corrupt off)
+    else if n - off - 8 < length then Error (Torn off)
+    else Ok length
+
+let decode_all ?(pos = 0) s =
   let rec go acc off =
-    if off = n then (List.rev acc, off, Clean)
-    else if n - off < header_size then (List.rev acc, off, Torn off)
-    else
-      let length = get_u32 s off in
-      if length < 8 || length - 8 > max_payload then
-        (List.rev acc, off, Corrupt off)
-      else if n - off - 8 < length then (List.rev acc, off, Torn off)
-      else
-        let crc = get_u32 s (off + 4) in
-        if Crc32.sub s (off + 8) length <> crc then
+    match frame_at s off with
+    | Error tail -> (List.rev acc, off, tail)
+    | Ok length ->
+        if Crc32.sub s (off + 8) length <> get_u32 s (off + 4) then
           (List.rev acc, off, Corrupt off)
         else
-          let seq = get_seq s (off + 8) in
           let payload = String.sub s (off + header_size) (length - 8) in
-          go ((seq, payload) :: acc) (off + 8 + length)
+          go ((get_seq s (off + 8), payload) :: acc) (off + 8 + length)
   in
   go [] pos
+
+(* [decode_all]'s walk without its checksum pass or payload copies *)
+let frames s =
+  let rec go acc off =
+    match frame_at s off with
+    | Error _ -> List.rev acc
+    | Ok length -> go ((get_seq s (off + 8), 8 + length) :: acc) (off + 8 + length)
+  in
+  go [] 0

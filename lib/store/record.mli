@@ -34,3 +34,11 @@ val decode_all : ?pos:int -> string -> (int64 * string) list * int * tail
     [(records, end_of_valid_prefix, tail)]: every complete, checksummed
     record in order, the offset just past the last valid one, and how
     the scan ended. *)
+
+val frames : string -> (int64 * int) list
+(** The frame walk of {!decode_all} from the headers alone:
+    [(seq, frame size)] for each whole frame from offset 0, stopping at
+    a torn or impossible length. No checksum is checked, so a frame
+    whose CRC fails is listed where {!decode_all} would stop; whoever
+    decodes the bytes must still check them. How the primary finds the
+    record boundaries of the journal region it ships. *)

@@ -57,4 +57,6 @@ val stats : t -> stats
 val decode : string -> ((int64 * string) list, string) result
 (** Replica side: decode a shipped batch into [(seq, payload)] pairs,
     rejecting it unless every byte checks out ([Clean] tail) — a torn
-    or corrupt batch means a transport bug, not a crash artifact. *)
+    or corrupt batch means a transport bug or a frame corrupted on the
+    upstream's disk, not a crash artifact. This is where shipped CRCs
+    are checked: {!fetch} frames a batch by its headers alone. *)

@@ -1972,11 +1972,20 @@ let test_apply_shipped_refuses_bad_batch () =
             (what ^ ": no append") 0 (Server.Persist.stats persist).Store.Wal.appends)
         [ ("torn", false, torn); ("corrupt", false, corrupt); ("torn reset", true, torn);
           ("corrupt reset", true, corrupt) ];
+      (* the clean batch creates [a] and removes it: its remove
+         supersedes the create, so nothing is applied, yet every frame
+         is journaled *)
       (match Server.Registry.apply_shipped replica ~reset:false batch with
       | Ok (stats, last) ->
-          Alcotest.(check int) "the whole batch applies" 2 stats.Server.Registry.applied;
+          Alcotest.(check (list int)) "applied, skipped, superseded" [ 0; 0; 2 ]
+            [
+              stats.Server.Registry.applied;
+              stats.Server.Registry.skipped;
+              stats.Server.Registry.superseded;
+            ];
           Alcotest.(check int64) "up to its last record" 2L last
       | Error e -> Alcotest.fail e);
+      Alcotest.(check (list string)) "a is absent" [] (Server.Registry.ids replica);
       Alcotest.(check int64) "and is journaled" 3L (Server.Persist.next_seq persist);
       Server.Persist.close persist)
 
@@ -2152,20 +2161,23 @@ let remove_first_link_ops (s : Core.Sosae.Session.t) =
   | l :: _ -> [ Adl.Diff.Remove_link l.Adl.Structure.link_id ]
 
 (* The comparable essence of a registry: every session id paired with
-   the full verdict JSON its evaluate produces. Two registries with
-   equal dumps are indistinguishable to a reader. *)
+   its architecture and the full verdict JSON its evaluate produces.
+   Two registries with equal dumps are indistinguishable to a
+   reader. *)
 let dump_registry registry =
   List.map
     (fun id ->
       ( id,
         match
           Server.Registry.with_session registry id (fun s ->
-              Jsonlight.to_string
-                (Walkthrough.Report.json_of_set_result
-                   (Core.Sosae.Session.evaluate ~jobs:2 s)))
+              ( Adl.Xml_io.to_string
+                  (Core.Sosae.Session.project s).Core.Sosae.architecture,
+                Jsonlight.to_string
+                  (Walkthrough.Report.json_of_set_result
+                     (Core.Sosae.Session.evaluate ~jobs:2 s)) ))
         with
-        | Ok verdicts -> verdicts
-        | Error `Not_found -> "<gone>" ))
+        | Ok dump -> dump
+        | Error `Not_found -> ("<gone>", "<gone>") ))
     (Server.Registry.ids registry)
 
 let prop_replica_prefix_equivalence =
@@ -2317,6 +2329,176 @@ let prop_snapshot_bootstrap_equivalence =
       match !failures with
       | [] -> true
       | f :: _ -> QCheck2.Test.fail_report f)
+
+(* A list's net effect equals applying it one record at a time. Each
+   random list over three ids is applied whole through [recover], cut
+   into random batches through [apply_shipped] on a durable registry,
+   and as one [recover [m]] per record: a singleton supersedes
+   nothing, so that last is the record-by-record reference. All three
+   leave the same sessions, architectures and verdicts; every run
+   counts each record once as applied, skipped or superseded; and the
+   durable registry journals the shipped frames unchanged. *)
+let net_effect_kinds =
+  [| "create-crash"; "create-chain"; "create-undecodable"; "diff-chain"; "diff-crash";
+     "diff-inapplicable"; "set-arch"; "set-arch-malformed"; "remove"; "remove" |]
+
+let net_effect_ids = [| "a"; "b"; "c" |]
+
+let net_effect_mutation kind id =
+  let crash = Lazy.force Servebench.Fixtures.crash
+  and chain = Lazy.force Servebench.Fixtures.chain in
+  let create ?(scenarios = "") (p : Servebench.Fixtures.project) =
+    Server.Persist.Create
+      {
+        id;
+        policy = Adl.Graph.Routed;
+        scenarios = (if scenarios = "" then p.scenarios_xml else scenarios);
+        architecture = p.architecture_xml;
+        mapping = p.mapping_xml;
+      }
+  in
+  let remove_first_link (p : Servebench.Fixtures.project) =
+    match p.project.Core.Sosae.architecture.Adl.Structure.links with
+    | l :: _ -> Server.Persist.Diff { id; ops = [ Adl.Diff.Remove_link l.Adl.Structure.link_id ] }
+    | [] -> invalid_arg "a fixture without links"
+  in
+  match net_effect_kinds.(kind) with
+  | "create-crash" -> create crash
+  | "create-chain" -> create chain
+  | "create-undecodable" -> create ~scenarios:"<scenarios" chain
+  | "diff-chain" -> remove_first_link chain
+  | "diff-crash" -> remove_first_link crash
+  | "diff-inapplicable" -> Server.Persist.Diff { id; ops = [ Adl.Diff.Remove_link "no-such-link" ] }
+  | "set-arch" ->
+      Server.Persist.Set_architecture
+        {
+          id;
+          architecture =
+            Adl.Xml_io.to_string
+              (Servebench.Fixtures.excised chain chain.pairs.(0)).Core.Sosae.architecture;
+        }
+  | "set-arch-malformed" -> Server.Persist.Set_architecture { id; architecture = "<architecture" }
+  | _ -> Server.Persist.Remove { id }
+
+let prop_net_effect_reference =
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 1 10)
+        (triple (int_range 0 (Array.length net_effect_kinds - 1)) (int_range 0 2) bool))
+  in
+  let print items =
+    String.concat "; "
+      (List.map
+         (fun (k, i, cut) ->
+           Printf.sprintf "%s %s%s" net_effect_kinds.(k) net_effect_ids.(i)
+             (if cut then " |" else ""))
+         items)
+  in
+  QCheck2.Test.make ~name:"registry: a list's net effect equals a record-by-record replay"
+    ~count:120 ~print gen (fun items ->
+      let mutations = List.map (fun (k, i, _) -> net_effect_mutation k net_effect_ids.(i)) items in
+      let n = List.length mutations in
+      let total (s : Server.Registry.recovery_stats) =
+        s.Server.Registry.applied + s.skipped + s.superseded
+      in
+      let counted what expected s =
+        if total s <> expected then
+          QCheck2.Test.fail_reportf "%s counts %d of %d records" what (total s) expected
+      in
+      let whole = Server.Registry.create () in
+      counted "recover" n (Server.Registry.recover whole mutations);
+      let reference = Server.Registry.create () in
+      List.iter (fun m -> counted "recover [m]" 1 (Server.Registry.recover reference [ m ])) mutations;
+      (* the batches: frames numbered from 1, cut after each flagged item *)
+      let batches =
+        let buf = Buffer.create 65536 in
+        let batches, _ =
+          List.fold_left
+            (fun (acc, seq) ((_, _, cut), m) ->
+              Store.Record.encode buf ~seq (Server.Persist.encode m);
+              let acc =
+                if cut || seq = Int64.of_int n then begin
+                  let b = Buffer.contents buf in
+                  Buffer.clear buf;
+                  b :: acc
+                end
+                else acc
+              in
+              (acc, Int64.succ seq))
+            ([], 1L) (List.combine items mutations)
+        in
+        List.rev batches
+      in
+      with_temp_dir (fun dir ->
+          let persist, _ = Server.Persist.open_ ~fsync:Store.Journal.Never dir in
+          let shipped = Server.Registry.create ~persist () in
+          List.iter
+            (fun batch ->
+              match Server.Registry.apply_shipped shipped ~reset:false batch with
+              | Ok (stats, _) -> counted "apply_shipped" (List.length (Store.Record.frames batch)) stats
+              | Error e -> QCheck2.Test.fail_report e)
+            batches;
+          Server.Persist.close persist;
+          let journaled = In_channel.with_open_bin (Filename.concat dir "wal.log") In_channel.input_all in
+          if journaled <> String.concat "" batches then
+            QCheck2.Test.fail_report "wal.log does not hold the shipped frames";
+          let expected = dump_registry reference in
+          if dump_registry whole <> expected then QCheck2.Test.fail_report "recover diverges";
+          if dump_registry shipped <> expected then QCheck2.Test.fail_report "apply_shipped diverges";
+          true))
+
+(* The primary frames what it ships by the headers alone and leaves
+   every CRC to the replica: a payload byte flipped on disk under a
+   running primary ships as it lies, and a durable replica refuses the
+   batch whole, naming the bad frame, with nothing applied or
+   journaled. *)
+let test_corrupt_frame_ships_and_is_refused () =
+  with_temp_dir (fun dir ->
+      let primary_dir = Filename.concat dir "primary" in
+      let persist, _ = Server.Persist.open_ ~fsync:Store.Journal.Always primary_dir in
+      let primary = Server.Registry.create ~persist () in
+      List.iter
+        (fun id ->
+          match Server.Registry.add primary ~id project with
+          | Ok () -> ()
+          | Error `Conflict -> Alcotest.fail "conflict")
+        [ "a"; "b" ];
+      let wal = Filename.concat primary_dir "wal.log" in
+      let first_frame =
+        match Store.Record.frames (In_channel.with_open_bin wal In_channel.input_all) with
+        | [ (1L, size); (2L, _) ] -> size
+        | _ -> Alcotest.fail "expected two frames"
+      in
+      (* the second frame's payload, through a descriptor of our own *)
+      let at = first_frame + Store.Record.header_size + 10 in
+      let fd = Unix.openfile wal [ Unix.O_RDWR ] 0 in
+      let byte = Bytes.create 1 in
+      ignore (Unix.lseek fd at Unix.SEEK_SET);
+      ignore (Unix.read fd byte 0 1);
+      Bytes.set byte 0 (Char.chr (Char.code (Bytes.get byte 0) lxor 1));
+      ignore (Unix.lseek fd at Unix.SEEK_SET);
+      ignore (Unix.write fd byte 0 1);
+      Unix.close fd;
+      let on_disk = In_channel.with_open_bin wal In_channel.input_all in
+      let batch = Server.Persist.ship persist ~after:0L in
+      Alcotest.(check bool) "a tail, not a reset" false batch.Store.Ship.reset;
+      Alcotest.(check bool) "the corrupt frame ships as it lies" true
+        (batch.Store.Ship.data = on_disk);
+      let replica_persist, _ =
+        Server.Persist.open_ ~fsync:Store.Journal.Never (Filename.concat dir "replica")
+      in
+      let replica = Server.Registry.create ~persist:replica_persist () in
+      (match Server.Registry.apply_shipped replica ~reset:false batch.Store.Ship.data with
+      | Ok _ -> Alcotest.fail "a corrupt batch applied"
+      | Error e ->
+          Alcotest.(check string) "refused at the bad frame"
+            (Printf.sprintf "shipped batch corrupt at byte %d" first_frame)
+            e);
+      Alcotest.(check (list string)) "nothing applied" [] (Server.Registry.ids replica);
+      Alcotest.(check int64) "nothing journaled" 1L (Server.Persist.next_seq replica_persist);
+      Alcotest.(check int) "no append" 0 (Server.Persist.stats replica_persist).Store.Wal.appends;
+      Server.Persist.close replica_persist;
+      Server.Persist.close persist)
 
 (* The tentpole end-to-end: a durable replica chains a leaf off
    itself, evaluates stay byte-identical down the chain, the root
@@ -3306,6 +3488,9 @@ let suite =
       test_apply_shipped_refuses_bad_batch;
     QCheck_alcotest.to_alcotest prop_replica_prefix_equivalence;
     QCheck_alcotest.to_alcotest prop_snapshot_bootstrap_equivalence;
+    QCheck_alcotest.to_alcotest prop_net_effect_reference;
+    Alcotest.test_case "ship: a corrupt frame ships and the replica refuses it" `Quick
+      test_corrupt_frame_ships_and_is_refused;
     Alcotest.test_case "e2e: chained replication + hop promotion" `Quick
       test_e2e_chained_replication;
     Alcotest.test_case "e2e: SIGKILL primary, never-ahead + promotion" `Quick

@@ -104,6 +104,44 @@ let test_record_torn_and_corrupt () =
   | Record.Corrupt 0 -> ()
   | _ -> Alcotest.fail "expected Corrupt at 0"
 
+(* The header walk lists the frames [decode_all] decodes, as
+   [(seq, frame size)], on clean encodings of random records cut at
+   every offset. It checks no CRC: a frame whose checksum fails is
+   walked where [decode_all] stops, and only a torn or impossible
+   length ends the walk. *)
+let prop_frames_walk_headers =
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 0 5) (string_size ~gen:(char_range '\000' '\255') (int_range 0 40)))
+  in
+  QCheck2.Test.make ~name:"record: the header walk frames what decode_all decodes" ~count:100
+    gen (fun payloads ->
+      let decoded s =
+        let records, _, _ = Record.decode_all s in
+        List.map (fun (seq, p) -> (seq, Record.header_size + String.length p)) records
+      in
+      let bytes = encode_records payloads in
+      for cut = 0 to String.length bytes do
+        let s = String.sub bytes 0 cut in
+        if Record.frames s <> decoded s then QCheck2.Test.fail_reportf "cut %d: walks differ" cut
+      done;
+      let frames = Record.frames bytes in
+      (match List.rev frames with
+      | [] -> ()
+      | (_, last) :: _ ->
+          (* a CRC byte of the last frame *)
+          let flipped = Bytes.of_string bytes in
+          let at = String.length bytes - last + 4 in
+          Bytes.set flipped at (Char.chr (Char.code (Bytes.get flipped at) lxor 1));
+          let flipped = Bytes.to_string flipped in
+          if Record.frames flipped <> frames then
+            QCheck2.Test.fail_report "the walk stopped at a bad CRC";
+          if decoded flipped <> List.filteri (fun i _ -> i < List.length frames - 1) frames then
+            QCheck2.Test.fail_report "decode_all did not stop at the bad CRC");
+      if Record.frames (bytes ^ String.make Record.header_size '\xff') <> frames then
+        QCheck2.Test.fail_report "the walk went past an impossible length";
+      true)
+
 (* ---------------- Journal ----------------------------------------- *)
 
 let test_journal_reopen () =
@@ -758,6 +796,7 @@ let suite =
     Alcotest.test_case "record: round trip" `Quick test_record_roundtrip;
     Alcotest.test_case "record: torn + corrupt tails" `Quick
       test_record_torn_and_corrupt;
+    QCheck_alcotest.to_alcotest prop_frames_walk_headers;
     Alcotest.test_case "journal: reopen continues" `Quick test_journal_reopen;
     Alcotest.test_case "journal: torn tail truncated" `Quick
       test_journal_torn_tail_truncated;

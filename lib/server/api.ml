@@ -295,6 +295,23 @@ let replication_json ctx =
   in
   Jsonlight.Obj fields
 
+(* The [gc] object of [/metrics]: the runtime's allocation counters
+   for the whole process, read when scraped, as of each domain's last
+   minor collection. [direct_major_words] is what was allocated on the
+   major heap without passing through the minor heap: the large
+   blocks. *)
+let gc_json () =
+  let s = Gc.quick_stat () in
+  let promoted = int_of_float s.Gc.promoted_words and major = int_of_float s.Gc.major_words in
+  Jsonlight.Obj
+    [
+      ("minor_words", Jsonlight.Int (int_of_float s.Gc.minor_words));
+      ("promoted_words", Jsonlight.Int promoted);
+      ("major_words", Jsonlight.Int major);
+      ("direct_major_words", Jsonlight.Int (major - promoted));
+      ("major_collections", Jsonlight.Int s.Gc.major_collections);
+    ]
+
 let metrics ctx _request _params =
   let totals = ref Core.Sosae.Session.{ evaluations = 0; cache_hits = 0; replays = 0; replay_hits = 0 } in
   let ids = Registry.ids ctx.registry in
@@ -323,6 +340,7 @@ let metrics ctx _request _params =
           | None -> [])
          @ [
              ("replication", replication_json ctx);
+             ("gc", gc_json ());
              ("sessions", Jsonlight.Int (List.length ids));
              ("cache", json_of_stats !totals);
            ]))

@@ -50,19 +50,18 @@ let write_all fd s =
   in
   go 0
 
+(* the socket reads straight into the parser: a body lands in the
+   string the response hands out *)
 let read_response ~head_only t =
-  let chunk = Bytes.create 8192 in
   let rec go () =
     match Http.next_response ~head_only t.parser_ with
     | `Response r ->
         Ok { status = r.Http.status; headers = r.Http.resp_headers; body = r.Http.resp_body }
     | `Error e -> Error (Http.parse_error_message e)
     | `Need_more -> (
-        match Unix.read t.fd chunk 0 (Bytes.length chunk) with
+        match Http.read t.parser_ (Unix.read t.fd) with
         | 0 -> Error "connection closed mid-response"
-        | n ->
-            Http.feed t.parser_ (Bytes.sub_string chunk 0 n);
-            go ()
+        | _ -> go ()
         | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
         | exception Sys_error m -> Error m)
   in

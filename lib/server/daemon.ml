@@ -71,7 +71,6 @@ let best_effort f = try f () with _ -> ()
 let serve_connection config api_ctx permits fd =
   let metrics = api_ctx.Api.metrics in
   let parser_ = Http.parser_ ~max_head:config.max_head ~max_body:config.max_body () in
-  let chunk = Bytes.create 8192 in
   (* one output buffer per connection: each response's head and body
      are copied into it and written from it in one write. It grows to
      the largest response the connection has sent and stays that size,
@@ -148,11 +147,10 @@ let serve_connection config api_ctx permits fd =
         let idle = Http.buffered parser_ = 0 in
         if idle then give_permit ();
         set_timeout ~idle;
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        match Http.read parser_ (Unix.read fd) with
         | 0 -> ()  (* peer closed; a torn request just dies with it *)
-        | n ->
+        | _ ->
             take_permit ();
-            Http.feed parser_ (Bytes.sub_string chunk 0 n);
             loop ()
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
             (* read timeout: mid-request gets a 408, idle keep-alive

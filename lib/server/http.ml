@@ -134,11 +134,15 @@ let split_target target =
 (* Incremental framing                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The unconsumed bytes are [buf.[off, len)]. [feed] appends with
-   amortized growth and a consumed message advances [off], so each byte
-   is copied O(1) times. [scan] resumes the head-end search, and
-   [framed] keeps a found head's size and body length until the body is
-   complete, so a head is neither re-scanned nor re-parsed per read. *)
+(* The unconsumed bytes are [buf.[off, len)]: reads land at [len],
+   and a consumed message advances [off]. [scan] resumes the head-end
+   search. Once a head is framed and its body is not all buffered,
+   [framed] keeps the head's size and the body's length, and the body
+   gets a buffer of its own: the bytes already buffered move there once
+   and later reads land in it, so the body is copied out of no parser
+   buffer and the buffer handed out is the body itself. Meanwhile
+   [buf.[off, off + size)] is the head, parsed once more when the body
+   completes, and bytes past the body land behind it. *)
 type parser_ = {
   max_head : int;
   max_body : int;
@@ -148,36 +152,80 @@ type parser_ = {
   mutable scan : int;  (** no head ends before this offset *)
   mutable framed : (int * int) option;
       (** the head at [off]: its size, blank line included, and body length *)
+  mutable body : Bytes.t;  (** the framed head's body, [filled] bytes of it *)
+  mutable filled : int;
   mutable failed : parse_error option;  (** sticky *)
 }
 
 (* what a parser starts with, and shrinks back to once emptied *)
 let capacity = 8192
 
+(* The most a declared length is trusted for a body's first buffer.
+   A longer body's buffer grows with the bytes that arrive, so a peer
+   announcing bytes it never sends cannot make the reader allocate
+   them. *)
+let first_body = 4 * 1024 * 1024
+
 let parser_ ?(max_head = 16 * 1024) ?(max_body = 4 * 1024 * 1024) () =
   let buf = Bytes.create capacity in
-  { max_head; max_body; buf; off = 0; len = 0; scan = 0; framed = None; failed = None }
+  {
+    max_head;
+    max_body;
+    buf;
+    off = 0;
+    len = 0;
+    scan = 0;
+    framed = None;
+    body = Bytes.empty;
+    filled = 0;
+    failed = None;
+  }
 
-let feed p s =
-  let n = String.length s in
-  if p.len + n > Bytes.length p.buf then begin
-    (* slide the unconsumed bytes to the front when that leaves the
-       buffer at most half full, else move them into one twice as big *)
+(* At least a quarter of [buf] free for the next read: slide the
+   unconsumed bytes to the front when that leaves it at most half
+   full, else move them into one twice as big. *)
+let make_room p =
+  let size = Bytes.length p.buf in
+  if size - p.len < size / 4 then begin
     let live = p.len - p.off in
-    let buf =
-      if live + n <= Bytes.length p.buf / 2 then p.buf
-      else Bytes.create (max (2 * Bytes.length p.buf) (live + n))
-    in
+    let buf = if live <= size / 2 then p.buf else Bytes.create (2 * size) in
     Bytes.blit p.buf p.off buf 0 live;
     p.buf <- buf;
     p.scan <- p.scan - p.off;
     p.off <- 0;
     p.len <- live
-  end;
-  Bytes.blit_string s 0 p.buf p.len n;
-  p.len <- p.len + n
+  end
 
-let buffered p = p.len - p.off
+let read p reader =
+  match p.framed with
+  | Some (_, length) when p.filled < length ->
+      if p.filled = Bytes.length p.body then begin
+        let grown = Bytes.create (min length (2 * p.filled)) in
+        Bytes.blit p.body 0 grown 0 p.filled;
+        p.body <- grown
+      end;
+      let n = reader p.body p.filled (Bytes.length p.body - p.filled) in
+      p.filled <- p.filled + n;
+      n
+  | Some _ | None ->
+      make_room p;
+      let n = reader p.buf p.len (Bytes.length p.buf - p.len) in
+      p.len <- p.len + n;
+      n
+
+let feed p s =
+  let rec go pos =
+    if pos < String.length s then
+      go
+        (pos
+        + read p (fun b off n ->
+              let n = min n (String.length s - pos) in
+              Bytes.blit_string s pos b off n;
+              n))
+  in
+  go 0
+
+let buffered p = p.len - p.off + p.filled
 
 (* Take [n] bytes off the front. An emptied buffer starts over and
    gives back the capacity a large message grew it to. *)
@@ -328,6 +376,26 @@ let take p size (start, headers, length) =
   consume p (size + length);
   `Message (start, headers, body)
 
+(* The head of [size] bytes at [off] frames a body not yet all
+   buffered: the body's bytes move into a buffer of its own, sized for
+   the whole body up to [first_body]. *)
+let await_body p size length =
+  let start = p.off + size in
+  let have = p.len - start in
+  p.body <- Bytes.create (min length (max have first_body));
+  Bytes.blit p.buf start p.body 0 have;
+  p.filled <- have;
+  p.len <- start;
+  p.framed <- Some (size, length)
+
+(* the framed body is complete, and fills its buffer exactly *)
+let take_body p size (start, headers, _) =
+  let body = Bytes.unsafe_to_string p.body in
+  p.body <- Bytes.empty;
+  p.filled <- 0;
+  consume p size;
+  `Message (start, headers, body)
+
 (* The next message off the front of the buffer, framed the same way in
    both directions; only the start line differs. A head found before
    its body is parsed once more when the body completes. *)
@@ -336,8 +404,8 @@ let frame p ~start_line ~body_length =
   match (p.failed, p.framed) with
   | Some e, _ -> `Error e
   | None, Some (size, length) ->
-      if not (complete p size length) then `Need_more
-      else (match parse size with Ok head -> take p size head | Error e -> fail p e)
+      if p.filled < length then `Need_more
+      else (match parse size with Ok head -> take_body p size head | Error e -> fail p e)
   | None, None -> (
       skip_crlfs p;
       match find_head_end p with
@@ -350,7 +418,7 @@ let frame p ~start_line ~body_length =
           | Ok ((_, _, length) as head) ->
               if complete p size length then take p size head
               else begin
-                p.framed <- Some (size, length);
+                await_body p size length;
                 `Need_more
               end))
 

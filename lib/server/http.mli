@@ -1,12 +1,14 @@
 (** Hand-rolled HTTP/1.1 on byte strings: one incremental framer for
     both ends of the wire, and a response serializer. No sockets here —
-    the daemon feeds in request bytes and {!Client} response bytes as
-    they arrive — which is what makes the framer property-testable: any
-    split of a valid message into chunks must parse identically, and no
-    byte sequence may raise. Framing is linear in the message: bytes
-    wait in a growable buffer with a read offset, the head-end search
-    resumes where it stopped, a framed head is not re-parsed per read,
-    and an emptied buffer gives back the capacity a large message grew.
+    the daemon and {!Client} hand {!read} a function that reads from
+    theirs — which is what makes the framer property-testable: any
+    split of a valid message into reads must parse identically, and no
+    byte sequence may raise. Framing is linear in the message: a head
+    waits in a growable buffer with a read offset, the head-end search
+    resumes where it stopped, and a framed head is not re-parsed per
+    read. A body not yet all buffered when its head is framed goes into
+    a buffer of its own, which later reads fill directly and which is
+    handed out as the body without a copy.
 
     Supported: start line + headers + [Content-Length] bodies,
     percent-encoded targets with query strings, keep-alive pipelining
@@ -54,8 +56,21 @@ type parser_
 val parser_ : ?max_head:int -> ?max_body:int -> unit -> parser_
 (** Limits default to 16 KiB of head and 4 MiB of body. *)
 
+val read : parser_ -> (Bytes.t -> int -> int -> int) -> int
+(** [read p reader] calls [reader b off len] once to put up to [len]
+    received bytes into [b] at [off], and returns what [reader]
+    returns: the count it put there, [0] at end of input. Exceptions
+    from [reader] pass through. While a framed head waits for its
+    body, [b] is the body's own buffer and [len] never reaches past the
+    body, so a message's body bytes go from the reader to the message
+    with no copy. That buffer is first sized for the declared length,
+    but for at most 4 MiB; past that it grows with the bytes that
+    arrive. Otherwise [b] is the head buffer, which [read] makes at
+    least a quarter free first. *)
+
 val feed : parser_ -> string -> unit
-(** Append newly received bytes. *)
+(** Append bytes already received: {!read} with a reader that copies
+    from the string, until all of it is taken. *)
 
 val next : parser_ -> [ `Request of request | `Need_more | `Error of parse_error ]
 (** Try to extract the next complete request from the buffered bytes.
@@ -64,8 +79,9 @@ val next : parser_ -> [ `Request of request | `Need_more | `Error of parse_error
     and must be closed after the error response. Never raises. *)
 
 val buffered : parser_ -> int
-(** Bytes currently buffered (0 on a quiescent keep-alive connection —
-    used to tell an idle timeout from a mid-request one). *)
+(** Bytes currently buffered, a framed body's included (0 on a
+    quiescent keep-alive connection — used to tell an idle timeout
+    from a mid-request one). *)
 
 (** {1 Responses} *)
 

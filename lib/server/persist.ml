@@ -143,12 +143,20 @@ let int_field name json =
   | Some _ | None ->
       Error (Printf.sprintf "missing or invalid length field %S" name)
 
-let decode_raw_create payload =
-  let hstart = String.length raw_create_magic in
-  match String.index_from_opt payload hstart '\n' with
+type decoded =
+  | Decoded of mutation
+  | Create_in of { id : string; create : mutation Lazy.t }
+
+(* A raw create in [data.[pos, stop)]: the header is parsed, and every
+   length checked against the bytes it leaves, before the documents are
+   left where they lie. *)
+let decode_raw_create data pos stop =
+  let hstart = pos + String.length raw_create_magic in
+  let rec newline i = if i >= stop then None else if data.[i] = '\n' then Some i else newline (i + 1) in
+  match newline hstart with
   | None -> Error "raw create: unterminated header"
   | Some nl ->
-      let* header = Jsonlight.of_string (String.sub payload hstart (nl - hstart)) in
+      let* header = Jsonlight.of_string (String.sub data hstart (nl - hstart)) in
       let* id = field "id" header in
       let* policy_s = field "policy" header in
       let* policy =
@@ -161,24 +169,27 @@ let decode_raw_create payload =
       let* mlen = int_field "mapping" header in
       let body = nl + 1 in
       (* each length against the bytes it leaves: a sum could wrap *)
-      let left = String.length payload - body in
+      let left = stop - body in
       if slen > left || alen > left - slen || mlen <> left - slen - alen then
         Error "raw create: length mismatch"
       else
         Ok
-          (Create
+          (Create_in
              {
                id;
-               policy;
-               scenarios = String.sub payload body slen;
-               architecture = String.sub payload (body + slen) alen;
-               mapping = String.sub payload (body + slen + alen) mlen;
+               create =
+                 lazy
+                   (Create
+                      {
+                        id;
+                        policy;
+                        scenarios = String.sub data body slen;
+                        architecture = String.sub data (body + slen) alen;
+                        mapping = String.sub data (body + slen + alen) mlen;
+                      });
              })
 
-let decode payload =
-  if String.starts_with ~prefix:raw_create_magic payload then
-    decode_raw_create payload
-  else
+let decode_json payload =
   let* json = Jsonlight.of_string payload in
   let* op = field "op" json in
   match op with
@@ -204,6 +215,25 @@ let decode payload =
       let* id = field "id" json in
       Ok (Remove { id })
   | op -> Error (Printf.sprintf "unknown mutation %S" op)
+
+let is_raw_create data pos len =
+  let n = String.length raw_create_magic in
+  let rec same i = i = n || (data.[pos + i] = raw_create_magic.[i] && same (i + 1)) in
+  len >= n && same 0
+
+let decode_at data ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length data - len then
+    invalid_arg "Persist.decode_at: span out of bounds";
+  if is_raw_create data pos len then decode_raw_create data pos (pos + len)
+  else
+    let payload = if pos = 0 && len = String.length data then data else String.sub data pos len in
+    Result.map (fun m -> Decoded m) (decode_json payload)
+
+let decode payload =
+  match decode_at payload ~pos:0 ~len:(String.length payload) with
+  | Ok (Decoded m) -> Ok m
+  | Ok (Create_in { create; _ }) -> Ok (Lazy.force create)
+  | Error _ as e -> e
 
 (* ------------------------------------------------------------------ *)
 (* The durable log                                                    *)
@@ -283,13 +313,14 @@ let snapshot t = Store.Ship.snapshot t.shipper
 let ship_stats t = Store.Ship.stats t.shipper
 
 let ingest_frames t data records =
-  Mutex.protect t.lock (fun () -> Store.Wal.ingest t.wal data records)
+  Mutex.protect t.lock (fun () ->
+      Store.Journal.ingest (Store.Wal.journal t.wal) data records)
 
 let install_frames t data records =
   Mutex.protect t.lock (fun () -> Store.Wal.install_snapshot t.wal data records)
 
 let frames what data =
-  match Store.Ship.decode data with
+  match Store.Ship.spans data with
   | Ok records -> records
   | Error e -> invalid_arg (what ^ ": " ^ e)
 

@@ -45,6 +45,23 @@ val encode : mutation -> string
 
 val decode : string -> (mutation, string) result
 
+type decoded =
+  | Decoded of mutation
+  | Create_in of { id : string; create : mutation Lazy.t }
+      (** a create whose header is checked but whose three documents
+          still lie in the string it was decoded from: forcing
+          [create] copies them out *)
+
+val decode_at : string -> pos:int -> len:int -> (decoded, string) result
+(** [decode_at data ~pos ~len] decodes the payload [data.[pos, pos +
+    len)] where it lies, as {!decode} would decode a copy of it: it
+    accepts exactly what {!decode} accepts, with the same error texts,
+    and a [Create_in] forces to {!decode}'s [Create]. A create's header
+    is parsed and its lengths checked here; its documents are copied
+    only when forced, so a create that a later remove supersedes is
+    never copied. How a replica decodes a shipped batch's records.
+    @raise Invalid_argument when the span is not within [data]. *)
+
 type recovery = {
   mutations : mutation list;
       (** snapshot state (all [Create]s) followed by journal entries,
@@ -129,24 +146,25 @@ val ship_stats : t -> Store.Ship.stats
 val ingest : t -> string -> unit
 (** Replica side: append a shipped batch's raw frames to the local
     journal, keeping upstream sequence numbers — see
-    {!Store.Wal.ingest}. Durable per the fsync policy on return.
-    Decodes the batch with {!Store.Ship.decode} and raises
+    {!Store.Journal.ingest}. Durable per the fsync policy on return.
+    Checks the batch with {!Store.Ship.spans} and raises
     [Invalid_argument] when it is torn or corrupt; a caller that has
-    decoded it already passes the frames to {!ingest_frames}. *)
+    checked it already passes the spans to {!ingest_frames}. *)
 
-val ingest_frames : t -> string -> (int64 * string) list -> unit
-(** {!ingest} of a batch together with its frames, as
-    {!Store.Ship.decode} returned them for it. *)
+val ingest_frames : t -> string -> Store.Record.span list -> unit
+(** {!ingest} of a batch together with its records, as
+    {!Store.Ship.spans} returned them for it: the bytes are written as
+    they are, and no payload is copied. *)
 
 val install_snapshot : t -> string -> int64
 (** Replica side: install a shipped reset batch as the local snapshot,
     empty the journal, and re-base sequence numbering past the
     returned covered sequence — see {!Store.Wal.install_snapshot}.
-    Decodes the batch like {!ingest}. *)
+    Checks the batch like {!ingest}. *)
 
-val install_frames : t -> string -> (int64 * string) list -> int64
-(** {!install_snapshot} of a batch together with its frames, as
-    {!Store.Ship.decode} returned them for it. *)
+val install_frames : t -> string -> Store.Record.span list -> int64
+(** {!install_snapshot} of a batch together with its records, as
+    {!Store.Ship.spans} returned them for it. *)
 
 val stats : t -> Store.Wal.counters
 (** Lifetime journal counters (appends, bytes, fsyncs, compactions). *)

@@ -261,36 +261,44 @@ let apply_mutation t = function
       | exception Adl.Xml_io.Malformed _ -> Error `Undecodable)
   | Persist.Remove { id } -> delete t id
 
-let mutation_id = function
-  | Persist.Create { id; _ }
-  | Persist.Diff { id; _ }
-  | Persist.Set_architecture { id; _ }
-  | Persist.Remove { id } ->
+let decoded_id = function
+  | Persist.Create_in { id; _ }
+  | Persist.Decoded
+      ( Persist.Create { id; _ }
+      | Persist.Diff { id; _ }
+      | Persist.Set_architecture { id; _ }
+      | Persist.Remove { id } ) ->
       id
 
 (* Only what the list leaves standing is applied. Every mutation
    changes its own id's entry and nothing else, and an id's last
    [Remove] leaves it absent whatever came before; so no earlier
    mutation of that id is applied (no parse, no session built, no
-   diff), and the end state is the one a record-by-record replay
+   diff, and a create's documents never copied out of a shipped
+   batch), and the end state is the one a record-by-record replay
    reaches. Such a mutation counts as superseded, and so does the
    closing [Remove] when it then finds nothing. *)
-let apply_mutations t mutations =
+let apply_mutations t decoded =
   let last_remove = Hashtbl.create 16 in
   List.iteri
     (fun i -> function
-      | Persist.Remove { id } -> Hashtbl.replace last_remove id i
-      | Persist.Create _ | Persist.Diff _ | Persist.Set_architecture _ -> ())
-    mutations;
+      | Persist.Decoded (Persist.Remove { id }) -> Hashtbl.replace last_remove id i
+      | Persist.Decoded _ | Persist.Create_in _ -> ())
+    decoded;
   let cancelled = Hashtbl.create 16 in
-  let step (i, stats) mutation =
-    let id = mutation_id mutation in
+  let step (i, stats) d =
+    let id = decoded_id d in
     let stats =
       match Hashtbl.find_opt last_remove id with
       | Some r when i < r ->
           Hashtbl.replace cancelled id ();
           { stats with superseded = stats.superseded + 1 }
       | last -> (
+          let mutation =
+            match d with
+            | Persist.Decoded m -> m
+            | Persist.Create_in { create; _ } -> Lazy.force create
+          in
           match apply_mutation t mutation with
           | Ok _ -> { stats with applied = stats.applied + 1 }
           | Error _ when last = Some i && Hashtbl.mem cancelled id ->
@@ -300,10 +308,11 @@ let apply_mutations t mutations =
     (i + 1, stats)
   in
   snd
-    (List.fold_left step (0, { applied = 0; skipped = 0; superseded = 0 }) mutations)
+    (List.fold_left step (0, { applied = 0; skipped = 0; superseded = 0 }) decoded)
 
 let recover t mutations =
-  Mutex.protect t.mu (fun () -> apply_mutations t mutations)
+  Mutex.protect t.mu (fun () ->
+      apply_mutations t (List.map (fun m -> Persist.Decoded m) mutations))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots (compaction and checkpoint)                              *)
@@ -359,8 +368,11 @@ let checkpoint t =
    registry persists, the frames go into the local journal
    byte-for-byte (a reset batch becomes the local snapshot), so a
    durable replica is itself shippable-from and a promotion yields an
-   immediately durable primary. The batch is decoded once, here: the
-   journal step receives the frames with the bytes. Apply-then-journal,
+   immediately durable primary. The batch is walked once, here, as
+   spans over its bytes: every CRC is checked and every payload decoded
+   in place before anything is applied, a create's documents are copied
+   out only if it is applied, and the journal step receives the spans
+   with the bytes. Apply-then-journal,
    the same order as the primary's mutation path: background
    compaction relies on "every journaled mutation at the captured
    sequence is already applied" when it snapshots the live state, and
@@ -378,19 +390,19 @@ let checkpoint t =
    deletes until its snapshot is installed. *)
 let apply_shipped t ~reset data =
   let ( let* ) = Result.bind in
-  let* records = Store.Ship.decode data in
-  let* mutations =
+  let* records = Store.Ship.spans data in
+  let* decoded =
     List.fold_right
-      (fun (_seq, payload) acc ->
+      (fun (r : Store.Record.span) acc ->
         let* acc = acc in
-        if payload = "" then Ok acc (* a snapshot's meta record *)
+        if r.len = 0 then Ok acc (* a snapshot's meta record *)
         else
-          let* m = Persist.decode payload in
-          Ok (m :: acc))
+          let* d = Persist.decode_at data ~pos:r.pos ~len:r.len in
+          Ok (d :: acc))
       records (Ok [])
   in
   let apply () =
-    let stats = apply_mutations t mutations in
+    let stats = apply_mutations t decoded in
     (match t.persist with
     | Some p ->
         if reset then ignore (Persist.install_frames p data records)
@@ -407,6 +419,8 @@ let apply_shipped t ~reset data =
               apply ()))
   in
   let last_seq =
-    List.fold_left (fun acc (seq, _) -> if seq > acc then seq else acc) 0L records
+    List.fold_left
+      (fun acc (r : Store.Record.span) -> if r.seq > acc then r.seq else acc)
+      0L records
   in
   Ok (stats, last_seq)

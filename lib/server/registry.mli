@@ -111,9 +111,12 @@ val apply_shipped :
     mutations, so a re-created session starts with no cached
     response). Like {!recover}, it applies only what the batch leaves
     standing, so a concurrent read never sees a session that the same
-    batch creates and removes; every frame is still journaled. Every
-    CRC is checked and every payload decoded before anything is
-    applied. Returns the apply statistics plus the highest record
+    batch creates and removes; every frame is still journaled. The
+    batch is walked once, checking every CRC ({!Store.Ship.spans}),
+    and every payload is decoded where it lies ({!Persist.decode_at})
+    before anything is applied: a create's documents are copied out
+    of the batch only when the create is applied, so a superseded
+    create costs no copy. Returns the apply statistics plus the highest record
     sequence in the batch ([0L] for an empty one). When the registry
     persists, the batch is journaled locally first, byte-for-byte and
     under the same mutation lock, so a durable replica is itself

@@ -212,24 +212,26 @@ let scrub_partial_append t ~pre_bytes e =
 
 (* lock held; the one append routine, for local records and shipped
    ones alike: writes [len] bytes of [b] from [off] — the frames of
-   [records], consecutive sequence numbers starting at [t.seq] — but
-   never fsyncs. [t.seq] is only advanced once the bytes are fully
+   [count] records, consecutive sequence numbers starting at [t.seq] —
+   but never fsyncs. [t.seq] is only advanced once the bytes are fully
    written, so a failed write consumes no sequence number (a permanent
    seq gap would wedge every tail cursor on [Gap] with no snapshot to
    reset from). A closed journal refuses before its old descriptor
-   number, possibly reused by now, sees a byte. *)
-let append_locked t records b off len =
+   number, possibly reused by now, sees a byte. A rotation in progress
+   mirrors the records, which [records] gives as [(seq, payload)]
+   pairs only then. *)
+let append_locked t ~count records b off len =
   (match t.failed with Some e -> raise e | None -> ());
   if t.closed then raise (Unix.Unix_error (Unix.EBADF, "Journal.append", t.path));
   (try Fsenv.write_all t.env t.fd b off len
    with e -> scrub_partial_append t ~pre_bytes:t.file_bytes e);
-  t.seq <- Int64.add t.seq (Int64.of_int (List.length records));
+  t.seq <- Int64.add t.seq (Int64.of_int count);
   t.dirty <- true;
-  t.appends <- t.appends + List.length records;
+  t.appends <- t.appends + count;
   t.bytes <- t.bytes + len;
   t.file_bytes <- t.file_bytes + len;
   match t.mirror with
-  | Some tail -> t.mirror <- Some (List.rev_append records tail)
+  | Some tail -> t.mirror <- Some (List.rev_append (records ()) tail)
   | None -> ()
 
 (* lock held: the interval fsync right after an append failed, so the
@@ -274,7 +276,9 @@ let stage t payload =
       let seq = t.seq in
       let buf = Buffer.create (Record.header_size + String.length payload) in
       Record.encode buf ~seq payload;
-      append_locked t [ (seq, payload) ] (Buffer.to_bytes buf) 0 (Buffer.length buf);
+      append_locked t ~count:1
+        (fun () -> [ (seq, payload) ])
+        (Buffer.to_bytes buf) 0 (Buffer.length buf);
       (* under [Always] durability is settled in [await] *)
       (if interval_due t then
          try do_fsync t
@@ -370,32 +374,29 @@ let append t payload =
 let ingest t data records =
   let last =
     locked t (fun () ->
-        (* find the byte offset of the first record not yet held *)
-        let skip_bytes = ref 0 in
-        let fresh =
-          List.filter
-            (fun (seq, payload) ->
-              if seq < t.seq then begin
-                skip_bytes :=
-                  !skip_bytes + Record.header_size + String.length payload;
-                false
-              end
-              else true)
-            records
+        (* the records not yet held, and the byte offset of the first *)
+        let fresh = List.filter (fun (r : Record.span) -> r.seq >= t.seq) records in
+        let skip_bytes =
+          match fresh with
+          | r :: _ -> r.pos - Record.header_size
+          | [] -> String.length data
         in
         List.iteri
-          (fun i (seq, _) ->
+          (fun i (r : Record.span) ->
             let expect = Int64.add t.seq (Int64.of_int i) in
-            if seq <> expect then
+            if r.seq <> expect then
               invalid_arg
                 (Printf.sprintf "Journal.ingest: batch has %Ld where %Ld belongs"
-                   seq expect))
+                   r.seq expect))
           fresh;
         if fresh = [] then None
         else begin
           (* [write] only reads the buffer *)
-          append_locked t fresh (Bytes.unsafe_of_string data) !skip_bytes
-            (String.length data - !skip_bytes);
+          append_locked t ~count:(List.length fresh)
+            (fun () ->
+              List.map (fun (r : Record.span) -> (r.seq, String.sub data r.pos r.len)) fresh)
+            (Bytes.unsafe_of_string data) skip_bytes
+            (String.length data - skip_bytes);
           if interval_due t then do_fsync t;
           Some (Int64.pred t.seq)
         end)

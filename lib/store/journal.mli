@@ -104,23 +104,24 @@ val await : t -> int64 -> unit
 val group_stats : t -> Group.stats
 (** The barrier's batching counters (all zero off [Always]). *)
 
-val ingest : t -> string -> (int64 * string) list -> unit
+val ingest : t -> string -> Record.span list -> unit
 (** [ingest t data records] appends a batch of already-framed records
     shipped from an upstream journal verbatim, keeping their
-    upstream-assigned sequence numbers. [records] are [data]'s frames as
-    {!Record.decode_all} returns them, and must cover all of [data]
-    with a [Clean] tail ({!Ship.decode}'s check): the caller has
-    decoded the batch already, so it is not decoded again here
-    ({!Record.encode} is deterministic, so the raw bytes equal a local
-    re-encoding and the file stays a journal this process can itself
-    ship downstream with {!Tail}). Records at sequence numbers the
-    journal already holds are skipped (a re-shipped batch is
-    idempotent); the remainder must continue contiguously at
-    {!next_seq} or [Invalid_argument] is raised — a silent gap would
-    wedge every local tail cursor with no covering snapshot. Durable
-    like {!append} on return: the records go through the same append
-    routine and, under [Always], the same barrier. Raises like
-    {!append} on write/fsync failure. *)
+    upstream-assigned sequence numbers. [records] are [data]'s frames
+    as {!Record.walk} returns them, and must cover all of [data] with a
+    [Clean] tail ({!Ship.spans}'s check): the caller has checked the
+    batch already, so it is not walked again here, and no payload is
+    copied unless a rotation in progress mirrors it ({!Record.encode}
+    is deterministic, so the raw bytes equal a local re-encoding and
+    the file stays a journal this process can itself ship downstream
+    with {!Tail}). Records at sequence numbers the journal already
+    holds are skipped (a re-shipped batch is idempotent); the
+    remainder must continue contiguously at {!next_seq} or
+    [Invalid_argument] is raised — a silent gap would wedge every local
+    tail cursor with no covering snapshot. Durable like {!append} on
+    return: the records go through the same append routine and, under
+    [Always], the same barrier. Raises like {!append} on write/fsync
+    failure. *)
 
 val bump_seq : t -> int64 -> unit
 (** Ensure the next assigned sequence number exceeds the given one —

@@ -48,7 +48,9 @@ let frame_at s off =
     else if n - off - 8 < length then Error (Torn off)
     else Ok length
 
-let decode_all ?(pos = 0) s =
+type span = { seq : int64; pos : int; len : int }
+
+let walk s =
   let rec go acc off =
     match frame_at s off with
     | Error tail -> (List.rev acc, off, tail)
@@ -56,12 +58,16 @@ let decode_all ?(pos = 0) s =
         if Crc32.sub s (off + 8) length <> get_u32 s (off + 4) then
           (List.rev acc, off, Corrupt off)
         else
-          let payload = String.sub s (off + header_size) (length - 8) in
-          go ((get_seq s (off + 8), payload) :: acc) (off + 8 + length)
+          let span = { seq = get_seq s (off + 8); pos = off + header_size; len = length - 8 } in
+          go (span :: acc) (off + 8 + length)
   in
-  go [] pos
+  go [] 0
 
-(* [decode_all]'s walk without its checksum pass or payload copies *)
+let decode_all s =
+  let spans, valid_end, tail = walk s in
+  (List.map (fun r -> (r.seq, String.sub s r.pos r.len)) spans, valid_end, tail)
+
+(* [walk] without its checksum pass *)
 let frames s =
   let rec go acc off =
     match frame_at s off with

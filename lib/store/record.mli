@@ -29,16 +29,25 @@ type tail =
   | Torn of int  (** a record was cut short; valid bytes end here *)
   | Corrupt of int  (** checksum or length-field mismatch at this offset *)
 
-val decode_all : ?pos:int -> string -> (int64 * string) list * int * tail
-(** [decode_all s] scans records from [pos] (default 0) and returns
+type span = { seq : int64; pos : int; len : int }
+(** One record of a string of frames: its sequence number, and its
+    payload as the bytes [s.[pos, pos + len)]. *)
+
+val walk : string -> span list * int * tail
+(** [walk s] scans records from offset 0 and returns
     [(records, end_of_valid_prefix, tail)]: every complete, checksummed
-    record in order, the offset just past the last valid one, and how
-    the scan ended. *)
+    record in order as a span over [s], the offset just past the last
+    valid one, and how the scan ended. Every CRC is checked; no payload
+    is copied. How a replica checks a shipped batch before it applies
+    or journals any of it. *)
+
+val decode_all : string -> (int64 * string) list * int * tail
+(** {!walk} with each payload copied out. *)
 
 val frames : string -> (int64 * int) list
-(** The frame walk of {!decode_all} from the headers alone:
+(** The frame walk of {!walk} from the headers alone:
     [(seq, frame size)] for each whole frame from offset 0, stopping at
     a torn or impossible length. No checksum is checked, so a frame
-    whose CRC fails is listed where {!decode_all} would stop; whoever
+    whose CRC fails is listed where {!walk} would stop; whoever
     decodes the bytes must still check them. How the primary finds the
     record boundaries of the journal region it ships. *)

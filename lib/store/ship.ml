@@ -32,15 +32,21 @@ let create wal =
 let covered_seq t = Journal.covered_seq (Wal.journal t.wal)
 
 (* the snapshot's valid prefix plus how far it covers (its first
-   record is the meta record carrying the coverage seq) *)
+   record is the meta record carrying the coverage seq), found by the
+   span walk: no payload is copied, nor a whole file *)
 let snapshot_prefix t =
   let module E = (val Wal.env t.wal : Fsenv.S) in
   let path = Wal.snapshot_path t.wal in
   match E.read_file path with
   | contents -> (
-      let records, valid_end, _ = Record.decode_all contents in
+      let records, valid_end, _ = Record.walk contents in
       match records with
-      | (meta_seq, _) :: _ -> Some (meta_seq, String.sub contents 0 valid_end)
+      | meta :: _ ->
+          let prefix =
+            if valid_end = String.length contents then contents
+            else String.sub contents 0 valid_end
+          in
+          Some (meta.Record.seq, prefix)
       | [] -> None)
   | exception Sys_error _ -> None
 
@@ -105,11 +111,14 @@ let stats t =
             t.cursors;
       })
 
-let decode data =
-  let records, _, tail = Record.decode_all data in
-  match tail with
-  | Record.Clean -> Ok records
-  | Record.Torn off ->
-      Error (Printf.sprintf "shipped batch torn at byte %d" off)
-  | Record.Corrupt off ->
+let spans data =
+  match Record.walk data with
+  | spans, _, Record.Clean -> Ok spans
+  | _, _, Record.Torn off -> Error (Printf.sprintf "shipped batch torn at byte %d" off)
+  | _, _, Record.Corrupt off ->
       Error (Printf.sprintf "shipped batch corrupt at byte %d" off)
+
+let decode data =
+  Result.map
+    (List.map (fun (r : Record.span) -> (r.seq, String.sub data r.pos r.len)))
+    (spans data)

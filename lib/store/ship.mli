@@ -54,9 +54,14 @@ type stats = {
 
 val stats : t -> stats
 
+val spans : string -> (Record.span list, string) result
+(** Replica side: check a shipped batch and give its records as spans
+    over it ({!Record.walk}), rejecting it unless every byte checks
+    out ([Clean] tail) — a torn or corrupt batch means a transport bug
+    or a frame corrupted on the upstream's disk, not a crash artifact.
+    This is where shipped CRCs are checked: {!fetch} frames a batch by
+    its headers alone. *)
+
 val decode : string -> ((int64 * string) list, string) result
-(** Replica side: decode a shipped batch into [(seq, payload)] pairs,
-    rejecting it unless every byte checks out ([Clean] tail) — a torn
-    or corrupt batch means a transport bug or a frame corrupted on the
-    upstream's disk, not a crash artifact. This is where shipped CRCs
-    are checked: {!fetch} frames a batch by its headers alone. *)
+(** {!spans} with each payload copied out as a [(seq, payload)] pair;
+    the same check and the same errors. *)

@@ -72,7 +72,6 @@ let open_ ?fsync ?group ?(env = Fsenv.real) dir =
 let append t payload = Journal.append t.journal payload
 let stage t payload = Journal.stage t.journal payload
 let await t seq = Journal.await t.journal seq
-let ingest t data records = Journal.ingest t.journal data records
 
 let journal_bytes t = Journal.file_bytes t.journal
 
@@ -119,7 +118,7 @@ let compact_background t ~state =
 let install_snapshot t data records =
   let covers =
     match records with
-    | (covers, _) :: _ -> covers
+    | (meta : Record.span) :: _ -> meta.seq
     | [] -> invalid_arg "Wal.install_snapshot: no meta record"
   in
   rotate t (fun _ -> data);

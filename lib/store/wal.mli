@@ -56,21 +56,16 @@ val await : t -> int64 -> unit
 (** Block until a completed fsync covers the sequence number. See
     {!Journal.await}. *)
 
-val ingest : t -> string -> (int64 * string) list -> unit
-(** Append a shipped batch of raw record frames, given with the frames
-    already decoded, to the journal, keeping their upstream sequence
-    numbers. See {!Journal.ingest}. *)
-
-val install_snapshot : t -> string -> (int64 * string) list -> int64
+val install_snapshot : t -> string -> Record.span list -> int64
 (** [install_snapshot t data records] installs an upstream snapshot
     shipped as raw record frames (what a reset batch carries: meta
     record first, then one state payload per record), given with
-    [data]'s frames already decoded as for {!ingest}. The bytes become
+    [data]'s frames as {!Ship.spans} checked them. The bytes become
     the local [snapshot.log] through the same rotation as
     {!compact_background}, the journal is emptied, and sequence
     numbering is re-based past the snapshot's covered sequence
-    (returned), so the next {!ingest} continues contiguously. Raises
-    [Invalid_argument] when there is no meta record. *)
+    (returned), so the next {!Journal.ingest} continues contiguously.
+    Raises [Invalid_argument] when there is no meta record. *)
 
 val journal_bytes : t -> int
 (** Current size of the journal file — the compaction trigger input. *)

@@ -166,6 +166,27 @@ let test_response_framing () =
   Http.feed p (Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\nabc" max_int);
   Alcotest.(check bool) "a huge declared body waits for its bytes" true
     (Http.next_response p = `Need_more);
+  (* a declared length is trusted for a body's first buffer only up to
+     4 MiB: framing a 1 GiB declaration allocates about that much
+     directly on the major heap, not the declared length. (Words a minor
+     collection promotes meanwhile are not the framer's; the counters
+     lag by what the runtime has not yet folded in, hence the minor
+     collection first and 32 KiB of slack.) *)
+  let major_words () =
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let p = Http.parser_ ~max_body:max_int () in
+  Gc.minor ();
+  let before = major_words () in
+  Http.feed p (Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\nabc" (1 lsl 30));
+  Alcotest.(check bool) "a 1 GiB declared body waits for its bytes" true
+    (Http.next_response p = `Need_more);
+  let words = major_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "framing a 1 GiB declaration allocated %.0f major words, at most 4 MiB" words)
+    true
+    (words <= float_of_int ((4 * 1024 * 1024) + (32 * 1024)) /. float_of_int (Sys.word_size / 8));
   List.iter
     (fun (bytes, message) ->
       let p = Http.parser_ () in
@@ -188,13 +209,27 @@ let test_response_framing () =
 
 (* ---------------- HTTP parser: properties -------------------------- *)
 
+(* A body of one of the given bytes: about one in eight is 8-300 KiB,
+   past the 8 KiB a parser starts with, so its head frames before its
+   body has arrived; the rest are at most 64 bytes. A large body repeats
+   a short random pattern, which keeps generating it cheap. *)
+let gen_body chars =
+  QCheck2.Gen.(
+    let small = string_size ~gen:(oneofl chars) (int_range 0 64) in
+    let large =
+      let* n = int_range (8 * 1024) (300 * 1024) in
+      let* pattern = string_size ~gen:(oneofl chars) (int_range 1 16) in
+      return (String.init n (fun i -> pattern.[i mod String.length pattern]))
+    in
+    frequency [ (7, small); (1, large) ])
+
 (* the bytes of one valid request *)
 let gen_request_bytes =
   QCheck2.Gen.(
     let ident = string_size ~gen:(oneofl [ 'a'; 'b'; 'z'; '0'; '-' ]) (int_range 1 8) in
     let* meth = oneofl [ "GET"; "POST"; "DELETE"; "PUT" ] in
     let* segments = list_size (int_range 0 4) ident in
-    let* body = string_size ~gen:(oneofl [ 'x'; '{'; '"'; ' '; '\n' ]) (int_range 0 64) in
+    let* body = gen_body [ 'x'; '{'; '"'; ' '; '\n' ] in
     let* extra_headers = list_size (int_range 0 3) (pair ident ident) in
     let target = "/" ^ String.concat "/" segments in
     let head =
@@ -220,6 +255,36 @@ let chunks_of bytes cuts =
   in
   go cuts
 
+(* How the bytes reach a parser: appended chunk by chunk with
+   [Http.feed], or taken by [Http.read] with each read capped at the
+   rest of its chunk (a chunk can take several reads: a read never
+   offers more than the room it has). [step] runs after each. *)
+let deliveries = [ "feed"; "read" ]
+
+let deliver how p chunks step =
+  List.iter
+    (fun chunk ->
+      match how with
+      | "feed" ->
+          Http.feed p chunk;
+          step ()
+      | "read" ->
+          let rec go pos =
+            if pos < String.length chunk then begin
+              let n =
+                Http.read p (fun b off len ->
+                    let n = min len (String.length chunk - pos) in
+                    Bytes.blit_string chunk pos b off n;
+                    n)
+              in
+              step ();
+              go (pos + n)
+            end
+          in
+          go 0
+      | how -> invalid_arg how)
+    chunks
+
 let prop_torn_reads =
   QCheck2.Test.make
     ~name:"http parser: any chunking of a valid request parses identically"
@@ -229,19 +294,19 @@ let prop_torn_reads =
         | `Request r -> r
         | _ -> QCheck2.Test.fail_report "whole request did not parse"
       in
-      let p = Http.parser_ () in
-      let result = ref `Need_more in
-      List.iter
-        (fun chunk ->
-          Http.feed p chunk;
-          match Http.next p with
-          | `Request r -> result := `Request r
-          | `Need_more -> ()
-          | `Error e -> QCheck2.Test.fail_report (Http.parse_error_message e))
-        (chunks_of bytes cuts);
-      match !result with
-      | `Request r -> r = whole && Http.buffered p = 0
-      | `Need_more -> QCheck2.Test.fail_report "chunked feed never completed")
+      List.for_all
+        (fun how ->
+          let p = Http.parser_ () in
+          let result = ref `Need_more in
+          deliver how p (chunks_of bytes cuts) (fun () ->
+              match Http.next p with
+              | `Request r -> result := `Request r
+              | `Need_more -> ()
+              | `Error e -> QCheck2.Test.fail_report (Http.parse_error_message e));
+          match !result with
+          | `Request r -> r = whole && Http.buffered p = 0
+          | `Need_more -> QCheck2.Test.fail_reportf "chunked %s never completed" how)
+        deliveries)
 
 (* Several requests pipelined onto one connection, torn at arbitrary
    byte boundaries (cuts may fall inside a request, between requests,
@@ -268,22 +333,21 @@ let prop_pipelined_framing =
             | _ -> QCheck2.Test.fail_report "individual request did not parse")
           requests
       in
-      let p = Http.parser_ () in
-      let parsed = ref [] in
-      let rec drain () =
-        match Http.next p with
-        | `Request r ->
-            parsed := r :: !parsed;
-            drain ()
-        | `Need_more -> ()
-        | `Error e -> QCheck2.Test.fail_report (Http.parse_error_message e)
-      in
-      List.iter
-        (fun chunk ->
-          Http.feed p chunk;
-          drain ())
-        (chunks_of (String.concat "" requests) cuts);
-      List.rev !parsed = expected && Http.buffered p = 0)
+      List.for_all
+        (fun how ->
+          let p = Http.parser_ () in
+          let parsed = ref [] in
+          let rec drain () =
+            match Http.next p with
+            | `Request r ->
+                parsed := r :: !parsed;
+                drain ()
+            | `Need_more -> ()
+            | `Error e -> QCheck2.Test.fail_report (Http.parse_error_message e)
+          in
+          deliver how p (chunks_of (String.concat "" requests) cuts) drain;
+          List.rev !parsed = expected && Http.buffered p = 0)
+        deliveries)
 
 (* The other end of the wire: responses as the daemon serializes them,
    pipelined and torn at arbitrary byte boundaries, read back through
@@ -295,7 +359,7 @@ let gen_response =
     let ident = string_size ~gen:(oneofl [ 'a'; 'b'; 'z'; '0'; '-' ]) (int_range 1 8) in
     let* status = oneofl [ 200; 201; 204; 304; 404; 409; 503 ] in
     let* headers = list_size (int_range 0 3) (pair ident ident) in
-    let* body = string_size ~gen:(oneofl [ 'x'; '{'; '"'; ' '; '\r'; '\n' ]) (int_range 0 64) in
+    let* body = gen_body [ 'x'; '{'; '"'; ' '; '\r'; '\n' ] in
     let* head = bool in
     let* close = bool in
     let headers = List.map (fun (k, v) -> ("X-" ^ k, v)) headers in
@@ -333,27 +397,26 @@ let prop_response_framing =
           resp_body = (if head || suppressed then "" else r.Http.resp_body);
         }
       in
-      let p = Http.parser_ () in
-      let pending = ref (List.map (fun (_, head, _) -> head) responses) in
-      let parsed = ref [] in
-      let rec drain () =
-        match !pending with
-        | [] -> ()
-        | head_only :: rest -> (
-            match Http.next_response ~head_only p with
-            | `Response r ->
-                parsed := r :: !parsed;
-                pending := rest;
-                drain ()
-            | `Need_more -> ()
-            | `Error e -> QCheck2.Test.fail_report (Http.parse_error_message e))
-      in
-      List.iter
-        (fun chunk ->
-          Http.feed p chunk;
-          drain ())
-        (chunks_of bytes cuts);
-      List.rev !parsed = List.map expected responses && Http.buffered p = 0)
+      List.for_all
+        (fun how ->
+          let p = Http.parser_ () in
+          let pending = ref (List.map (fun (_, head, _) -> head) responses) in
+          let parsed = ref [] in
+          let rec drain () =
+            match !pending with
+            | [] -> ()
+            | head_only :: rest -> (
+                match Http.next_response ~head_only p with
+                | `Response r ->
+                    parsed := r :: !parsed;
+                    pending := rest;
+                    drain ()
+                | `Need_more -> ()
+                | `Error e -> QCheck2.Test.fail_report (Http.parse_error_message e))
+          in
+          deliver how p (chunks_of bytes cuts) drain;
+          List.rev !parsed = List.map expected responses && Http.buffered p = 0)
+        deliveries)
 
 (* Framing is linear in the message: a 4 MiB body arriving in 8 KiB
    reads, alone or behind a ~15 KiB head of short header lines,
@@ -1533,6 +1596,104 @@ let test_persist_create_lengths_overflow () =
       Alcotest.(check int) "counted undecodable" 1 recovery.Server.Persist.undecodable;
       Alcotest.(check int) "nothing replayed" 0 (List.length recovery.Server.Persist.mutations))
 
+(* A payload decoded where it lies is the payload decoded from a copy.
+   Each payload of every kind a journal carries (creates of the three
+   servebench projects under either policy, diffs, a whole
+   architecture, a remove) or that no reader accepts (creates without
+   a header newline, with a header that is not JSON, with an unknown
+   policy, with lengths that overflow or do not add up; mutations that
+   are not JSON or name no known op) sits at a random offset of a
+   larger string: [decode_at] accepts exactly what [decode] accepts,
+   with the same error text, and a create it leaves in place forces to
+   [decode]'s. *)
+let prop_decode_in_place =
+  let payload kind id policy =
+    let project () =
+      match kind with
+      | 0 -> Lazy.force Servebench.Fixtures.pims
+      | 1 -> Lazy.force Servebench.Fixtures.crash
+      | _ -> Lazy.force Servebench.Fixtures.chain
+    in
+    let raw_create header body = "sosae-create-v1\n" ^ header ^ "\n" ^ body in
+    match kind with
+    | 0 | 1 | 2 ->
+        let p = project () in
+        Server.Persist.encode
+          (Server.Persist.Create
+             {
+               id;
+               policy;
+               scenarios = p.Servebench.Fixtures.scenarios_xml;
+               architecture = p.architecture_xml;
+               mapping = p.mapping_xml;
+             })
+    | 3 ->
+        let chain = Lazy.force Servebench.Fixtures.chain in
+        Server.Persist.encode
+          (Server.Persist.Diff
+             {
+               id;
+               ops =
+                 Servebench.Fixtures.excise_ops
+                   chain.Servebench.Fixtures.project.Core.Sosae.architecture
+                   chain.pairs.(0)
+                 @ [ Adl.Diff.Rename_element { old_id = "c1"; new_id = "c1'" } ];
+             })
+    | 4 ->
+        Server.Persist.encode
+          (Server.Persist.Set_architecture
+             { id; architecture = (Lazy.force Servebench.Fixtures.chain).architecture_xml })
+    | 5 -> Server.Persist.encode (Server.Persist.Remove { id })
+    | 6 -> "sosae-create-v1\n{\"id\":\"x\",\"policy\":\"routed\""
+    | 7 -> raw_create "{\"id\":\"x\",\"policy\":" "abc"
+    | 8 ->
+        raw_create
+          {|{"id":"x","policy":"sideways","scenarios":1,"architecture":1,"mapping":1}|}
+          "abc"
+    | 9 ->
+        raw_create
+          ({|{"id":"x","policy":"routed","scenarios":4611686018427387903,|}
+          ^ {|"architecture":4611686018427387903,"mapping":7}|})
+          "abcde"
+    | 10 ->
+        raw_create {|{"id":"x","policy":"direct","scenarios":1,"architecture":1,"mapping":2}|} "abc"
+    | 11 -> raw_create {|{"policy":"routed","scenarios":1,"architecture":1,"mapping":1}|} "abc"
+    | 12 -> "sosae-create-v1\n"
+    | 13 -> {|{"op":"fly","id":"x"}|}
+    | _ -> "sosae-create-v"
+  in
+  let gen =
+    QCheck2.Gen.(
+      let noise = string_size ~gen:(oneofl [ 'x'; '\n'; '{'; '"'; '1'; '\000' ]) (int_range 0 48) in
+      let* kind = int_range 0 14 in
+      let* id = oneofl [ "a"; "pims-7"; "a \"quoted\" id" ] in
+      let* policy = oneofl [ Adl.Graph.Routed; Adl.Graph.Direct ] in
+      let* prefix = noise in
+      let* suffix = noise in
+      return (kind, payload kind id policy, prefix, suffix))
+  in
+  let print (kind, payload, prefix, suffix) =
+    Printf.sprintf "kind %d, %d bytes at offset %d of %d" kind (String.length payload)
+      (String.length prefix)
+      (String.length prefix + String.length payload + String.length suffix)
+  in
+  QCheck2.Test.make ~name:"persist: a payload decoded in place is the payload decoded"
+    ~count:200 ~print gen (fun (_, payload, prefix, suffix) ->
+      let data = prefix ^ payload ^ suffix in
+      match
+        ( Server.Persist.decode payload,
+          Server.Persist.decode_at data ~pos:(String.length prefix) ~len:(String.length payload) )
+      with
+      | Error e, Error e' ->
+          if e <> e' then QCheck2.Test.fail_reportf "errors differ: %S against %S" e e';
+          true
+      | Ok m, Ok (Server.Persist.Decoded m') -> m = m'
+      | Ok (Server.Persist.Create { id; _ } as m), Ok (Server.Persist.Create_in c) ->
+          id = c.id && Lazy.force c.create = m
+      | Ok _, Ok _ -> QCheck2.Test.fail_report "decoded to another kind"
+      | Ok _, Error e -> QCheck2.Test.fail_reportf "refused in place: %s" e
+      | Error e, Ok _ -> QCheck2.Test.fail_reportf "accepted in place, refused copied: %s" e)
+
 (* /metrics reads journal and replication state from their owners
    when it is scraped, so nothing has to push it there: after two
    creates on a --data-dir daemon the journal and group-commit
@@ -1719,6 +1880,80 @@ let wait_replica ?(timeout = 10.0) replica ~seq =
         end
   in
   go ()
+
+(* /metrics reads the runtime's GC counters when scraped, on a primary
+   and on a durable replica alike: a [gc] object of integers, whose
+   direct major words are the major words that no minor collection
+   promoted. They count from process start, so none decreases across
+   two scrapes with work in between (a create on the primary that the
+   replica applies and journals). None need grow either: the runtime
+   folds a domain's allocations in at its minor collections. *)
+let test_metrics_gc () =
+  with_temp_dir (fun primary_dir ->
+      with_temp_dir (fun replica_dir ->
+          let durable dir =
+            {
+              Server.Daemon.default_config with
+              Server.Daemon.data_dir = Some dir;
+              fsync = Store.Journal.Never;
+            }
+          in
+          with_daemon ~config:(durable primary_dir) (fun primary ->
+              let replica_config =
+                {
+                  (durable replica_dir) with
+                  Server.Daemon.replica_of = Some ("127.0.0.1", Server.Daemon.port primary);
+                  replica_poll = 0.005;
+                }
+              in
+              with_daemon ~config:replica_config (fun replica ->
+                  let names =
+                    [
+                      "minor_words";
+                      "promoted_words";
+                      "major_words";
+                      "direct_major_words";
+                      "major_collections";
+                    ]
+                  in
+                  let scrape what t =
+                    let gc =
+                      with_client t (fun c ->
+                          body_json (ok (Server.Client.get c "/metrics")) |> member_exn "gc")
+                    in
+                    let field name =
+                      match Jsonlight.member name gc with
+                      | Some (Jsonlight.Int n) -> n
+                      | _ -> Alcotest.failf "%s: gc.%s is not an integer" what name
+                    in
+                    let values = List.map field names in
+                    Alcotest.(check int)
+                      (what ^ ": direct major words are the major words not promoted")
+                      (field "major_words" - field "promoted_words")
+                      (field "direct_major_words");
+                    values
+                  in
+                  let scrape_both () =
+                    let p = scrape "primary" primary in
+                    [ p; scrape "replica" replica ]
+                  in
+                  let before = scrape_both () in
+                  with_client primary (fun c ->
+                      Alcotest.(check int) "created" 201
+                        (ok (Server.Client.post c "/sessions" ~body:(create_body "g")))
+                          .Server.Client.status);
+                  wait_replica replica ~seq:1L;
+                  let after = scrape_both () in
+                  List.iter2
+                    (fun (what, b) a ->
+                      List.iter2
+                        (fun name (b, a) ->
+                          Alcotest.(check bool)
+                            (Printf.sprintf "%s: %s %d then %d" what name b a)
+                            true (a >= b))
+                        names (List.combine b a))
+                    (List.combine [ "primary"; "replica" ] before)
+                    after))))
 
 (* The tentpole, in-process: a replica applies the primary's shipped
    journal, serves reads bit-identical to the primary, rejects
@@ -3468,6 +3703,9 @@ let suite =
       test_persist_create_lengths_overflow;
     Alcotest.test_case "metrics: journal and replication read live" `Quick
       test_metrics_read_live;
+    QCheck_alcotest.to_alcotest prop_decode_in_place;
+    Alcotest.test_case "metrics: gc counters on a primary and a durable replica" `Quick
+      test_metrics_gc;
     Alcotest.test_case "e2e: a quiet interval journal is fsynced" `Quick
       test_e2e_interval_quiet_spell;
     Alcotest.test_case "e2e: SIGKILL during background compaction" `Quick

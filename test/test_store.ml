@@ -142,6 +142,53 @@ let prop_frames_walk_headers =
         QCheck2.Test.fail_report "the walk went past an impossible length";
       true)
 
+(* The CRC-checked span walk is [decode_all] without the copies. On
+   random encodings cut at every offset, and with one payload byte
+   flipped, it stops where [decode_all] stops, for the same reason
+   (the same valid end and [Clean], [Torn n] or [Corrupt n] tail); its
+   spans carry [decode_all]'s seqs and payload bytes; and they lie
+   frame after frame from offset 0 to that valid end. *)
+let prop_walk_spans =
+  let gen =
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 5) (string_size ~gen:(char_range '\000' '\255') (int_range 0 40)))
+        (int_range 0 1000))
+  in
+  QCheck2.Test.make ~name:"record: the span walk checks what decode_all checks, copying nothing"
+    ~count:100 gen (fun (payloads, pick) ->
+      let same s =
+        let spans, valid_end, tail = Record.walk s in
+        let records, valid_end', tail' = Record.decode_all s in
+        let frames_end =
+          List.fold_left
+            (fun at (r : Record.span) ->
+              if r.pos <> at + Record.header_size then -1 else r.pos + r.len)
+            0 spans
+        in
+        tail = tail' && valid_end = valid_end' && frames_end = valid_end
+        && List.map (fun (r : Record.span) -> (r.seq, String.sub s r.pos r.len)) spans = records
+      in
+      let bytes = encode_records payloads in
+      for cut = 0 to String.length bytes do
+        if not (same (String.sub bytes 0 cut)) then QCheck2.Test.fail_reportf "cut %d: walks differ" cut
+      done;
+      let spans, _, _ = Record.walk bytes in
+      (match List.filter (fun (r : Record.span) -> r.len > 0) spans with
+      | [] -> ()
+      | nonempty ->
+          (* one payload byte of one record, flipped *)
+          let (r : Record.span) = List.nth nonempty (pick mod List.length nonempty) in
+          let at = r.pos + (pick mod r.len) in
+          let flipped = Bytes.of_string bytes in
+          Bytes.set flipped at (Char.chr (Char.code (Bytes.get flipped at) lxor 1));
+          let flipped = Bytes.to_string flipped in
+          if not (same flipped) then QCheck2.Test.fail_report "flipped: walks differ";
+          let _, _, tail = Record.walk flipped in
+          if tail <> Record.Corrupt (r.pos - Record.header_size) then
+            QCheck2.Test.fail_report "the walk did not stop at the flipped frame");
+      true)
+
 (* ---------------- Journal ----------------------------------------- *)
 
 let test_journal_reopen () =
@@ -486,6 +533,34 @@ let test_wal_background_compaction () =
       Alcotest.(check bool) "seq keeps counting" true (Wal.append w "e5" = 5L);
       Wal.close w)
 
+(* A shipped batch ingested mid-snapshot is mirrored like a local
+   append: [Journal.ingest] writes the batch's bytes as they are and
+   copies its payloads only for the mirror, and the rotated journal
+   holds them under their upstream sequence numbers. *)
+let test_wal_ingest_mirrored_by_rotation () =
+  with_temp_dir (fun dir ->
+      let w, _ = Wal.open_ dir in
+      ignore (Wal.append w "e1");
+      let batch =
+        let buf = Buffer.create 64 in
+        Record.encode buf ~seq:2L "shipped-2";
+        Record.encode buf ~seq:3L "shipped-3";
+        Buffer.contents buf
+      in
+      let spans =
+        match Store.Ship.spans batch with Ok spans -> spans | Error e -> Alcotest.fail e
+      in
+      Wal.compact_background w ~state:(fun () ->
+          Journal.ingest (Wal.journal w) batch spans;
+          [ "s1" ]);
+      Wal.close w;
+      let w, r = Wal.open_ dir in
+      Alcotest.(check (list string)) "snapshot state" [ "s1" ] r.Wal.state;
+      Alcotest.(check (list string)) "the ingested records survived rotation"
+        [ "shipped-2"; "shipped-3" ] r.Wal.entries;
+      Alcotest.(check bool) "seq continues past them" true (Wal.append w "e4" = 4L);
+      Wal.close w)
+
 (* A failing snapshot must abort the rotation and leave the journal
    untouched — including the mirror, so a later rotation succeeds. *)
 let test_wal_background_compaction_abort () =
@@ -797,6 +872,7 @@ let suite =
     Alcotest.test_case "record: torn + corrupt tails" `Quick
       test_record_torn_and_corrupt;
     QCheck_alcotest.to_alcotest prop_frames_walk_headers;
+    QCheck_alcotest.to_alcotest prop_walk_spans;
     Alcotest.test_case "journal: reopen continues" `Quick test_journal_reopen;
     Alcotest.test_case "journal: torn tail truncated" `Quick
       test_journal_torn_tail_truncated;
@@ -815,6 +891,8 @@ let suite =
       test_wal_background_compaction;
     Alcotest.test_case "wal: background compaction aborts cleanly" `Quick
       test_wal_background_compaction_abort;
+    Alcotest.test_case "wal: a batch ingested mid-rotation is mirrored" `Quick
+      test_wal_ingest_mirrored_by_rotation;
     Alcotest.test_case "wal: rotation keeps records staged while it waits"
       `Quick test_wal_rotation_keeps_records_staged_while_waiting;
     Alcotest.test_case "wal: fsync policies + stats" `Quick test_wal_fsync_stats;

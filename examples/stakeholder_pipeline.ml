@@ -1,23 +1,12 @@
-(* The stakeholder-to-architect round trip the paper's §8 envisions:
-   prose scenarios from stakeholders, assisted typing against the
-   ontology, an architecture exchanged as Acme text, requirements
-   constraints, and the walkthrough verdict travelling back.
+(* The stakeholder-to-architect round trip the paper's §8 envisions,
+   starting from a scenario already typed against the ontology: the
+   scenario as prose, requirements constraints, and the walkthrough
+   verdict travelling back.
 
      dune exec examples/stakeholder_pipeline.exe *)
 
 let rule title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
-(* Stakeholders write prose. *)
-let stakeholder_prose =
-  {|Scenario: Check a price and save it
-(1) The user initiates the "refresh prices" functionality.
-(2) The system downloads the current share prices from the share price web site.
-(3) The system displays the current share prices.
-(4) The system saves the current share prices.|}
-
-(* Architects exchange Acme text (paper 8: Acme as interchange). *)
-let architect_acme = Acme.Print.system_to_string (Acme.Convert.of_structure Casestudies.Pims.architecture)
 
 (* Requirements impose communication constraints (paper 3.5). *)
 let requirements_constraints =
@@ -27,60 +16,29 @@ let requirements_constraints =
    forbid remote-price-db -> data-repository\n"
 
 let () =
-  rule "1. Stakeholder prose";
-  print_string stakeholder_prose;
-  print_newline ();
-
-  rule "2. Parse and type the events against the PIMS ontology";
   let ontology = Casestudies.Pims.ontology in
-  let prose_scenario = Scenarioml.Text_io.of_prose stakeholder_prose in
-  List.iter
-    (fun event ->
-      match event with
-      | Scenarioml.Event.Simple { text; _ } ->
-          (match Scenarioml.Suggest.for_text ~limit:1 ontology text with
-          | [ s ] ->
-              Printf.printf "  %-70s -> %s (%.2f)\n" text s.Scenarioml.Suggest.event_type
-                s.Scenarioml.Suggest.score
-          | _ -> Printf.printf "  %-70s -> (no suggestion)\n" text)
-      | _ -> ())
-    prose_scenario.Scenarioml.Scen.events;
-  let typed = Scenarioml.Suggest.type_scenario ontology prose_scenario in
-  let typed_count =
-    List.length
-      (List.filter
-         (function Scenarioml.Event.Typed _ -> true | _ -> false)
-         typed.Scenarioml.Scen.events)
+  let scenario = Casestudies.Pims.get_share_prices in
+  let set =
+    Scenarioml.Scen.make_set ~id:"stakeholder" ~name:"Stakeholder scenarios" ontology
+      [ scenario ]
   in
-  Printf.printf "typed %d of %d events automatically\n" typed_count
-    (List.length typed.Scenarioml.Scen.events);
 
-  rule "3. The architecture arrives as Acme text";
-  String.split_on_char '\n' architect_acme
-  |> List.filteri (fun i _ -> i < 10)
-  |> List.iter (fun l -> print_endline ("  " ^ l));
-  print_endline "  ...";
-  let architecture = Acme.Convert.to_structure (Acme.Parse.system architect_acme) in
-  Printf.printf "parsed back: %s\n" (Adl.Pretty.summary architecture);
+  rule "1. The typed scenario, as stakeholders read it";
+  print_string (Scenarioml.Text_io.to_prose ontology set scenario);
 
-  rule "4. Requirements constraints";
+  rule "2. Requirements constraints";
   print_string requirements_constraints;
   let constraints = Styles.Constraint_lang.parse requirements_constraints in
 
-  rule "5. Evaluate";
-  let set =
-    Scenarioml.Scen.make_set ~id:"stakeholder" ~name:"Stakeholder scenarios" ontology
-      [ typed ]
-  in
+  rule "3. Evaluate";
   let config = Walkthrough.Engine.config ~constraints () in
   let result =
-    Walkthrough.Engine.evaluate_set ~config ~set ~architecture
+    Walkthrough.Engine.evaluate_set ~config ~set ~architecture:Casestudies.Pims.architecture
       ~mapping:Casestudies.Pims.mapping ()
   in
   Format.printf "%a@." Walkthrough.Report.pp_set_result result;
 
-  rule "6. The verdict travels back as prose";
-  print_string (Scenarioml.Text_io.to_prose ontology set typed);
+  rule "4. The verdict travels back";
   let scenario_ok =
     List.for_all Walkthrough.Verdict.is_consistent result.Walkthrough.Engine.results
   in

@@ -204,12 +204,3 @@ let diff a b =
   in
   removed_links @ removed_components @ removed_connectors @ replace_ops
   @ added_components @ added_connectors @ added_links @ readded_links
-
-let pp_op ppf = function
-  | Add_component c -> Format.fprintf ppf "add component %s" c.Structure.comp_id
-  | Remove_component id -> Format.fprintf ppf "remove component %s" id
-  | Add_connector c -> Format.fprintf ppf "add connector %s" c.Structure.conn_id
-  | Remove_connector id -> Format.fprintf ppf "remove connector %s" id
-  | Add_link l -> Format.fprintf ppf "add link %s" l.Structure.link_id
-  | Remove_link id -> Format.fprintf ppf "remove link %s" id
-  | Rename_element { old_id; new_id } -> Format.fprintf ppf "rename %s -> %s" old_id new_id

@@ -40,5 +40,3 @@ val diff : Structure.t -> Structure.t -> op list
     definition changed (remove + add, re-adding surviving links), then
     additions. Renames are not inferred. [apply_all a (diff a b)] has
     the same elements and links as [b]. *)
-
-val pp_op : Format.formatter -> op -> unit

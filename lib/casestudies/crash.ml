@@ -265,36 +265,6 @@ let entity_mapping =
        ~rationale:"deployment instructions go to affiliated resources via the network"
   |> map ~event_type:"communicates" ~to_:[ "communication-manager" ]
 
-let network_placement_hook event =
-  let org_component role =
-    match event with
-    | Scenarioml.Event.Typed { args; _ } ->
-        List.find_map
-          (fun a ->
-            if String.equal a.Scenarioml.Event.arg_param role then
-              match a.Scenarioml.Event.arg_value with
-              | Scenarioml.Event.Individual org -> Some [ org ^ "-cc" ]
-              | Scenarioml.Event.Literal _ | Scenarioml.Event.Fresh _ -> None
-            else None)
-          args
-    | Scenarioml.Event.Simple _ | Scenarioml.Event.Compound _
-    | Scenarioml.Event.Alternation _ | Scenarioml.Event.Iteration _
-    | Scenarioml.Event.Optional _ | Scenarioml.Event.Episode _ ->
-        None
-  in
-  match event with
-  | Scenarioml.Event.Typed
-      { event_type = "send-request" | "send-notification" | "send-message"; _ } ->
-      org_component "sender"
-  | Scenarioml.Event.Typed { event_type = "receive-message"; _ } ->
-      org_component "receiver"
-  | Scenarioml.Event.Typed { event_type = "shuts-down" | "receive-failure-message"; _ } ->
-      org_component "entity"
-  | Scenarioml.Event.Typed _ | Scenarioml.Event.Simple _ | Scenarioml.Event.Compound _
-  | Scenarioml.Event.Alternation _ | Scenarioml.Event.Iteration _
-  | Scenarioml.Event.Optional _ | Scenarioml.Event.Episode _ ->
-      None
-
 let network_mapping =
   let open Mapping.Build in
   create ~id:"crash-network-mapping" ~ontology ~architecture:(high_level_architecture ~orgs:2 ())

@@ -38,13 +38,6 @@ val entity_mapping : Mapping.Types.t
     ["send-message"] to User Interface, Sharing Info Manager, and
     Communication Manager. *)
 
-val network_placement_hook : Scenarioml.Event.t -> string list option
-(** Argument-sensitive placement for the network view: send events land
-    on the C&C of the organization named by their [sender] argument,
-    receive events on the [receiver]'s — the §8 idea of deriving the
-    mapping from "the domain entities that appear in those events".
-    Pass as [Walkthrough.Engine.config.placement_hook]. *)
-
 val network_mapping : Mapping.Types.t
 (** Org-level event types to peers of the 2-peer high-level
     architecture (Fire and Police, as in the paper's scenarios). *)

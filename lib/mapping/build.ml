@@ -26,42 +26,3 @@ let extend ~event_type ~to_ t =
               else x)
             t.Types.entries;
       }
-
-let unmap_component component t =
-  {
-    t with
-    Types.entries =
-      List.map
-        (fun e ->
-          {
-            e with
-            Types.components =
-              List.filter (fun c -> not (String.equal c component)) e.Types.components;
-          })
-        t.Types.entries;
-  }
-
-let rename_event_type ~old_id ~new_id t =
-  {
-    t with
-    Types.entries =
-      List.map
-        (fun e ->
-          if String.equal e.Types.event_type old_id then { e with Types.event_type = new_id }
-          else e)
-        t.Types.entries;
-  }
-
-let rename_component ~old_id ~new_id t =
-  {
-    t with
-    Types.entries =
-      List.map
-        (fun e ->
-          {
-            e with
-            Types.components =
-              List.map (fun c -> if String.equal c old_id then new_id else c) e.Types.components;
-          })
-        t.Types.entries;
-  }

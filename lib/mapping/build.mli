@@ -15,11 +15,3 @@ val map :
 val extend : event_type:string -> to_:string list -> Types.t -> Types.t
 (** Add components to an existing entry (creating it when absent);
     duplicates are ignored. *)
-
-val unmap_component : string -> Types.t -> Types.t
-(** Remove a component from every entry (entries left with no
-    components are kept, recording the gap). *)
-
-val rename_event_type : old_id:string -> new_id:string -> Types.t -> Types.t
-
-val rename_component : old_id:string -> new_id:string -> Types.t -> Types.t

@@ -16,12 +16,6 @@ let find t event_type =
 let components_of t event_type =
   match find t event_type with Some e -> e.components | None -> []
 
-let event_types_of t component =
-  List.filter_map
-    (fun e ->
-      if List.exists (String.equal component) e.components then Some e.event_type else None)
-    t.entries
-
 let mapped_event_types t = List.map (fun e -> e.event_type) t.entries
 
 let mapped_components t =

@@ -27,9 +27,6 @@ val find : t -> string -> entry option
 val components_of : t -> string -> string list
 (** Components an event type maps to; [] when unmapped. *)
 
-val event_types_of : t -> string -> string list
-(** Inverse direction: event types mapping to a component. *)
-
 val mapped_event_types : t -> string list
 
 val mapped_components : t -> string list

@@ -296,11 +296,13 @@ let replication_json ctx =
   Jsonlight.Obj fields
 
 (* The [gc] object of [/metrics]: the runtime's allocation counters
-   for the whole process, read when scraped, as of each domain's last
-   minor collection. [direct_major_words] is what was allocated on the
-   major heap without passing through the minor heap: the large
-   blocks. *)
+   for the whole process, read when scraped. The runtime folds a
+   domain's allocations into them only at its minor collections, so
+   the scrape runs one first: one collection per scrape, none per
+   request. [direct_major_words] is what was allocated on the major
+   heap without passing through the minor heap: the large blocks. *)
 let gc_json () =
+  Gc.minor ();
   let s = Gc.quick_stat () in
   let promoted = int_of_float s.Gc.promoted_words and major = int_of_float s.Gc.major_words in
   Jsonlight.Obj

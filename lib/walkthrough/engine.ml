@@ -8,13 +8,11 @@ type config = {
   check_internal : bool;
   internal_policy : Adl.Graph.policy;
   constraints : Styles.Constraint_lang.t list;
-  placement_hook : (Scenarioml.Event.t -> string list option) option;
 }
 
 let config ?(policy = Adl.Graph.Routed) ?(simple_events = Skip_simple)
     ?(linearize = Scenarioml.Linearize.default_config) ?(check_style = true)
-    ?(check_internal = true) ?(internal_policy = Adl.Graph.Direct) ?(constraints = [])
-    ?placement_hook () =
+    ?(check_internal = true) ?(internal_policy = Adl.Graph.Direct) ?(constraints = []) () =
   {
     policy;
     simple_events;
@@ -23,7 +21,6 @@ let config ?(policy = Adl.Graph.Routed) ?(simple_events = Skip_simple)
     check_internal;
     internal_policy;
     constraints;
-    placement_hook;
   }
 
 let default_config = config ()
@@ -39,21 +36,9 @@ let with_internal_checks ?policy check_internal c =
 
 let with_constraints constraints c = { c with constraints }
 
-(* Components of one step; [None] means "no placement required" (simple
-   event under [Skip_simple]). *)
+(* Components of one step; [`Narrative] means "no placement required"
+   (simple event under [Skip_simple]). *)
 let place config mapping ontology step =
-  match
-    Option.bind config.placement_hook (fun hook ->
-        hook step.Scenarioml.Linearize.step_event)
-  with
-  | Some components -> (
-      match step.Scenarioml.Linearize.step_event with
-      | Scenarioml.Event.Typed { event_type; _ } -> `Placed (Some event_type, components)
-      | Scenarioml.Event.Simple _ | Scenarioml.Event.Compound _
-      | Scenarioml.Event.Alternation _ | Scenarioml.Event.Iteration _
-      | Scenarioml.Event.Optional _ | Scenarioml.Event.Episode _ ->
-          `Placed (None, components))
-  | None -> (
   match step.Scenarioml.Linearize.step_event with
   | Scenarioml.Event.Typed { event_type; _ } ->
       let direct = Mapping.Types.components_of mapping event_type in
@@ -82,7 +67,7 @@ let place config mapping ontology step =
   | Scenarioml.Event.Iteration _ | Scenarioml.Event.Optional _
   | Scenarioml.Event.Episode _ ->
       (* Linearization only emits primitive steps. *)
-      `Narrative)
+      `Narrative
 
 let connect_hop config ?record reach from_components to_components =
   (* Some component of the previous step must communicate with some

@@ -40,12 +40,6 @@ type config = {
   constraints : Styles.Constraint_lang.t list;
       (** requirements-imposed communication constraints, checked with
           the declared style and reported as style violations *)
-  placement_hook : (Scenarioml.Event.t -> string list option) option;
-      (** when set and returning [Some components], overrides the
-          mapping's placement for that event — the hook for
-          argument-sensitive placement (paper §8: events "map to a
-          specific component ... determined by the domain entities that
-          appear in those events") *)
 }
 
 val config :
@@ -56,7 +50,6 @@ val config :
   ?check_internal:bool ->
   ?internal_policy:Adl.Graph.policy ->
   ?constraints:Styles.Constraint_lang.t list ->
-  ?placement_hook:(Scenarioml.Event.t -> string list option) ->
   unit ->
   config
 (** Build a configuration without spelling out the whole record; every

@@ -1,5 +1,5 @@
 (* Tests for the event-type-to-component mapping: construction,
-   coverage, the complexity model, traceability, and XML. *)
+   coverage, the complexity model, and XML. *)
 
 let ontology =
   let open Ontology.Build in
@@ -28,8 +28,6 @@ let test_accessors () =
   Alcotest.(check (list string)) "components" [ "c1"; "c2" ]
     (Mapping.Types.components_of mapping "base");
   Alcotest.(check (list string)) "unmapped" [] (Mapping.Types.components_of mapping "sub");
-  Alcotest.(check (list string)) "inverse" [ "base" ]
-    (Mapping.Types.event_types_of mapping "c2");
   Alcotest.(check (list string)) "mapped components" [ "c1"; "c2"; "c3" ]
     (Mapping.Types.mapped_components mapping);
   Alcotest.(check int) "links" 3 (Mapping.Types.link_count mapping)
@@ -42,16 +40,7 @@ let test_build () =
     (Mapping.Types.components_of extended "base");
   let fresh = Mapping.Build.extend ~event_type:"sub" ~to_:[ "c1" ] mapping in
   Alcotest.(check (list string)) "extend creates" [ "c1" ]
-    (Mapping.Types.components_of fresh "sub");
-  let unmapped = Mapping.Build.unmap_component "c2" mapping in
-  Alcotest.(check (list string)) "component dropped" [ "c1" ]
-    (Mapping.Types.components_of unmapped "base");
-  let renamed_et = Mapping.Build.rename_event_type ~old_id:"base" ~new_id:"renamed" mapping in
-  Alcotest.(check (list string)) "event type renamed" [ "c1"; "c2" ]
-    (Mapping.Types.components_of renamed_et "renamed");
-  let renamed_c = Mapping.Build.rename_component ~old_id:"c1" ~new_id:"z" mapping in
-  Alcotest.(check (list string)) "component renamed" [ "z"; "c2" ]
-    (Mapping.Types.components_of renamed_c "base")
+    (Mapping.Types.components_of fresh "sub")
 
 let test_coverage_clean () =
   (* sub inherits base's mapping (paper 5), so coverage is total *)
@@ -114,30 +103,24 @@ let test_complexity_sweep () =
   Alcotest.(check bool) "reuse 1" true
     (c1.Mapping.Complexity.without_ontology >= c1.Mapping.Complexity.definition_links)
 
-let test_trace_impact () =
-  let impact = Mapping.Trace.of_event_type_change mapping "base" in
-  Alcotest.(check (list string)) "components hit" [ "c1"; "c2" ]
-    impact.Mapping.Trace.impacted_components;
-  let impact = Mapping.Trace.of_component_change mapping "c2" in
-  Alcotest.(check (list string)) "event types hit" [ "base" ]
-    impact.Mapping.Trace.impacted_event_types;
-  let impact = Mapping.Trace.of_arch_op mapping (Adl.Diff.Remove_component "c3") in
-  Alcotest.(check (list string)) "removal impact" [ "other" ]
-    impact.Mapping.Trace.impacted_event_types;
-  let impact = Mapping.Trace.of_arch_op mapping (Adl.Diff.Remove_link "x") in
-  Alcotest.(check (list string)) "link edits do not touch the mapping" []
-    impact.Mapping.Trace.impacted_event_types
+(* An architecture edit leaves the mapping as it stands; coverage is what
+   traces the edit back to the entries it strands (paper §7). *)
+let problems_after op =
+  List.map Mapping.Coverage.problem_to_string
+    (Mapping.Coverage.check ontology (Adl.Diff.apply architecture op) mapping)
 
-let test_trace_apply () =
-  let synced = Mapping.Trace.apply_arch_op mapping (Adl.Diff.Remove_component "c2") in
-  Alcotest.(check (list string)) "dropped from entries" [ "c1" ]
-    (Mapping.Types.components_of synced "base");
-  let synced =
-    Mapping.Trace.apply_arch_op mapping
-      (Adl.Diff.Rename_element { old_id = "c3"; new_id = "store" })
-  in
-  Alcotest.(check (list string)) "renamed in entries" [ "store" ]
-    (Mapping.Types.components_of synced "other")
+let test_stale_after_removal () =
+  Alcotest.(check (list string)) "entry left pointing at the removed component"
+    [ {|event type "other" maps to unknown component "c3"|} ]
+    (problems_after (Adl.Diff.Remove_component "c3"))
+
+let test_stale_after_rename () =
+  Alcotest.(check (list string)) "old id dangles, new id unmapped"
+    [
+      {|component "store" is mapped to by no event type|};
+      {|event type "other" maps to unknown component "c3"|};
+    ]
+    (problems_after (Adl.Diff.Rename_element { old_id = "c3"; new_id = "store" }))
 
 let test_xml_roundtrip () =
   let xml = Mapping.Xml_io.to_string mapping in
@@ -188,8 +171,10 @@ let suite =
     Alcotest.test_case "coverage summary" `Quick test_coverage_summary;
     Alcotest.test_case "complexity: measured counts" `Quick test_complexity_measure;
     Alcotest.test_case "complexity: reuse sweep monotone" `Quick test_complexity_sweep;
-    Alcotest.test_case "traceability: impact" `Quick test_trace_impact;
-    Alcotest.test_case "traceability: synchronization" `Quick test_trace_apply;
+    Alcotest.test_case "coverage: component removal strands its entry" `Quick
+      test_stale_after_removal;
+    Alcotest.test_case "coverage: component rename strands its entry" `Quick
+      test_stale_after_rename;
     Alcotest.test_case "XML round trip" `Quick test_xml_roundtrip;
     Alcotest.test_case "cross table (Table 1 shape)" `Quick test_pretty_table;
     QCheck_alcotest.to_alcotest prop_reduction_bounds;

@@ -45,34 +45,11 @@ let build_architecture (n, m, wiring) =
         | exception Adl.Build.Duplicate _ -> t)
     base wiring
 
-let graphs_agree a b =
-  let ga = Adl.Graph.of_structure a and gb = Adl.Graph.of_structure b in
-  List.sort String.compare (Adl.Graph.nodes ga)
-  = List.sort String.compare (Adl.Graph.nodes gb)
-  && List.for_all
-       (fun u ->
-         List.sort String.compare (Adl.Graph.successors ga u)
-         = List.sort String.compare (Adl.Graph.successors gb u))
-       (Adl.Graph.nodes ga)
-
 let prop_adl_xml_roundtrip =
   QCheck2.Test.make ~name:"random architecture: xADL round trip is identity" ~count:100
     gen_architecture (fun spec ->
       let arch = build_architecture spec in
       Adl.Xml_io.of_string (Adl.Xml_io.to_string arch) = arch)
-
-let prop_acme_roundtrip_preserves_graph =
-  QCheck2.Test.make
-    ~name:"random architecture: Acme round trip preserves bricks and edges" ~count:100
-    gen_architecture (fun spec ->
-      let arch = build_architecture spec in
-      let back =
-        Acme.Convert.to_structure
-          (Acme.Parse.system (Acme.Print.system_to_string (Acme.Convert.of_structure arch)))
-      in
-      List.sort String.compare (Adl.Structure.brick_ids arch)
-      = List.sort String.compare (Adl.Structure.brick_ids back)
-      && graphs_agree arch back)
 
 (* ---------------- random statecharts ------------------------------- *)
 
@@ -442,7 +419,6 @@ let prop_prose_roundtrip =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_adl_xml_roundtrip;
-    QCheck_alcotest.to_alcotest prop_acme_roundtrip_preserves_graph;
     QCheck_alcotest.to_alcotest prop_statechart_xml_roundtrip;
     QCheck_alcotest.to_alcotest prop_statechart_run_total;
     QCheck_alcotest.to_alcotest prop_turtle_roundtrip;

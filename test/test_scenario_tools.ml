@@ -202,63 +202,6 @@ let test_to_prose_roundtrip_text () =
   Alcotest.(check int) "same event count as the first trace" 4
     (List.length back.Scen.events)
 
-(* ------------------------------ suggest --------------------------- *)
-
-let pims_suggest text = Suggest.for_text Casestudies.Pims.ontology text
-
-let test_suggest_ranking () =
-  match pims_suggest "The user enters the portfolio name" with
-  | best :: _ ->
-      Alcotest.(check string) "best match" "user-enters" best.Suggest.event_type;
-      Alcotest.(check bool) "high score" true (best.Suggest.score >= 0.5);
-      Alcotest.(check (list (pair string string))) "binding extracted"
-        [ ("item", "the portfolio name") ]
-        best.Suggest.bindings
-  | [] -> Alcotest.fail "no suggestions"
-
-let test_suggest_no_match () =
-  Alcotest.(check (list string)) "nothing matches gibberish" []
-    (List.map
-       (fun s -> s.Suggest.event_type)
-       (pims_suggest "zzz qqq completely unrelated vvv"))
-
-let test_type_event () =
-  let ontology = Casestudies.Pims.ontology in
-  let simple = Event.simple ~id:"x" "The system asks the user for the new name." in
-  (match Suggest.type_event ontology simple with
-  | Event.Typed { event_type; args; _ } ->
-      Alcotest.(check string) "typed" "system-prompts" event_type;
-      Alcotest.(check int) "one arg" 1 (List.length args)
-  | _ -> Alcotest.fail "expected the event to be typed");
-  (* a text the ontology cannot place stays simple *)
-  let odd = Event.simple ~id:"y" "Paint dries on the wall" in
-  Alcotest.(check bool) "left unchanged" true (Suggest.type_event ontology odd = odd)
-
-let test_type_prose_scenario_end_to_end () =
-  (* prose -> simple events -> typed events -> static walkthrough *)
-  let prose =
-    "Scenario: Prompt and enter\n\
-     (1) The system asks the user for the portfolio name.\n\
-     (2) The user enters the portfolio name.\n"
-  in
-  let ontology = Casestudies.Pims.ontology in
-  let typed = Suggest.type_scenario ontology (Text_io.of_prose prose) in
-  let typed_count =
-    List.length
-      (List.filter
-         (function Event.Typed _ -> true | _ -> false)
-         typed.Scen.events)
-  in
-  Alcotest.(check int) "both events typed" 2 typed_count;
-  let set = Scen.make_set ~id:"p" ~name:"P" ontology [ typed ] in
-  Alcotest.(check (list string)) "validates" []
-    (List.map Validate.problem_to_string (Validate.check set));
-  let r =
-    Walkthrough.Engine.evaluate_scenario ~set
-      ~architecture:Casestudies.Pims.architecture ~mapping:Casestudies.Pims.mapping typed
-  in
-  Alcotest.(check bool) "walks" true (Walkthrough.Verdict.is_consistent r)
-
 let suite =
   [
     Alcotest.test_case "rank: greedy coverage" `Quick test_rank_greedy_coverage;
@@ -275,11 +218,6 @@ let suite =
     Alcotest.test_case "prose: formats, negatives, continuations" `Quick
       test_of_prose_formats;
     Alcotest.test_case "prose: render and reparse" `Quick test_to_prose_roundtrip_text;
-    Alcotest.test_case "suggest: ranking and binding" `Quick test_suggest_ranking;
-    Alcotest.test_case "suggest: no match" `Quick test_suggest_no_match;
-    Alcotest.test_case "suggest: typing an event" `Quick test_type_event;
-    Alcotest.test_case "suggest: prose to walkthrough end to end" `Quick
-      test_type_prose_scenario_end_to_end;
     QCheck_alcotest.to_alcotest prop_rank_is_permutation;
     QCheck_alcotest.to_alcotest prop_specializes_reflexive;
   ]

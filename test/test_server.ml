@@ -1886,8 +1886,8 @@ let wait_replica ?(timeout = 10.0) replica ~seq =
    direct major words are the major words that no minor collection
    promoted. They count from process start, so none decreases across
    two scrapes with work in between (a create on the primary that the
-   replica applies and journals). None need grow either: the runtime
-   folds a domain's allocations in at its minor collections. *)
+   replica applies and journals), and the minor words grow: a scrape
+   reads the counters current. *)
 let test_metrics_gc () =
   with_temp_dir (fun primary_dir ->
       with_temp_dir (fun replica_dir ->
@@ -1950,10 +1950,49 @@ let test_metrics_gc () =
                         (fun name (b, a) ->
                           Alcotest.(check bool)
                             (Printf.sprintf "%s: %s %d then %d" what name b a)
-                            true (a >= b))
+                            true
+                            (if name = "minor_words" then a > b else a >= b))
                         names (List.combine b a))
                     (List.combine [ "primary"; "replica" ] before)
                     after))))
+
+(* The same counters on a spawned daemon, whose request threads need
+   not have collected yet: a fresh daemon has allocated already, a
+   cold evaluate between two scrapes raises the minor words, and by
+   more than the scrape after it, which still counts. *)
+let test_e2e_metrics_gc_current () =
+  with_temp_dir (fun dir ->
+      with_serve [ "--port"; "0"; "--data-dir"; dir ] (fun s ->
+          let c = Server.Client.connect ~port:s.port () in
+          Fun.protect
+            ~finally:(fun () -> Server.Client.close c)
+            (fun () ->
+              let minor_words () =
+                match
+                  body_json (ok (Server.Client.get c "/metrics"))
+                  |> member_exn "gc" |> Jsonlight.member "minor_words"
+                with
+                | Some (Jsonlight.Int n) -> n
+                | _ -> Alcotest.fail "gc.minor_words is not an integer"
+              in
+              let fresh = minor_words () in
+              Alcotest.(check bool)
+                (Printf.sprintf "fresh daemon: minor words %d" fresh)
+                true (fresh > 0);
+              Alcotest.(check int) "created" 201
+                (ok (Server.Client.post c "/sessions" ~body:(create_body "pims")))
+                  .Server.Client.status;
+              let before = minor_words () in
+              Alcotest.(check int) "cold evaluate" 200
+                (ok (Server.Client.post c "/sessions/pims/evaluate" ~body:""))
+                  .Server.Client.status;
+              let after = minor_words () in
+              let again = minor_words () in
+              Alcotest.(check bool)
+                (Printf.sprintf "minor words %d, %d after a cold evaluate, then %d" before
+                   after again)
+                true
+                (again > after && after - before > again - after))))
 
 (* The tentpole, in-process: a replica applies the primary's shipped
    journal, serves reads bit-identical to the primary, rejects
@@ -3706,6 +3745,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_decode_in_place;
     Alcotest.test_case "metrics: gc counters on a primary and a durable replica" `Quick
       test_metrics_gc;
+    Alcotest.test_case "e2e: gc counters are current when scraped" `Quick
+      test_e2e_metrics_gc_current;
     Alcotest.test_case "e2e: a quiet interval journal is fsynced" `Quick
       test_e2e_interval_quiet_spell;
     Alcotest.test_case "e2e: SIGKILL during background compaction" `Quick

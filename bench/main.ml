@@ -1536,6 +1536,17 @@ let pims_xml =
         Adl.Xml_io.to_string architecture,
         Mapping.Xml_io.to_string mapping )
 
+(* the shape of one shipped seed-7 replica-catchup batch (1,017,720
+   bytes, 95-96 records): 96 frames of ~10.6 KB *)
+let walk_batch =
+  lazy
+    (let buf = Buffer.create (1 lsl 20) in
+     for i = 1 to 96 do
+       Store.Record.encode buf ~seq:(Int64.of_int i)
+         (String.init 10_585 (fun j -> Char.chr ((i + j) land 0xFF)))
+     done;
+     Buffer.contents buf)
+
 let bench_tests =
   let open Bechamel in
   [
@@ -1590,6 +1601,8 @@ let bench_tests =
                   (Semweb.Query.iri (Semweb.Term.Vocab.sosae "mapsTo"))
                   (Semweb.Query.v "component");
               ]));
+    Test.make ~name:"record-walk-1mib"
+      (Staged.stage (fun () -> Store.Record.walk (Lazy.force walk_batch)));
   ]
   @ scale_tests
 

@@ -55,7 +55,53 @@ let test_crc32 () =
   done;
   Alcotest.(check int) "sub window"
     (Crc32.string "own f")
-    (Crc32.sub s 12 5)
+    (Crc32.sub s 12 5);
+  (* 43 bytes: two full 16-byte rounds and an 11-byte tail *)
+  Alcotest.(check int) "the quick brown fox" 0x414FA339
+    (Crc32.string "The quick brown fox jumps over the lazy dog");
+  (* the on-disk and on-wire header of one fixed frame, as the OCaml
+     slicing-by-8 loop wrote it; zlib.crc32 agrees *)
+  let payload = String.init 70_000 (fun i -> Char.chr ((i * 7 + (i / 256)) land 0xFF)) in
+  let buf = Buffer.create 70_016 in
+  Record.encode buf ~seq:(Int64.add (Int64.shift_left 1L 40) 3L) payload;
+  Alcotest.(check string) "70,000-byte frame header"
+    "\x00\x01\x11\x78\xDE\x3E\xD2\x77\x00\x00\x01\x00\x00\x00\x00\x03"
+    (Buffer.sub buf 0 Record.header_size)
+
+let prop_crc32_reference =
+  let gen =
+    QCheck2.Gen.(
+      let* n = frequency [ (7, int_range 0 4096); (1, int_range 65536 (1 lsl 20)) ] in
+      (* bytes from a drawn seed: a 1 MiB string is not worth drawing,
+         or shrinking, one character at a time *)
+      let* seed = no_shrink int in
+      let st = Random.State.make [| seed |] in
+      let s = String.init n (fun _ -> Char.chr (Random.State.int st 256)) in
+      let* pos = int_range 0 n in
+      let* len = int_range 0 (n - pos) in
+      let* crc = int_range 0 0xFFFFFFFF in
+      let* beyond = int_range 1 20 in
+      return (s, pos, len, crc, beyond))
+  in
+  QCheck2.Test.make ~name:"crc32: the C kernel agrees with the OCaml reference"
+    ~count:200
+    ~print:(fun (s, pos, len, crc, beyond) ->
+      Printf.sprintf "length %d, pos %d, len %d, crc 0x%08X, beyond %d" (String.length s)
+        pos len crc beyond)
+    gen
+    (fun (s, pos, len, crc, beyond) ->
+      let n = String.length s in
+      let expected = Crc32_reference.sub ~crc s pos len in
+      let got = Crc32.sub ~crc s pos len in
+      if got <> expected then
+        QCheck2.Test.fail_reportf "got 0x%08X, the reference 0x%08X" got expected;
+      List.iter
+        (fun (pos, len) ->
+          match Crc32.sub ~crc s pos len with
+          | _ -> QCheck2.Test.fail_reportf "sub %d %d of %d bytes did not raise" pos len n
+          | exception Invalid_argument msg when msg = "Crc32.sub" -> ())
+        [ (-beyond, len); (pos, -beyond); (pos, n - pos + beyond) ];
+      true)
 
 (* ---------------- Record framing ---------------------------------- *)
 
@@ -868,6 +914,7 @@ let prop_ship_truncation_prefix =
 let suite =
   [
     Alcotest.test_case "crc32: vectors + chunking" `Quick test_crc32;
+    QCheck_alcotest.to_alcotest prop_crc32_reference;
     Alcotest.test_case "record: round trip" `Quick test_record_roundtrip;
     Alcotest.test_case "record: torn + corrupt tails" `Quick
       test_record_torn_and_corrupt;

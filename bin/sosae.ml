@@ -886,28 +886,35 @@ let serve_cmd =
           Logs_threaded.enable ();
           Logs.set_reporter (Logs.format_reporter ());
           Logs.set_level (Some Logs.Info);
-          Server.Daemon.run
-            ~config:
-              {
-                Server.Daemon.default_config with
-                Server.Daemon.port;
-                host;
-                unix_path;
-                jobs = (if jobs <= 0 then None else Some jobs);
-                workers;
-                queue_capacity = queue;
-                read_timeout = timeout;
-                write_timeout = timeout;
-                idle_timeout;
-                max_requests;
-                data_dir;
-                fsync;
-                group_window = group_window /. 1000.0;
-                compact_threshold;
-                replica_of;
-              }
-            ();
-          0
+          let config =
+            {
+              Server.Daemon.default_config with
+              Server.Daemon.port;
+              host;
+              unix_path;
+              jobs = (if jobs <= 0 then None else Some jobs);
+              workers;
+              queue_capacity = queue;
+              read_timeout = timeout;
+              write_timeout = timeout;
+              idle_timeout;
+              max_requests;
+              data_dir;
+              fsync;
+              group_window = group_window /. 1000.0;
+              compact_threshold;
+              replica_of;
+            }
+          in
+          (* [run] raises [Unix_error] only while it starts, where it
+             meets the host: the data directory and the address. Each
+             such error names its path or address, and is a user error *)
+          match Server.Daemon.run ~config () with
+          | () -> 0
+          | exception Unix.Unix_error (e, call, what) ->
+              Printf.eprintf "sosae serve: cannot start: %s %s: %s\n" call what
+                (Unix.error_message e);
+              1
         end)
   in
   let port =

@@ -201,12 +201,18 @@ type t = {
   mutable stopped : bool;
 }
 
+(* A bind or listen that fails names the address it was for, as a
+   failed open names its path. *)
+let naming address f =
+  try f () with Unix.Unix_error (e, call, "") -> raise (Unix.Unix_error (e, call, address))
+
 let listen_tcp ~host ~port =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-     Unix.listen fd 128
+     naming (Printf.sprintf "%s:%d" host port) (fun () ->
+         Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+         Unix.listen fd 128)
    with e ->
      Unix.close fd;
      raise e);
@@ -221,8 +227,9 @@ let listen_unix path =
   if Sys.file_exists path then Unix.unlink path;
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
-     Unix.bind fd (Unix.ADDR_UNIX path);
-     Unix.listen fd 128
+     naming path (fun () ->
+         Unix.bind fd (Unix.ADDR_UNIX path);
+         Unix.listen fd 128)
    with e ->
      Unix.close fd;
      raise e);
@@ -304,7 +311,7 @@ let start ?(config = default_config) () =
      every shipped batch byte-for-byte, so it recovers its own state,
      resumes tailing from its local frontier, serves the ship endpoints
      to chained replicas, and is immediately durable when promoted *)
-  let persist =
+  let opened =
     Option.map
       (fun dir ->
         Persist.open_ ~fsync:config.fsync
@@ -316,8 +323,11 @@ let start ?(config = default_config) () =
           ~compact_bytes:config.compact_threshold dir)
       config.data_dir
   in
-  let api_ctx = Api.make_ctx ?jobs:config.jobs ?persist:(Option.map fst persist) () in
-  (match persist with
+  let persist = Option.map fst opened in
+  let api_ctx = Api.make_ctx ?jobs:config.jobs ?persist () in
+  (* nothing names [opened] after this: the recovery's unforced creates
+     hold the bytes read from disk, which must not outlive the boot *)
+  (match opened with
   | None -> ()
   | Some (p, (recovery : Persist.recovery)) ->
       let stats = Registry.recover api_ctx.Api.registry recovery.Persist.mutations in
@@ -387,9 +397,7 @@ let start ?(config = default_config) () =
     }
   in
   let maintenance =
-    Option.map
-      (fun (p, _) -> Thread.create (fun () -> maintenance_loop t p) ())
-      persist
+    Option.map (fun p -> Thread.create (fun () -> maintenance_loop t p) ()) persist
   in
   let acceptors =
     Thread.create (fun () -> accept_loop t tcp_listener) ()

@@ -102,8 +102,9 @@ val start : ?config:config -> unit -> t
     (tolerating a torn tail from a crash) and every subsequent
     mutation is journaled before it is acknowledged. Recovery
     statistics appear under ["journal"."recovery"] in [GET /metrics].
-    @raise Unix.Unix_error when binding fails (port in use, bad
-    path). *)
+    @raise Unix.Unix_error when the data directory cannot be opened
+    (its argument names the path) or binding fails (its argument names
+    the address: [HOST:PORT] or the socket path). *)
 
 val port : t -> int
 (** The actual bound TCP port — equals [config.port] unless that was 0,
@@ -132,4 +133,4 @@ val run : ?config:config -> unit -> unit
 (** [start], print the bound address on stdout, then block until
     [SIGTERM] or [SIGINT], then [stop]. When booted with
     [replica_of], [SIGUSR1] triggers {!promote}. The CLI entry
-    point. *)
+    point. Raises only what {!start} raises. *)

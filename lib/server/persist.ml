@@ -240,7 +240,7 @@ let decode payload =
 (* ------------------------------------------------------------------ *)
 
 type recovery = {
-  mutations : mutation list;
+  mutations : decoded list;
   entries : int;
   undecodable : int;
   truncated_bytes : int;
@@ -260,16 +260,17 @@ type t = {
 let open_ ?(fsync = Store.Journal.Always) ?group
     ?(compact_bytes = 8 * 1024 * 1024) ?env dir =
   let wal, (r : Store.Wal.recovery) = Store.Wal.open_ ~fsync ?group ?env dir in
-  let decoded payloads =
+  let decoded data records acc =
     List.fold_left
-      (fun (mutations, bad) payload ->
-        match decode payload with
-        | Ok m -> (m :: mutations, bad)
-        | Error _ -> (mutations, bad + 1))
-      ([], 0) payloads
+      (fun (ds, bad) (s : Store.Record.span) ->
+        match decode_at data ~pos:s.pos ~len:s.len with
+        | Ok d -> (d :: ds, bad)
+        | Error _ -> (ds, bad + 1))
+      acc records
   in
-  let state_mutations, state_bad = decoded r.Store.Wal.state in
-  let entry_mutations, entry_bad = decoded r.Store.Wal.entries in
+  let mutations, undecodable =
+    Store.Wal.(decoded r.journal_data r.entries (decoded r.snapshot_data r.state ([], 0)))
+  in
   ( {
       wal;
       lock = Mutex.create ();
@@ -278,9 +279,9 @@ let open_ ?(fsync = Store.Journal.Always) ?group
       shipper = Store.Ship.create wal;
     },
     {
-      mutations = List.rev_append state_mutations (List.rev entry_mutations);
+      mutations = List.rev mutations;
       entries = List.length r.Store.Wal.state + List.length r.Store.Wal.entries;
-      undecodable = state_bad + entry_bad;
+      undecodable;
       truncated_bytes = r.Store.Wal.truncated_bytes;
       corrupt_tail = r.Store.Wal.corrupt_tail;
     } )

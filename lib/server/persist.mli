@@ -9,7 +9,7 @@
     behind a small length-prefixed header (escaping whole documents
     into JSON strings was the dominant CPU cost of a journaled
     create); every other mutation is one JSON object. On boot,
-    {!open_} replays snapshot + journal into a mutation list the
+    {!open_} decodes snapshot + journal where they lie into a list the
     registry re-applies; a record that does not decode (a JSON-encoded
     create among them) is skipped and counted in [undecodable].
 
@@ -59,13 +59,16 @@ val decode_at : string -> pos:int -> len:int -> (decoded, string) result
     and a [Create_in] forces to {!decode}'s [Create]. A create's header
     is parsed and its lengths checked here; its documents are copied
     only when forced, so a create that a later remove supersedes is
-    never copied. How a replica decodes a shipped batch's records.
+    never copied. How boot decodes the journal and snapshot records,
+    and a replica a shipped batch's records.
     @raise Invalid_argument when the span is not within [data]. *)
 
 type recovery = {
-  mutations : mutation list;
-      (** snapshot state (all [Create]s) followed by journal entries,
-          in acknowledgement order *)
+  mutations : decoded list;
+      (** snapshot state (all creates) then journal entries, in
+          acknowledgement order, decoded where they lie ({!decode_at}):
+          unforced creates keep the bytes read alive, so drop the
+          recovery once {!Registry.recover} has run *)
   entries : int;  (** total records read (snapshot + journal) *)
   undecodable : int;  (** records whose payload failed to decode *)
   truncated_bytes : int;  (** torn/corrupt journal tail discarded *)

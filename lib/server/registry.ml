@@ -310,9 +310,7 @@ let apply_mutations t decoded =
   snd
     (List.fold_left step (0, { applied = 0; skipped = 0; superseded = 0 }) decoded)
 
-let recover t mutations =
-  Mutex.protect t.mu (fun () ->
-      apply_mutations t (List.map (fun m -> Persist.Decoded m) mutations))
+let recover t decoded = Mutex.protect t.mu (fun () -> apply_mutations t decoded)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots (compaction and checkpoint)                              *)

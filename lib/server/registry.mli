@@ -88,12 +88,13 @@ type recovery_stats = {
 }
 (** For a list of [n] mutations, [applied + skipped + superseded = n]. *)
 
-val recover : t -> Persist.mutation list -> recovery_stats
-(** Replay recovered mutations into the registry without re-journaling
-    them. Only what the list leaves standing is applied: each id's last
+val recover : t -> Persist.decoded list -> recovery_stats
+(** Replay recovered mutations ({!Persist.recovery}'s) into the registry
+    without re-journaling them. Only what the list leaves standing is
+    applied, through the same routine as {!apply_shipped}: each id's last
     [Remove] cancels every earlier mutation of that id, which is then
-    neither parsed nor applied and counts as [superseded]. This is
-    exact — every mutation changes only its own id's entry, and that
+    neither parsed nor applied (a create's documents are never copied)
+    and counts as [superseded]. This is exact — every mutation changes only its own id's entry, and that
     remove leaves the id absent whatever came before — so the end state
     is the one a record-by-record replay reaches. Records that are
     tried but no longer apply — the benign case is a mutation

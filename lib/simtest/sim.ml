@@ -107,7 +107,7 @@ let check_journal_wellformed t =
   match Env.visible t.env (Filename.concat t.dir "wal.log") with
   | None -> ()
   | Some data -> (
-      let records, _, tail = Store.Record.decode_all data in
+      let records, _, tail = Store.Record.walk data in
       (match tail with
       | Store.Record.Clean -> ()
       | Store.Record.Torn off -> violation "journal torn at %d after recovery" off
@@ -115,10 +115,10 @@ let check_journal_wellformed t =
           violation "journal corrupt at %d after recovery" off);
       ignore
         (List.fold_left
-           (fun prev (seq, _) ->
-             if seq <= prev then
-               violation "journal seqs not increasing: %Ld after %Ld" seq prev;
-             seq)
+           (fun prev (r : Store.Record.span) ->
+             if r.seq <= prev then
+               violation "journal seqs not increasing: %Ld after %Ld" r.seq prev;
+             r.seq)
            0L records))
 
 (* Recovery itself runs on the faulty disk, so opening can crash (or

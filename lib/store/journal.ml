@@ -81,35 +81,37 @@ type t = {
 }
 
 type recovery = {
-  records : (int64 * string) list;
+  data : string;
+  records : Record.span list;
   truncated_bytes : int;
   corrupt : bool;
 }
 
 type counters = { appends : int; bytes : int; fsyncs : int }
 
-let read_file env fd =
+(* Up to [len] bytes from [fd]'s offset, fewer only at end of file *)
+let read_upto env fd len =
   let module E = (val env : Fsenv.S) in
-  let size = E.size fd in
-  let b = Bytes.create size in
-  let rec go off =
-    if off < size then
-      match E.read fd b off (size - off) with
-      | 0 -> off  (* shrank underneath us; treat as EOF *)
-      | n -> go (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-    else off
+  let b = Bytes.create len in
+  let rec go pos =
+    if pos >= len then pos
+    else
+      match E.read fd b pos (len - pos) with
+      | 0 -> pos  (* shrank underneath us; treat as EOF *)
+      | n -> go (pos + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
   in
   let got = go 0 in
-  Bytes.sub_string b 0 got
+  (* [b] is fresh and goes nowhere else: a full read needs no copy *)
+  if got = len then Bytes.unsafe_to_string b else Bytes.sub_string b 0 got
 
 let open_ ?(fsync = Always) ?(group = Group.default) ?(env = Fsenv.real) path =
   let module E = (val env : Fsenv.S) in
   let fd = E.openfile path Fsenv.Read_write in
   match
-    let contents = read_file env fd in
-    let records, valid_end, tail = Record.decode_all contents in
-    let truncated = String.length contents - valid_end in
+    let data = read_upto env fd (E.size fd) in
+    let records, valid_end, tail = Record.walk data in
+    let truncated = String.length data - valid_end in
     if truncated > 0 then begin
       E.ftruncate fd valid_end;
       ignore (E.lseek_end fd)
@@ -122,7 +124,7 @@ let open_ ?(fsync = Always) ?(group = Group.default) ?(env = Fsenv.real) path =
        must not be able to take them back. One fsync per open. *)
     if valid_end > 0 || truncated > 0 then E.fsync fd;
     let last_seq =
-      List.fold_left (fun acc (seq, _) -> if seq > acc then seq else acc) 0L records
+      List.fold_left (fun acc (r : Record.span) -> Int64.max acc r.seq) 0L records
     in
     ( {
         path;
@@ -157,6 +159,7 @@ let open_ ?(fsync = Always) ?(group = Group.default) ?(env = Fsenv.real) path =
         closed = false;
       },
       {
+        data;
         records;
         truncated_bytes = truncated;
         corrupt = (match tail with Record.Corrupt _ -> true | _ -> false);
@@ -513,18 +516,7 @@ module Tail = struct
       ~finally:(fun () -> try E.close fd with _ -> ())
       (fun () ->
         E.lseek_set fd off;
-        let b = Bytes.create len in
-        let rec go pos =
-          if pos >= len then pos
-          else
-            match E.read fd b pos (len - pos) with
-            | 0 -> pos
-            | n -> go (pos + n)
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
-        in
-        let got = go 0 in
-        (* [b] is fresh and goes nowhere else: a full read needs no copy *)
-        if got = len then Bytes.unsafe_to_string b else Bytes.sub_string b 0 got)
+        read_upto env fd len)
 
   let read ?(max_bytes = 1 lsl 20) t c =
     locked t (fun () ->

@@ -29,7 +29,8 @@ val fsync_policy_of_string : string -> (fsync_policy, string) result
 type t
 
 type recovery = {
-  records : (int64 * string) list;  (** the valid prefix, in order *)
+  data : string;  (** the file's bytes as read, torn tail included *)
+  records : Record.span list;  (** the valid prefix, in order, as spans over [data] *)
   truncated_bytes : int;  (** torn/corrupt tail bytes discarded *)
   corrupt : bool;  (** the discard was a checksum/length mismatch,
                        not a clean cut *)
@@ -65,9 +66,10 @@ end
 
 val open_ :
   ?fsync:fsync_policy -> ?group:Group.config -> ?env:Fsenv.t -> string -> t * recovery
-(** Open (creating if missing) and scan the file. A torn or corrupt
-    tail is truncated away on disk so new appends extend the valid
-    prefix; everything before it is returned. The next sequence number
+(** Open (creating if missing) and walk the file ({!Record.walk}, every
+    CRC checked). A torn or corrupt tail is truncated away on disk so
+    new appends extend the valid prefix; the prefix is returned as spans
+    over the bytes read, no payload copied. The next sequence number
     continues after the largest recovered one. Default policy
     [Always]; [group] (default {!Group.default}) tunes its barrier.
     Every filesystem effect goes through [env] (default {!Fsenv.real},

@@ -63,10 +63,6 @@ let walk s =
   in
   go [] 0
 
-let decode_all s =
-  let spans, valid_end, tail = walk s in
-  (List.map (fun r -> (r.seq, String.sub s r.pos r.len)) spans, valid_end, tail)
-
 (* [walk] without its checksum pass *)
 let frames s =
   let rec go acc off =

@@ -38,11 +38,9 @@ val walk : string -> span list * int * tail
     [(records, end_of_valid_prefix, tail)]: every complete, checksummed
     record in order as a span over [s], the offset just past the last
     valid one, and how the scan ended. Every CRC is checked; no payload
-    is copied. How a replica checks a shipped batch before it applies
-    or journals any of it. *)
-
-val decode_all : string -> (int64 * string) list * int * tail
-(** {!walk} with each payload copied out. *)
+    is copied. How boot reads the journal and snapshot files, and how a
+    replica checks a shipped batch before it applies or journals any of
+    it. *)
 
 val frames : string -> (int64 * int) list
 (** The frame walk of {!walk} from the headers alone:

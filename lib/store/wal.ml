@@ -6,8 +6,10 @@ type t = {
 }
 
 type recovery = {
-  state : string list;
-  entries : string list;
+  snapshot_data : string;
+  state : Record.span list;
+  journal_data : string;
+  entries : Record.span list;
   snapshot_seq : int64;
   truncated_bytes : int;
   corrupt_tail : bool;
@@ -42,28 +44,24 @@ let rec mkdir_p env dir =
 let read_snapshot env dir =
   let module E = (val env : Fsenv.S) in
   let path = snapshot_file dir in
-  if not (E.file_exists path) then (0L, [])
-  else
-    match Record.decode_all (E.read_file path) with
-    | (meta_seq, _meta) :: rest, _, _ -> (meta_seq, List.map snd rest)
-    | [], _, _ -> (0L, [])
+  let data = if E.file_exists path then E.read_file path else "" in
+  match Record.walk data with
+  | (meta : Record.span) :: rest, _, _ -> (data, meta.seq, rest)
+  | [], _, _ -> (data, 0L, [])
 
 let open_ ?fsync ?group ?(env = Fsenv.real) dir =
   mkdir_p env dir;
-  let snapshot_seq, state = read_snapshot env dir in
+  let snapshot_data, snapshot_seq, state = read_snapshot env dir in
   let journal, (jr : Journal.recovery) =
     Journal.open_ ?fsync ?group ~env (journal_file dir)
   in
   Journal.bump_seq journal snapshot_seq;
-  let entries =
-    List.filter_map
-      (fun (seq, payload) -> if seq > snapshot_seq then Some payload else None)
-      jr.Journal.records
-  in
   ( { dir; env; journal; compactions = 0 },
     {
+      snapshot_data;
       state;
-      entries;
+      journal_data = jr.Journal.data;
+      entries = List.filter (fun (r : Record.span) -> r.seq > snapshot_seq) jr.Journal.records;
       snapshot_seq;
       truncated_bytes = jr.Journal.truncated_bytes;
       corrupt_tail = jr.Journal.corrupt;

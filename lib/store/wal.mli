@@ -5,7 +5,8 @@
 
     Recovery contract: {!open_} returns the snapshot's state payloads
     plus every journal entry appended after that snapshot was taken,
-    in order. A torn or corrupt journal tail (the crash case) is
+    in order, as spans over the two files' bytes, every CRC checked and
+    no payload copied. A torn or corrupt journal tail (the crash case) is
     discarded, never an error: the result is always a prefix of the
     appended sequence. Both files are replaced only by one rotation
     ({!compact_background}, {!install_snapshot}): the snapshot is
@@ -25,8 +26,11 @@
 type t
 
 type recovery = {
-  state : string list;  (** snapshot payloads (empty without a snapshot) *)
-  entries : string list;  (** journal payloads newer than the snapshot *)
+  snapshot_data : string;  (** [snapshot.log]'s bytes as read ([""] without one) *)
+  state : Record.span list;  (** snapshot payloads, as spans over [snapshot_data] *)
+  journal_data : string;  (** [wal.log]'s bytes as read *)
+  entries : Record.span list;
+      (** journal payloads newer than the snapshot, as spans over [journal_data] *)
   snapshot_seq : int64;  (** highest sequence the snapshot covers; 0L if none *)
   truncated_bytes : int;  (** journal tail bytes discarded on open *)
   corrupt_tail : bool;  (** the discard was a checksum mismatch, not a cut *)

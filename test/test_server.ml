@@ -1333,16 +1333,20 @@ let reap ?(signal = Sys.sigkill) s =
     close_in_noerr s.banner
   end
 
+(* Start `sosae serve` with its stdout on a pipe and its stderr on
+   [stderr] (default the suite's own). *)
+let launch ?(stderr = Unix.stderr) args =
+  let out_r, out_w = Unix.pipe () in
+  let argv = Array.of_list (sosae :: "serve" :: args) in
+  let pid = Unix.create_process sosae argv Unix.stdin out_w stderr in
+  Unix.close out_w;
+  { pid; port = 0; banner = Unix.in_channel_of_descr out_r; reaped = false }
+
 (* Spawn `sosae serve` and parse the bound port off its stdout
    banner ("sosae serve: listening on 127.0.0.1:PORT"). *)
 let spawn_serve args =
-  let out_r, out_w = Unix.pipe () in
-  let argv = Array.of_list (sosae :: "serve" :: args) in
-  let pid = Unix.create_process sosae argv Unix.stdin out_w Unix.stderr in
-  Unix.close out_w;
-  let banner = Unix.in_channel_of_descr out_r in
-  let line = try input_line banner with End_of_file -> "" in
-  let s = { pid; port = 0; banner; reaped = false } in
+  let s = launch args in
+  let line = try input_line s.banner with End_of_file -> "" in
   let give_up message =
     reap s;
     Alcotest.fail message
@@ -1367,6 +1371,49 @@ let with_serve ?signal args f =
       let v = f s in
       reap ?signal s;
       v)
+
+(* Run `sosae serve` where it cannot start: its exit status and what
+   it wrote to stderr. One that starts after all prints its banner,
+   which fails the test, and is reaped. *)
+let serve_refusal args =
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let s = launch ~stderr:err_w args in
+  Unix.close err_w;
+  let err = Unix.in_channel_of_descr err_r in
+  Fun.protect
+    ~finally:(fun () ->
+      reap s;
+      close_in_noerr err)
+    (fun () ->
+      match input_line s.banner with
+      | line -> Alcotest.failf "serve started anyway: %S" line
+      | exception End_of_file ->
+          let text = In_channel.input_all err in
+          s.reaped <- true;
+          (snd (Unix.waitpid [] s.pid), text))
+
+(* Each start-up failure is one line naming what was refused, and exit
+   1 like serve's other start-up errors, not an uncaught exception. *)
+let check_refusal what (status, err) expected =
+  Alcotest.(check string) (what ^ ": one line") (expected ^ "\n") err;
+  Alcotest.(check bool) (what ^ ": exit 1") true (status = Unix.WEXITED 1)
+
+let test_e2e_serve_port_in_use () =
+  with_serve [ "--port"; "0" ] (fun first ->
+      check_refusal "a bound port"
+        (serve_refusal [ "--port"; string_of_int first.port ])
+        (Printf.sprintf "sosae serve: cannot start: bind 127.0.0.1:%d: %s" first.port
+           (Unix.error_message Unix.EADDRINUSE)))
+
+let test_e2e_serve_data_dir_is_a_file () =
+  with_temp_dir (fun dir ->
+      let file = Filename.concat dir "data" in
+      Out_channel.with_open_bin file (fun _ -> ());
+      check_refusal "a data directory that is a file"
+        (serve_refusal [ "--port"; "0"; "--data-dir"; file ])
+        (Printf.sprintf "sosae serve: cannot start: open %s: %s"
+           (Filename.concat file "wal.log")
+           (Unix.error_message Unix.ENOTDIR)))
 
 let session_ids body =
   match Jsonlight.member "sessions" body with
@@ -1572,7 +1619,7 @@ let test_persist_json_create_undecodable () =
       Alcotest.(check (list string)) "raw create recovered" [ "raw" ]
         (List.map
            (function
-             | Server.Persist.Create { id; _ } -> id
+             | Server.Persist.Create_in { id; _ } -> id
              | _ -> Alcotest.fail "only creates were journaled")
            recovery.Server.Persist.mutations))
 
@@ -1595,6 +1642,68 @@ let test_persist_create_lengths_overflow () =
       Server.Persist.close persist;
       Alcotest.(check int) "counted undecodable" 1 recovery.Server.Persist.undecodable;
       Alcotest.(check int) "nothing replayed" 0 (List.length recovery.Server.Persist.mutations))
+
+(* Boot copies little of what it reads. Eight creates whose three
+   documents are 64 KiB or more each (PIMS, padded with a trailing
+   comment) are journaled, then all but one removed. Opening the
+   directory and recovering it must allocate directly on the major heap
+   (major words less promoted ones, read after a minor collection) at
+   most 1.5 times the bytes of wal.log and snapshot.log, so the seven
+   superseded creates are never copied; and it counts the records as it
+   always has. *)
+let test_recover_copies_little () =
+  with_temp_dir (fun dir ->
+      let n = 8 in
+      let scenarios, architecture, mapping = Lazy.force artifact_strings in
+      let pad doc = doc ^ "<!--" ^ String.make (64 * 1024) 'x' ^ "-->" in
+      let persist, _ = Server.Persist.open_ ~fsync:Store.Journal.Never dir in
+      let stage m = ignore (Server.Persist.stage persist m) in
+      for i = 1 to n do
+        stage
+          (Server.Persist.Create
+             {
+               id = Printf.sprintf "s%d" i;
+               policy = Adl.Graph.Routed;
+               scenarios = pad scenarios;
+               architecture = pad architecture;
+               mapping = pad mapping;
+             })
+      done;
+      for i = 2 to n do
+        stage (Server.Persist.Remove { id = Printf.sprintf "s%d" i })
+      done;
+      Server.Persist.close persist;
+      let on_disk =
+        List.fold_left
+          (fun acc name ->
+            let path = Filename.concat dir name in
+            if Sys.file_exists path then acc + file_size path else acc)
+          0 [ "wal.log"; "snapshot.log" ]
+      in
+      let direct_major () =
+        Gc.minor ();
+        let s = Gc.quick_stat () in
+        s.Gc.major_words -. s.Gc.promoted_words
+      in
+      let before = direct_major () in
+      let persist, recovery = Server.Persist.open_ ~fsync:Store.Journal.Never dir in
+      let registry = Server.Registry.create ~persist () in
+      let stats = Server.Registry.recover registry recovery.Server.Persist.mutations in
+      let bytes = (direct_major () -. before) *. float_of_int (Sys.word_size / 8) in
+      Server.Persist.close persist;
+      Alcotest.(check (list string)) "the one left stands" [ "s1" ] (Server.Registry.ids registry);
+      Alcotest.(check (list int)) "records, undecodable, applied, skipped, superseded"
+        [ (2 * n) - 1; 0; 1; 0; 2 * (n - 1) ]
+        [
+          recovery.Server.Persist.entries;
+          recovery.Server.Persist.undecodable;
+          stats.Server.Registry.applied;
+          stats.Server.Registry.skipped;
+          stats.Server.Registry.superseded;
+        ];
+      if bytes > 1.5 *. float_of_int on_disk then
+        Alcotest.failf "recovery allocated %.0f bytes directly on the major heap, %.2fx the %d on disk"
+          bytes (bytes /. float_of_int on_disk) on_disk)
 
 (* A payload decoded where it lies is the payload decoded from a copy.
    Each payload of every kind a journal carries (creates of the three
@@ -2492,9 +2601,10 @@ let prop_replica_prefix_equivalence =
           Store.Journal.close j;
           let entries =
             List.filter_map
-              (fun (seq, payload) ->
+              (fun (s : Store.Record.span) ->
+                let payload = String.sub r.Store.Journal.data s.pos s.len in
                 match Server.Persist.decode payload with
-                | Ok m -> Some (seq, payload, m)
+                | Ok m -> Some (s.seq, payload, m)
                 | Error _ -> None)
               r.Store.Journal.records
           in
@@ -2520,7 +2630,9 @@ let prop_replica_prefix_equivalence =
               | Error e -> QCheck2.Test.fail_report e);
               prefix := !prefix @ [ m ];
               let recovered = Server.Registry.create () in
-              ignore (Server.Registry.recover recovered !prefix);
+              ignore
+                (Server.Registry.recover recovered
+                   (List.map (fun m -> Server.Persist.Decoded m) !prefix));
               if dump_registry replica <> dump_registry recovered then
                 failures :=
                   Printf.sprintf "prefix of %d mutations diverges" (k + 1)
@@ -2680,9 +2792,13 @@ let prop_net_effect_reference =
           QCheck2.Test.fail_reportf "%s counts %d of %d records" what (total s) expected
       in
       let whole = Server.Registry.create () in
-      counted "recover" n (Server.Registry.recover whole mutations);
+      counted "recover" n
+        (Server.Registry.recover whole (List.map (fun m -> Server.Persist.Decoded m) mutations));
       let reference = Server.Registry.create () in
-      List.iter (fun m -> counted "recover [m]" 1 (Server.Registry.recover reference [ m ])) mutations;
+      List.iter
+        (fun m ->
+          counted "recover [m]" 1 (Server.Registry.recover reference [ Server.Persist.Decoded m ]))
+        mutations;
       (* the batches: frames numbered from 1, cut after each flagged item *)
       let batches =
         let buf = Buffer.create 65536 in
@@ -3734,12 +3850,18 @@ let suite =
       test_e2e_persistence_restart;
     Alcotest.test_case "e2e: SIGKILL mid-load, acknowledged survives" `Quick
       test_e2e_sigkill_mid_load;
+    Alcotest.test_case "e2e: serve refuses a bound port in one line" `Quick
+      test_e2e_serve_port_in_use;
+    Alcotest.test_case "e2e: serve refuses a data directory that is a file" `Quick
+      test_e2e_serve_data_dir_is_a_file;
     Alcotest.test_case "registry: concurrent group-commit mutators recover"
       `Quick test_registry_group_concurrent_recovery;
     Alcotest.test_case "persist: a JSON create is undecodable" `Quick
       test_persist_json_create_undecodable;
     Alcotest.test_case "persist: create lengths that overflow are undecodable" `Quick
       test_persist_create_lengths_overflow;
+    Alcotest.test_case "persist: recovery copies little of what it reads" `Quick
+      test_recover_copies_little;
     Alcotest.test_case "metrics: journal and replication read live" `Quick
       test_metrics_read_live;
     QCheck_alcotest.to_alcotest prop_decode_in_place;

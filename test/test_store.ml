@@ -112,10 +112,25 @@ let encode_records payloads =
     payloads;
   Buffer.contents buf
 
+(* The walk's tail in the reference reader's terms *)
+let reference_tail = function
+  | Record.Clean -> Record_reference.Clean
+  | Record.Torn n -> Record_reference.Torn n
+  | Record.Corrupt n -> Record_reference.Corrupt n
+
+(* [Record.walk] with each payload copied out, after checking that the
+   reference reader decodes the same records, valid end and tail *)
+let decode s =
+  let spans, valid_end, tail = Record.walk s in
+  let records = List.map (fun (r : Record.span) -> (r.seq, String.sub s r.pos r.len)) spans in
+  if (records, valid_end, reference_tail tail) <> Record_reference.decode s then
+    Alcotest.fail "the walk and the reference reader differ";
+  (records, valid_end, tail)
+
 let test_record_roundtrip () =
   let payloads = [ "alpha"; ""; String.make 300 'x'; "\x00\xff\r\n" ] in
   let bytes = encode_records payloads in
-  let records, end_, tail = Record.decode_all bytes in
+  let records, end_, tail = decode bytes in
   Alcotest.(check bool) "clean" true (tail = Record.Clean);
   Alcotest.(check int) "consumed all" (String.length bytes) end_;
   Alcotest.(check (list string)) "payloads back" payloads (List.map snd records);
@@ -127,7 +142,7 @@ let test_record_torn_and_corrupt () =
   (* cut inside the second record: first survives, tail is Torn *)
   let first_len = Record.header_size + 3 in
   let cut = String.sub bytes 0 (first_len + 5) in
-  let records, end_, tail = Record.decode_all cut in
+  let records, end_, tail = decode cut in
   Alcotest.(check (list string)) "prefix survives" [ "one" ] (List.map snd records);
   Alcotest.(check int) "valid end" first_len end_;
   (match tail with
@@ -137,39 +152,56 @@ let test_record_torn_and_corrupt () =
   let flipped = Bytes.of_string bytes in
   let target = first_len + Record.header_size + 1 in
   Bytes.set flipped target (Char.chr (Char.code (Bytes.get flipped target) lxor 0xff));
-  let records, _, tail = Record.decode_all (Bytes.to_string flipped) in
+  let records, _, tail = decode (Bytes.to_string flipped) in
   Alcotest.(check (list string)) "corrupt drops tail" [ "one" ] (List.map snd records);
   (match tail with
   | Record.Corrupt _ -> ()
   | _ -> Alcotest.fail "expected Corrupt");
   (* an absurd declared length is corruption, not an allocation *)
   let huge = Bytes.make Record.header_size '\xff' in
-  let records, _, tail = Record.decode_all (Bytes.to_string huge) in
+  let records, _, tail = decode (Bytes.to_string huge) in
   Alcotest.(check int) "no records" 0 (List.length records);
-  match tail with
+  (match tail with
   | Record.Corrupt 0 -> ()
-  | _ -> Alcotest.fail "expected Corrupt at 0"
+  | _ -> Alcotest.fail "expected Corrupt at 0");
+  (* a declared length with no room for the sequence number is
+     corruption too, even when the CRC over the bytes it declares holds;
+     from 8 on, such a frame is a record *)
+  for length = 0 to 12 do
+    let body = String.init (max length 8) (fun i -> Char.chr (i + 1)) in
+    let framed = Bytes.create (8 + String.length body) in
+    Bytes.set_int32_be framed 0 (Int32.of_int length);
+    Bytes.set_int32_be framed 4 (Int32.of_int (Crc32_reference.sub body 0 length));
+    Bytes.blit_string body 0 framed 8 (String.length body);
+    let framed = Bytes.to_string framed in
+    let records, _, tail = decode framed in
+    let what = Printf.sprintf "declared length %d" length in
+    if length < 8 then begin
+      Alcotest.(check bool) what true (records = [] && tail = Record.Corrupt 0);
+      Alcotest.(check int) (what ^ ": no header frame") 0 (List.length (Record.frames framed))
+    end
+    else Alcotest.(check int) what 1 (List.length records);
+    Alcotest.(check bool) (what ^ ": headers as the reference reads them") true
+      (Record.frames framed = Record_reference.frames framed)
+  done
 
-(* The header walk lists the frames [decode_all] decodes, as
-   [(seq, frame size)], on clean encodings of random records cut at
-   every offset. It checks no CRC: a frame whose checksum fails is
-   walked where [decode_all] stops, and only a torn or impossible
-   length ends the walk. *)
+(* The header walk lists the frames the reference reader finds from
+   the headers alone, as [(seq, frame size)], on clean encodings of
+   random records cut at every offset. It checks no CRC: a frame whose
+   checksum fails is walked where the CRC-checked walk stops, and only
+   a torn or impossible length ends the walk. *)
 let prop_frames_walk_headers =
   let gen =
     QCheck2.Gen.(
       list_size (int_range 0 5) (string_size ~gen:(char_range '\000' '\255') (int_range 0 40)))
   in
-  QCheck2.Test.make ~name:"record: the header walk frames what decode_all decodes" ~count:100
+  QCheck2.Test.make ~name:"record: the header walk frames what the reference reads" ~count:100
     gen (fun payloads ->
-      let decoded s =
-        let records, _, _ = Record.decode_all s in
-        List.map (fun (seq, p) -> (seq, Record.header_size + String.length p)) records
-      in
       let bytes = encode_records payloads in
       for cut = 0 to String.length bytes do
         let s = String.sub bytes 0 cut in
-        if Record.frames s <> decoded s then QCheck2.Test.fail_reportf "cut %d: walks differ" cut
+        if Record.frames s <> Record_reference.frames s then
+          QCheck2.Test.fail_reportf "cut %d: walks differ" cut
       done;
       let frames = Record.frames bytes in
       (match List.rev frames with
@@ -182,18 +214,22 @@ let prop_frames_walk_headers =
           let flipped = Bytes.to_string flipped in
           if Record.frames flipped <> frames then
             QCheck2.Test.fail_report "the walk stopped at a bad CRC";
-          if decoded flipped <> List.filteri (fun i _ -> i < List.length frames - 1) frames then
-            QCheck2.Test.fail_report "decode_all did not stop at the bad CRC");
+          let records, _, _ = Record_reference.decode flipped in
+          let spans, _, _ = Record.walk flipped in
+          let before_last = List.length frames - 1 in
+          if List.length records <> before_last || List.length spans <> before_last then
+            QCheck2.Test.fail_report "the CRC-checked walk did not stop at the bad CRC");
       if Record.frames (bytes ^ String.make Record.header_size '\xff') <> frames then
         QCheck2.Test.fail_report "the walk went past an impossible length";
       true)
 
-(* The CRC-checked span walk is [decode_all] without the copies. On
-   random encodings cut at every offset, and with one payload byte
-   flipped, it stops where [decode_all] stops, for the same reason
-   (the same valid end and [Clean], [Torn n] or [Corrupt n] tail); its
-   spans carry [decode_all]'s seqs and payload bytes; and they lie
-   frame after frame from offset 0 to that valid end. *)
+(* The CRC-checked span walk reads what the reference reader decodes,
+   copying nothing. On random encodings cut at every offset, and with
+   one payload byte flipped, it stops where the reference stops, for
+   the same reason (the same valid end and [Clean], [Torn n] or
+   [Corrupt n] tail); its spans carry the reference's seqs and payload
+   bytes; and they lie frame after frame from offset 0 to that valid
+   end. *)
 let prop_walk_spans =
   let gen =
     QCheck2.Gen.(
@@ -201,18 +237,18 @@ let prop_walk_spans =
         (list_size (int_range 0 5) (string_size ~gen:(char_range '\000' '\255') (int_range 0 40)))
         (int_range 0 1000))
   in
-  QCheck2.Test.make ~name:"record: the span walk checks what decode_all checks, copying nothing"
+  QCheck2.Test.make ~name:"record: the span walk checks what the reference checks, copying nothing"
     ~count:100 gen (fun (payloads, pick) ->
       let same s =
         let spans, valid_end, tail = Record.walk s in
-        let records, valid_end', tail' = Record.decode_all s in
+        let records, valid_end', tail' = Record_reference.decode s in
         let frames_end =
           List.fold_left
             (fun at (r : Record.span) ->
               if r.pos <> at + Record.header_size then -1 else r.pos + r.len)
             0 spans
         in
-        tail = tail' && valid_end = valid_end' && frames_end = valid_end
+        reference_tail tail = tail' && valid_end = valid_end' && frames_end = valid_end
         && List.map (fun (r : Record.span) -> (r.seq, String.sub s r.pos r.len)) spans = records
       in
       let bytes = encode_records payloads in
@@ -237,6 +273,17 @@ let prop_walk_spans =
 
 (* ---------------- Journal ----------------------------------------- *)
 
+(* a recovery's spans with their payloads copied out *)
+let copied data spans = List.map (fun (r : Record.span) -> String.sub data r.pos r.len) spans
+
+let recovered (r : Journal.recovery) =
+  List.combine
+    (List.map (fun (s : Record.span) -> s.seq) r.Journal.records)
+    (copied r.Journal.data r.Journal.records)
+
+let wal_state (r : Wal.recovery) = copied r.Wal.snapshot_data r.Wal.state
+let wal_entries (r : Wal.recovery) = copied r.Wal.journal_data r.Wal.entries
+
 let test_journal_reopen () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "j.log" in
@@ -253,7 +300,7 @@ let test_journal_reopen () =
       Journal.close j;
       let j, r = Journal.open_ path in
       Alcotest.(check (list string)) "records back" [ "a"; "b"; "c" ]
-        (List.map snd r.Journal.records);
+        (copied r.Journal.data r.Journal.records);
       Alcotest.(check int) "no truncation" 0 r.Journal.truncated_bytes;
       Alcotest.(check bool) "seq continues" true
         (Journal.append j "d" = 4L);
@@ -270,7 +317,7 @@ let test_journal_torn_tail_truncated () =
       write_file path (valid ^ "torn garbage after the real records");
       let j, r = Journal.open_ path in
       Alcotest.(check (list string)) "records intact" [ "payload-1"; "payload-2" ]
-        (List.map snd r.Journal.records);
+        (copied r.Journal.data r.Journal.records);
       Alcotest.(check bool) "tail reported" true (r.Journal.truncated_bytes > 0);
       Journal.close j;
       Alcotest.(check int) "tail removed from disk" (String.length valid)
@@ -328,7 +375,7 @@ let prop_truncation_prefix =
             write_file truncated (String.sub full 0 cut);
             match Journal.open_ truncated with
             | j, r ->
-                let got = List.map snd r.Journal.records in
+                let got = copied r.Journal.data r.Journal.records in
                 if not (is_prefix got) then
                   failures := Printf.sprintf "cut %d: not a prefix" cut :: !failures;
                 Journal.close j
@@ -394,7 +441,7 @@ let prop_group_commit_equivalence =
           Journal.close j;
           (* recover the serialized order the group path produced *)
           let _, (r : Journal.recovery) = Journal.open_ ~fsync:Journal.Never grouped in
-          let recovered = r.Journal.records in
+          let recovered = recovered r in
           if List.length recovered <> total then
             QCheck2.Test.fail_report
               (Printf.sprintf "group log has %d records, appended %d"
@@ -445,7 +492,7 @@ let prop_group_commit_equivalence =
             write_file truncated (String.sub a 0 cut);
             match Journal.open_ truncated with
             | j, r ->
-                let got = List.map snd r.Journal.records in
+                let got = copied r.Journal.data r.Journal.records in
                 if not (is_prefix got) then
                   failures := Printf.sprintf "cut %d: not a prefix" cut :: !failures;
                 Journal.close j
@@ -525,8 +572,8 @@ let test_wal_compaction () =
       ignore (Wal.append w "e3");
       Wal.close w;
       let w, r = Wal.open_ dir in
-      Alcotest.(check (list string)) "snapshot state" [ "s1"; "s2" ] r.Wal.state;
-      Alcotest.(check (list string)) "post-snapshot entries" [ "e3" ] r.Wal.entries;
+      Alcotest.(check (list string)) "snapshot state" [ "s1"; "s2" ] (wal_state r);
+      Alcotest.(check (list string)) "post-snapshot entries" [ "e3" ] (wal_entries r);
       Alcotest.(check bool) "snapshot covers e1,e2" true (r.Wal.snapshot_seq = 2L);
       (* sequences keep growing across snapshots *)
       Alcotest.(check bool) "next append past all" true (Wal.append w "e4" > 3L);
@@ -549,9 +596,9 @@ let test_wal_compaction_overlap () =
          journal swap never hit the disk *)
       write_file wal_log (covered ^ read_file wal_log);
       let w, r = Wal.open_ dir in
-      Alcotest.(check (list string)) "state once" [ "s1" ] r.Wal.state;
+      Alcotest.(check (list string)) "state once" [ "s1" ] (wal_state r);
       Alcotest.(check (list string)) "covered entries skipped" [ "e3" ]
-        r.Wal.entries;
+        (wal_entries r);
       Wal.close w)
 
 (* Background compaction rotates the journal while appends keep
@@ -572,9 +619,9 @@ let test_wal_background_compaction () =
       ignore (Wal.append w "e4");
       Wal.close w;
       let w, r = Wal.open_ dir in
-      Alcotest.(check (list string)) "snapshot state" [ "s1" ] r.Wal.state;
+      Alcotest.(check (list string)) "snapshot state" [ "s1" ] (wal_state r);
       Alcotest.(check (list string)) "tail survived rotation" [ "e3"; "e4" ]
-        r.Wal.entries;
+        (wal_entries r);
       Alcotest.(check bool) "snapshot covers e1,e2" true (r.Wal.snapshot_seq = 2L);
       Alcotest.(check bool) "seq keeps counting" true (Wal.append w "e5" = 5L);
       Wal.close w)
@@ -601,9 +648,9 @@ let test_wal_ingest_mirrored_by_rotation () =
           [ "s1" ]);
       Wal.close w;
       let w, r = Wal.open_ dir in
-      Alcotest.(check (list string)) "snapshot state" [ "s1" ] r.Wal.state;
+      Alcotest.(check (list string)) "snapshot state" [ "s1" ] (wal_state r);
       Alcotest.(check (list string)) "the ingested records survived rotation"
-        [ "shipped-2"; "shipped-3" ] r.Wal.entries;
+        [ "shipped-2"; "shipped-3" ] (wal_entries r);
       Alcotest.(check bool) "seq continues past them" true (Wal.append w "e4" = 4L);
       Wal.close w)
 
@@ -621,7 +668,7 @@ let test_wal_background_compaction_abort () =
       Wal.compact_background w ~state:(fun () -> [ "s1" ]);
       Wal.close w;
       let w, r = Wal.open_ dir in
-      Alcotest.(check (list string)) "state after retry" [ "s1" ] r.Wal.state;
+      Alcotest.(check (list string)) "state after retry" [ "s1" ] (wal_state r);
       Alcotest.(check int) "journal tail empty" 0 (List.length r.Wal.entries);
       Wal.close w)
 
@@ -697,9 +744,9 @@ let test_wal_rotation_keeps_records_staged_while_waiting () =
       Option.iter Thread.join !writer;
       Wal.close w;
       let w, r = Wal.open_ dir in
-      Alcotest.(check (list string)) "snapshot state" [ "s1" ] r.Wal.state;
+      Alcotest.(check (list string)) "snapshot state" [ "s1" ] (wal_state r);
       Alcotest.(check (list string)) "records staged mid-rotation survive"
-        [ "e2"; "e3" ] r.Wal.entries;
+        [ "e2"; "e3" ] (wal_entries r);
       Wal.close w)
 
 let test_wal_fsync_stats () =
@@ -890,8 +937,8 @@ let prop_ship_truncation_prefix =
               match Journal.Tail.read ~max_bytes j c with
               | Journal.Tail.Records "", _ -> ()
               | Journal.Tail.Records data, _ -> (
-                  match Record.decode_all data with
-                  | records, _, Record.Clean ->
+                  match Record_reference.decode data with
+                  | records, _, Record_reference.Clean ->
                       shipped := !shipped @ records;
                       drain ()
                   | _ ->
@@ -901,7 +948,7 @@ let prop_ship_truncation_prefix =
                   failures := Printf.sprintf "cut %d: gap" cut :: !failures
             in
             drain ();
-            if !shipped <> r.Journal.records then
+            if !shipped <> recovered r then
               failures :=
                 Printf.sprintf "cut %d: shipped differs from recovery" cut
                 :: !failures;
